@@ -4,50 +4,152 @@ isomorphism at small sizes, and seeded random posets."""
 from __future__ import annotations
 
 import random
-from itertools import permutations
-from typing import Optional
+import re
+from typing import Iterator, Optional, Sequence
 
-from .poset import Poset, validate
+from .errors import BudgetExceeded
+from .poset import Poset, iter_bits, validate
 
 DEFAULT_SEED = 2718
 
+# Largest K accepted in an 'exhaustiveK' corpus item: 7 points take seconds,
+# 8 points canonicalise 2.8M labelled orders and take minutes.
+MAX_EXHAUSTIVE_POINTS = 7
 
-def _transitive(pairs: frozenset, n: int) -> bool:
-    succ = {i: set() for i in range(n)}
-    for a, b in pairs:
-        succ[a].add(b)
-    for a, b in pairs:
-        for c in succ[b]:
-            if c not in succ[a]:
-                return False
-    return True
+
+def _cells(up: Sequence[int]) -> list:
+    """An isomorphism-invariant ordered partition of the points of a strict
+    order given as in canonical_form.
+
+    Points start in cells by (|strict up|, |strict down|); each round
+    splits the cells by how many up- and down-neighbours a point has in
+    each cell, until no cell splits. Cells are listed in the sorted order
+    of their invariants, so isomorphic orders get corresponding cells in
+    the same order.
+    """
+    n = len(up)
+    above = [list(iter_bits(u)) for u in up]
+    below = [[] for _ in range(n)]
+    for i, a in enumerate(above):
+        for j in a:
+            below[j].append(i)
+    # a point's invariant packs into one int: its cell's rank, then its
+    # count of up- and down-neighbours in each cell, each count below n
+    width = n.bit_length()
+    span = width * n
+    sig = [len(a) << width | len(b) for a, b in zip(above, below)]
+    count = 0
+    while True:
+        ranks = {s: r for r, s in enumerate(sorted(set(sig)))}
+        if len(ranks) in (count, n):
+            break
+        count = len(ranks)
+        weight = [1 << width * ranks[s] for s in sig].__getitem__
+        sig = [
+            ranks[s] << 2 * span | sum(map(weight, a)) << span | sum(map(weight, b))
+            for s, a, b in zip(sig, above, below)
+        ]
+    cells = [[] for _ in ranks]
+    for i, s in enumerate(sig):
+        cells[ranks[s]].append(i)
+    return cells
+
+
+def canonical_form(up: Sequence[int]) -> int:
+    """A complete isomorphism invariant of a strict order.
+
+    up[i] is the bitmask of the points strictly above point i. Points are
+    placed at positions 0..n-1, each invariant cell (see _cells) onto its
+    own block of positions. Placing a point adds a row that records which
+    earlier positions lie below and above it, and the form is the least
+    concatenation of rows over all such placements. A placement is
+    extended only while its rows so far are the least, so the search
+    branches only where placements tie. Two strict orders get the same form
+    exactly when they are isomorphic.
+    """
+    n = len(up)
+    form = 0
+    placings = [()]
+    for cell in _cells(up):
+        for _ in cell:
+            least, kept = None, []
+            for placed in placings:
+                for x in cell:
+                    if x in placed:
+                        continue
+                    ux = up[x]
+                    row = 0
+                    bit = 1
+                    for y in placed:
+                        if up[y] >> x & 1:
+                            row |= bit
+                        elif ux >> y & 1:
+                            row |= bit << n
+                        bit <<= 1
+                    if least is None or row < least:
+                        least, kept = row, []
+                    if row == least:
+                        kept.append(placed + (x,))
+            form = form << 2 * n | least
+            placings = kept
+    return form
+
+
+def _slots(n: int) -> list:
+    """The pairs (i, j), i < j, of n points in lexicographic order; bit b
+    of a relation's `bits` is set when the b-th pair is related."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _natural_orders(n: int) -> Iterator[tuple]:
+    """Yield (bits, up) for every strict order on n points that is
+    contained in the index order, with up its strict up-set masks.
+
+    Points are added in index order; each new point is maximal so far and
+    its strict down-set is any down-set of the points before it.
+    """
+    slot = {pair: 1 << b for b, pair in enumerate(_slots(n))}
+
+    def extend(k: int, up: tuple, down: tuple, bits: int):
+        if k == n:
+            yield bits, up
+            return
+        # the down-sets of points 0..k-1, each with the bits of its pairs
+        # below the new point k
+        downsets = [(0, 0)]
+        for i in range(k):
+            below = down[i]
+            downsets += [
+                (d | 1 << i, b | slot[i, k]) for d, b in downsets if below & ~d == 0
+            ]
+        top = 1 << k
+        for d, b in downsets:
+            up_k = tuple(u | top if d >> i & 1 else u for i, u in enumerate(up))
+            yield from extend(k + 1, up_k + (0,), down + (d,), bits | b)
+
+    yield from extend(0, (), (), 0)
 
 
 def all_posets_up_to_iso(max_points: int) -> list:
     """All posets on 1..max_points points, one representative per
     isomorphism class, in a deterministic order.
 
-    Every finite poset admits a linear extension, so enumerating strict
-    transitive relations contained in the index order covers every class.
+    Every finite poset admits a linear extension, so the strict orders
+    contained in the index order cover every class. Within each size the
+    representative of a class is its order with the least `bits` (see
+    _slots), and classes come in the order of their representatives.
     """
     out = []
     for n in range(1, max_points + 1):
-        slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        perms = list(permutations(range(n)))
-        seen = set()
-        for bits in range(1 << len(slots)):
-            pairs = frozenset(
-                slots[b] for b in range(len(slots)) if bits >> b & 1
-            )
-            if not _transitive(pairs, n):
-                continue
-            canon = min(
-                tuple(sorted((p[a], p[b]) for a, b in pairs)) for p in perms
-            )
-            if canon in seen:
-                continue
-            seen.add(canon)
-            out.append(validate([f"p{i}" for i in range(n)], sorted(pairs)))
+        least = {}
+        for bits, up in _natural_orders(n):
+            form = canonical_form(up)
+            if form not in least or bits < least[form]:
+                least[form] = bits
+        slots = _slots(n)
+        points = [f"p{i}" for i in range(n)]
+        for bits in sorted(least.values()):
+            out.append(validate(points, [slots[b] for b in iter_bits(bits)]))
     return out
 
 
@@ -74,26 +176,47 @@ def random_posets(
     ]
 
 
+def _positive(item: str, text: str, what: str) -> int:
+    if not re.fullmatch(r"0*[1-9][0-9]*", text):
+        raise ValueError(
+            f"corpus item {item!r}: {what} must be a positive integer, got {text!r}"
+        )
+    return int(text)
+
+
 def corpus_from_spec(text: str, seed: Optional[int] = None) -> list:
     """Parse a corpus specifier into a poset list.
 
     Comma-separated items: 'exhaustiveK' enumerates all posets on <= K
-    points up to isomorphism; 'randomN' or 'randomN:S' draws N random
-    posets on <= 7 points (seed S, else the given or default seed).
+    points up to isomorphism, 1 <= K <= MAX_EXHAUSTIVE_POINTS; 'randomN' or
+    'randomN:S' draws N >= 1 random posets on <= 7 points (seed S, else the
+    given or default seed). A malformed item raises ValueError and a K
+    above the limit raises BudgetExceeded, each naming the item.
     """
     posets = []
     for item in text.split(","):
         item = item.strip()
         if item.startswith("exhaustive"):
-            posets.extend(all_posets_up_to_iso(int(item[len("exhaustive"):])))
+            k = _positive(item, item[len("exhaustive"):], "the size")
+            if k > MAX_EXHAUSTIVE_POINTS:
+                raise BudgetExceeded(
+                    f"corpus item {item!r}: exhaustive corpora are limited to "
+                    f"{MAX_EXHAUSTIVE_POINTS} points"
+                )
+            posets.extend(all_posets_up_to_iso(k))
         elif item.startswith("random"):
-            rest = item[len("random"):]
-            if ":" in rest:
-                count_s, seed_s = rest.split(":", 1)
-                posets.extend(random_posets(int(count_s), int(seed_s)))
+            count_s, sep, seed_s = item[len("random"):].partition(":")
+            count = _positive(item, count_s, "the count")
+            if sep:
+                if not re.fullmatch(r"-?[0-9]+", seed_s):
+                    raise ValueError(
+                        f"corpus item {item!r}: the seed must be an integer, "
+                        f"got {seed_s!r}"
+                    )
+                s = int(seed_s)
             else:
                 s = DEFAULT_SEED if seed is None else seed
-                posets.extend(random_posets(int(rest), s))
+            posets.extend(random_posets(count, s))
         else:
             raise ValueError(f"unknown corpus item {item!r}")
     return posets

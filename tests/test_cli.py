@@ -124,6 +124,15 @@ def test_verify_pass(runner):
     assert data["passed"] is True and data["seed_global"] == 2718
 
 
+@pytest.mark.parametrize(
+    "corpus, code", [("exhaustive0", 1), ("random5:x", 1), ("exhaustive8", 2)]
+)
+def test_verify_bad_corpus(runner, corpus, code):
+    res = runner.invoke(main, ["verify", "residuation", "--corpus", corpus])
+    assert res.exit_code == code
+    assert res.output.count("\n") == 1 and repr(corpus) in res.output
+
+
 def test_verify_unknown_lemma(runner):
     res = runner.invoke(main, ["verify", "frobnication"])
     assert res.exit_code == 1
