@@ -13,11 +13,9 @@ from .algebra import (
 from .colouring import (
     Colouring,
     TypePartition,
-    count_omega_classes,
     find_k_colouring,
     initial_partition,
     is_coloured,
-    is_isolated,
     min_colours,
     omega_types,
     refine_once,
@@ -29,6 +27,7 @@ from .errors import (
     ForeignElement,
     ForeignPoint,
     HeylabError,
+    InvalidAlgebra,
     PosetMismatch,
     SupportTooDeep,
 )
@@ -38,7 +37,6 @@ from .ladder import (
     build_ladder,
     canonical_colouring,
     collapse_check,
-    exhaustive_non_colourability,
     next_level_bound_check,
     verify_canonical,
 )
@@ -58,7 +56,6 @@ from .poset import (
 from .subalgebra import (
     RankedAlgebra,
     check_duality_theorem,
-    check_rank_type_lemma,
     generate,
     lattice_closure,
 )

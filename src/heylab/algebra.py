@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import PosetMismatch
+from .errors import InvalidAlgebra
 from .poset import (
     Poset,
     Upset,
@@ -96,18 +96,40 @@ class FiniteHeytingAlgebra:
 
 
 def algebra_from_json(data: dict) -> FiniteHeytingAlgebra:
+    """Rebuild an exported algebra. Raises InvalidAlgebra unless every
+    table is square over the elements and every table entry, bottom and
+    top is an element index; the lattice laws are not checked."""
+
     def as_tuples(label):
         if isinstance(label, list):
             return tuple(as_tuples(x) for x in label)
         return label
 
+    if not isinstance(data["elements"], list):
+        raise InvalidAlgebra("elements must be a list")
+    elements = tuple(as_tuples(e) for e in data["elements"])
+    size = len(elements)
+
+    def index(x, what: str) -> int:
+        if type(x) is not int or not 0 <= x < size:
+            raise InvalidAlgebra(f"{what} {x!r} is not an element index below {size}")
+        return x
+
+    def table(name: str) -> tuple:
+        rows = data[name]
+        if not isinstance(rows, list) or len(rows) != size or any(
+            not isinstance(r, list) or len(r) != size for r in rows
+        ):
+            raise InvalidAlgebra(f"the {name} table is not {size} x {size}")
+        return tuple(tuple(index(x, f"{name} entry") for x in r) for r in rows)
+
     return FiniteHeytingAlgebra(
-        elements=tuple(as_tuples(e) for e in data["elements"]),
-        meet=tuple(tuple(r) for r in data["meet"]),
-        join=tuple(tuple(r) for r in data["join"]),
-        imp=tuple(tuple(r) for r in data["imp"]),
-        bottom=data["bottom"],
-        top=data["top"],
+        elements=elements,
+        meet=table("meet"),
+        join=table("join"),
+        imp=table("imp"),
+        bottom=index(data["bottom"], "bottom"),
+        top=index(data["top"], "top"),
     )
 
 
@@ -139,11 +161,3 @@ def algebra_of(P: Poset, budget: Optional[int] = None) -> FiniteHeytingAlgebra:
         bottom=idx[0],
         top=idx[P.full_mask],
     )
-
-
-def element_index(P: Poset, U: Upset, budget: Optional[int] = None) -> int:
-    """Index of an upset in the canonical element order of algebra_of(P)."""
-    if U.parent != P:
-        raise PosetMismatch("upset does not live over this poset")
-    masks = upset_masks(P, budget)
-    return masks.index(U.mask)

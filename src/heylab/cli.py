@@ -64,40 +64,46 @@ def _emit(cfg: RunConfig, payload, *, text: Optional[str] = None) -> None:
         click.echo(body, nl=False)
 
 
-def _fail(msg: str, code: int) -> None:
-    click.echo(f"error: {msg}", err=True)
-    sys.exit(code)
+class _Heylab(click.Group):
+    """The CLI's one error path: a BudgetExceeded exits 2 and any other
+    HeylabError or ValueError exits 1, each with a one-line message."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (HeylabError, ValueError) as e:
+            click.echo(f"error: {e}", err=True)
+            sys.exit(EXIT_BUDGET if isinstance(e, BudgetExceeded) else EXIT_INVALID)
 
 
-def _load_poset(path: str):
+def _load(path: str, parse, what: str):
+    """parse() applied to a JSON file; any failure names the file."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
-        return poset_from_json(data)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-        _fail(f"cannot read poset file {path}: {e}", EXIT_INVALID)
-    except BudgetExceeded as e:
-        _fail(str(e), EXIT_BUDGET)
-    except HeylabError as e:
-        _fail(str(e), EXIT_INVALID)
+            return parse(json.load(fh))
+    except (OSError, KeyError, TypeError, ValueError, HeylabError) as e:
+        raise ValueError(f"cannot read {what} file {path}: {e}") from None
 
 
 def _parse_upsets(P, specs) -> list:
     """Each spec is a comma-separated list of point names; must be up-closed."""
     masks = []
     for spec in specs:
-        names = [s for s in spec.split(",") if s]
-        try:
-            mask = P.mask_of_names(names)
-        except HeylabError as e:
-            _fail(str(e), EXIT_INVALID)
+        mask = P.mask_of_names(s for s in spec.split(",") if s)
         if not is_upset_mask(P, mask):
-            _fail(f"{spec!r} is not an upset", EXIT_INVALID)
+            raise ValueError(f"{spec!r} is not an upset")
         masks.append(mask)
     return masks
 
 
-@click.group()
+def _depth_list(text: str) -> list:
+    try:
+        return [int(d) for d in text.split(",")]
+    except ValueError:
+        raise ValueError(f"bad depth list {text!r}") from None
+
+
+@click.group(cls=_Heylab)
 @click.option("--budget-upsets", default=1 << 20, show_default=True)
 @click.option("--budget-tuples", default=1 << 20, show_default=True)
 @click.option("--seed", default=DEFAULT_SEED, show_default=True)
@@ -109,7 +115,7 @@ def _parse_upsets(P, specs) -> list:
 def main(ctx, budget_upsets, budget_tuples, seed, fmt, out):
     """Heyting algebras of upsets, poset colourings, and ladder experiments."""
     if budget_upsets <= 0 or budget_tuples <= 0:
-        _fail("budgets must be positive", EXIT_INVALID)
+        raise ValueError("budgets must be positive")
     ctx.obj = RunConfig(budget_upsets, budget_tuples, seed, fmt, out)
 
 
@@ -121,13 +127,7 @@ def main(ctx, budget_upsets, budget_tuples, seed, fmt, out):
 @click.pass_obj
 def ladder(cfg: RunConfig, n, depth, with_bottom, dot):
     """Build a ladder truncation and print it as poset JSON or DOT."""
-    try:
-        spec = LadderSpec(n, depth, with_bottom)
-        P = build_ladder(spec, max_points=cfg.budget_upsets)
-    except ValueError as e:
-        _fail(str(e), EXIT_INVALID)
-    except BudgetExceeded as e:
-        _fail(str(e), EXIT_BUDGET)
+    P = build_ladder(LadderSpec(n, depth, with_bottom), max_points=cfg.budget_upsets)
     if dot or cfg.fmt == "dot":
         _emit(cfg, poset_to_dot(P))
     else:
@@ -139,11 +139,8 @@ def ladder(cfg: RunConfig, n, depth, with_bottom, dot):
 @click.pass_obj
 def upsets(cfg: RunConfig, poset_file):
     """List every upset of a poset in canonical order."""
-    P = _load_poset(poset_file)
-    try:
-        us = enumerate_upsets(P, cfg.budget_upsets)
-    except BudgetExceeded as e:
-        _fail(str(e), EXIT_BUDGET)
+    P = _load(poset_file, poset_from_json, "poset")
+    us = enumerate_upsets(P, cfg.budget_upsets)
     payload = {
         "seed": cfg.seed,
         "count": len(us),
@@ -157,12 +154,8 @@ def upsets(cfg: RunConfig, poset_file):
 @click.pass_obj
 def algebra(cfg: RunConfig, poset_file):
     """Export the full upset Heyting algebra with operation tables."""
-    P = _load_poset(poset_file)
-    try:
-        A = algebra_of(P, cfg.budget_upsets)
-    except BudgetExceeded as e:
-        _fail(str(e), EXIT_BUDGET)
-    payload = A.to_json()
+    P = _load(poset_file, poset_from_json, "poset")
+    payload = algebra_of(P, cfg.budget_upsets).to_json()
     payload["seed"] = cfg.seed
     _emit(cfg, payload)
 
@@ -176,14 +169,13 @@ def algebra(cfg: RunConfig, poset_file):
 @click.pass_obj
 def types(cfg: RunConfig, poset_file, colours, stage):
     """Type partition of a poset under a colouring."""
-    P = _load_poset(poset_file)
-    masks = _parse_upsets(P, colours)
-    c = Colouring.from_masks(P, masks)
+    P = _load(poset_file, poset_from_json, "poset")
+    c = Colouring.from_masks(P, _parse_upsets(P, colours))
     if stage is None:
         t = omega_types(P, c)
     else:
         if stage < 0:
-            _fail("stage must be >= 0", EXIT_INVALID)
+            raise ValueError("stage must be >= 0")
         t = initial_partition(P, c)
         for _ in range(stage):
             t = refine_once(t)
@@ -199,12 +191,9 @@ def types(cfg: RunConfig, poset_file, colours, stage):
 def colour_search(cfg: RunConfig, poset_file, k):
     """Exhaustive search for a k-colouring; exits 3 when none exists."""
     if k < 0:
-        _fail("k must be >= 0", EXIT_INVALID)
-    P = _load_poset(poset_file)
-    try:
-        c = find_k_colouring(P, k, cfg.budget_upsets, cfg.budget_tuples)
-    except BudgetExceeded as e:
-        _fail(str(e), EXIT_BUDGET)
+        raise ValueError("k must be >= 0")
+    P = _load(poset_file, poset_from_json, "poset")
+    c = find_k_colouring(P, k, cfg.budget_upsets, cfg.budget_tuples)
     if c is None:
         _emit(cfg, {"seed": cfg.seed, "k": k, "found": False})
         sys.exit(EXIT_FAILED)
@@ -226,12 +215,9 @@ def colour_search(cfg: RunConfig, poset_file, k):
 @click.pass_obj
 def generate_cmd(cfg: RunConfig, poset_file, gens):
     """Rank-stratified generated subalgebra with witness terms."""
-    P = _load_poset(poset_file)
+    P = _load(poset_file, poset_from_json, "poset")
     masks = _parse_upsets(P, gens)
-    try:
-        ra = generate(P, masks, cfg.budget_upsets)
-    except BudgetExceeded as e:
-        _fail(str(e), EXIT_BUDGET)
+    ra = generate(P, masks, cfg.budget_upsets)
     elems = sorted(ra.elements)
     payload = {
         "seed": cfg.seed,
@@ -260,33 +246,20 @@ def generate_cmd(cfg: RunConfig, poset_file, gens):
 @click.option("--gens-per-poset", default=None, type=int)
 @click.option("--max-stage", default=None, type=int)
 @click.pass_obj
-def verify(cfg: RunConfig, lemma, corpus, n, depth, depths, k, samples,
-           gens_per_poset, max_stage):
-    """Run a named lemma verification; exits 3 when it fails."""
-    kwargs = {
-        "corpus": corpus,
-        "n": n,
-        "depth": depth,
-        "k": k,
-        "samples": samples,
-        "gens_per_poset": gens_per_poset,
-        "max_stage": max_stage,
-    }
-    if depths is not None:
-        try:
-            kwargs["depths"] = [int(d) for d in depths.split(",")]
-        except ValueError:
-            _fail(f"bad depth list {depths!r}", EXIT_INVALID)
-    if lemma in ("rank-type", "duality", "collapse", "next-level", "oracle"):
-        kwargs["seed"] = cfg.seed
-    elif lemma == "non-colourable" and samples is not None:
-        kwargs["seed"] = cfg.seed
-    try:
-        report = verify_mod.run_verification(lemma, **kwargs)
-    except BudgetExceeded as e:
-        _fail(str(e), EXIT_BUDGET)
-    except (ValueError, TypeError, HeylabError) as e:
-        _fail(str(e), EXIT_INVALID)
+def verify(cfg: RunConfig, lemma, depths, **options):
+    """Run a named lemma verification; exits 3 when it fails.
+
+    The global seed and budgets go to every lemma that takes them; an
+    option the lemma does not take exits 1.
+    """
+    report = verify_mod.run_verification(
+        lemma,
+        depths=None if depths is None else _depth_list(depths),
+        seed=cfg.seed,
+        budget_upsets=cfg.budget_upsets,
+        budget_tuples=cfg.budget_tuples,
+        **options,
+    )
     report["seed_global"] = cfg.seed
     _emit(cfg, report)
     if not report["passed"]:
@@ -298,19 +271,15 @@ def verify(cfg: RunConfig, lemma, corpus, n, depth, depths, k, samples,
 @click.option("--depths", default="4,5,6,7,8", show_default=True)
 @click.pass_obj
 def strictness(cfg: RunConfig, n, depths):
-    """Strict-generation report for ladder truncations."""
-    try:
-        depth_list = [int(d) for d in depths.split(",")]
-    except ValueError:
-        _fail(f"bad depth list {depths!r}", EXIT_INVALID)
-    if n < 0 or any(d < 1 for d in depth_list):
-        _fail("n must be >= 0 and depths >= 1", EXIT_INVALID)
-    try:
-        report = verify_mod.verify_strictness(
-            n, depth_list, cfg.budget_upsets, cfg.budget_upsets
-        )
-    except BudgetExceeded as e:
-        _fail(str(e), EXIT_BUDGET)
+    """Strict-generation report for ladder truncations.
+
+    --budget-upsets caps the upsets of each truncation, and so also each
+    generated subalgebra; --budget-tuples caps the C(|Up|+n-1, n)
+    generator multisets scanned at each depth.
+    """
+    report = verify_mod.verify_strictness(
+        n, _depth_list(depths), cfg.budget_upsets, cfg.budget_tuples
+    )
     report["seed"] = cfg.seed
     text = _strictness_text(report)
     _emit(cfg, report, text=text)
@@ -338,18 +307,8 @@ def _strictness_text(report: dict) -> str:
 @click.pass_obj
 def product(cfg: RunConfig, algebra_a, algebra_b):
     """Componentwise product of two exported algebras."""
-    algebras = []
-    for path in (algebra_a, algebra_b):
-        try:
-            with open(path) as fh:
-                algebras.append(algebra_from_json(json.load(fh)))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
-            _fail(f"cannot read algebra file {path}: {e}", EXIT_INVALID)
-    try:
-        prod = algebra_product(algebras[0], algebras[1], cfg.budget_upsets)
-    except BudgetExceeded as e:
-        _fail(str(e), EXIT_BUDGET)
-    payload = prod.to_json()
+    A, B = (_load(p, algebra_from_json, "algebra") for p in (algebra_a, algebra_b))
+    payload = algebra_product(A, B, cfg.budget_upsets).to_json()
     payload["seed"] = cfg.seed
     _emit(cfg, payload)
 

@@ -9,18 +9,10 @@ chain is the omega-type partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Optional, Sequence
 
-from .errors import BudgetExceeded, PosetMismatch
-from .poset import (
-    DEFAULT_TUPLE_BUDGET,
-    Poset,
-    Upset,
-    is_upset_mask,
-    iter_bits,
-    upset_masks,
-)
+from .errors import PosetMismatch
+from .poset import Poset, Upset, is_upset_mask, iter_bits, upset_masks, upset_tuples
 
 
 @dataclass(frozen=True)
@@ -67,8 +59,7 @@ class TypePartition:
 
     @property
     def blocks(self) -> tuple:
-        nb = max(self.block_of) + 1 if self.block_of else 0
-        out = [[] for _ in range(nb)]
+        out = [[] for _ in range(self.n_blocks)]
         for i, b in enumerate(self.block_of):
             out[b].append(i)
         return tuple(tuple(b) for b in out)
@@ -124,6 +115,13 @@ def _omega_block_of(P: Poset, masks: Sequence[int]):
         stage += 1
 
 
+def omega_class_count(P: Poset, masks: Sequence[int]) -> int:
+    """Number of omega-types of the colouring masks; the masks colour P
+    exactly when this equals P.n."""
+    block_of, _ = _omega_block_of(P, masks)
+    return max(block_of) + 1
+
+
 def _check_parent(P: Poset, c: Colouring) -> None:
     if c.parent != P:
         raise PosetMismatch("colouring over a different poset")
@@ -148,17 +146,8 @@ def omega_types(P: Poset, c: Colouring) -> TypePartition:
     return TypePartition(P, None, block_of, stabilized_at=stabilized)
 
 
-def is_isolated(P: Poset, c: Colouring, x: int) -> bool:
-    t = omega_types(P, c)
-    return t.block_of.count(t.block_of[x]) == 1
-
-
 def is_coloured(P: Poset, c: Colouring) -> bool:
     return omega_types(P, c).is_discrete
-
-
-def count_omega_classes(P: Poset, c: Colouring) -> int:
-    return omega_types(P, c).n_blocks
 
 
 def find_k_colouring(
@@ -169,16 +158,8 @@ def find_k_colouring(
 ) -> Optional[Colouring]:
     """First k-tuple of upsets (canonical order) whose omega-types are
     discrete, or None when no k-colouring exists."""
-    masks = upset_masks(P, budget_upsets)
-    cap = DEFAULT_TUPLE_BUDGET if budget_tuples is None else budget_tuples
-    if len(masks) ** k > cap:
-        raise BudgetExceeded(
-            f"{len(masks)}^{k} colour tuples exceed the budget of {cap}"
-        )
-    n = P.n
-    for tup in product(masks, repeat=k):
-        block_of, _ = _omega_block_of(P, tup)
-        if max(block_of) + 1 == n:
+    for tup in upset_tuples(upset_masks(P, budget_upsets), k, budget_tuples):
+        if omega_class_count(P, tup) == P.n:
             return Colouring.from_masks(P, tup)
     return None
 

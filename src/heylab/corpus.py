@@ -21,38 +21,18 @@ def _cells(up: Sequence[int]) -> list:
     """An isomorphism-invariant ordered partition of the points of a strict
     order given as in canonical_form.
 
-    Points start in cells by (|strict up|, |strict down|); each round
-    splits the cells by how many up- and down-neighbours a point has in
-    each cell, until no cell splits. Cells are listed in the sorted order
-    of their invariants, so isomorphic orders get corresponding cells in
-    the same order.
+    Points are grouped into cells by (|strict up|, |strict down|), and cells
+    are listed in the sorted order of that pair, so isomorphic orders get
+    corresponding cells in the same order.
     """
-    n = len(up)
-    above = [list(iter_bits(u)) for u in up]
-    below = [[] for _ in range(n)]
-    for i, a in enumerate(above):
-        for j in a:
-            below[j].append(i)
-    # a point's invariant packs into one int: its cell's rank, then its
-    # count of up- and down-neighbours in each cell, each count below n
-    width = n.bit_length()
-    span = width * n
-    sig = [len(a) << width | len(b) for a, b in zip(above, below)]
-    count = 0
-    while True:
-        ranks = {s: r for r, s in enumerate(sorted(set(sig)))}
-        if len(ranks) in (count, n):
-            break
-        count = len(ranks)
-        weight = [1 << width * ranks[s] for s in sig].__getitem__
-        sig = [
-            ranks[s] << 2 * span | sum(map(weight, a)) << span | sum(map(weight, b))
-            for s, a, b in zip(sig, above, below)
-        ]
-    cells = [[] for _ in ranks]
-    for i, s in enumerate(sig):
-        cells[ranks[s]].append(i)
-    return cells
+    down = [0] * len(up)
+    for i, u in enumerate(up):
+        for j in iter_bits(u):
+            down[j] += 1
+    cells: dict = {}
+    for i, u in enumerate(up):
+        cells.setdefault((bin(u).count("1"), down[i]), []).append(i)
+    return [cells[key] for key in sorted(cells)]
 
 
 def canonical_form(up: Sequence[int]) -> int:

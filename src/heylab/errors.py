@@ -25,6 +25,10 @@ class BudgetExceeded(HeylabError):
     """Raised when an enumeration or search exceeds its configured cap."""
 
 
+class InvalidAlgebra(HeylabError):
+    """Raised when algebra tables are malformed or index outside the algebra."""
+
+
 class ForeignElement(HeylabError):
     """Raised when an element index does not belong to the algebra."""
 

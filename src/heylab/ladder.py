@@ -11,18 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from itertools import product
 from typing import Optional
 
-from .colouring import Colouring, _omega_block_of
+from .colouring import Colouring, _omega_block_of, omega_class_count
 from .errors import BudgetExceeded, PosetMismatch, SupportTooDeep
-from .poset import (
-    DEFAULT_TUPLE_BUDGET,
-    Poset,
-    iter_bits,
-    upset_masks,
-    validate,
-)
+from .poset import Poset, iter_bits, upset_masks, upset_tuples, validate
 
 BOTTOM_NAME = "bot"
 
@@ -129,8 +122,7 @@ def canonical_colouring(P: Poset, n: int) -> Colouring:
 def verify_canonical(n: int, depth: int, max_points: Optional[int] = None) -> bool:
     """Is the canonical colouring an actual colouring of the truncation?"""
     P = build_ladder(LadderSpec(n, depth, with_bottom=True), max_points)
-    block_of, _ = _omega_block_of(P, canonical_colouring(P, n).masks)
-    return max(block_of) + 1 == P.n
+    return omega_class_count(P, canonical_colouring(P, n).masks) == P.n
 
 
 @dataclass(frozen=True)
@@ -234,6 +226,14 @@ def next_level_bound_check(spec: LadderSpec, c: Colouring) -> bool:
     return True
 
 
+def random_tuples(pool, k: int, count: int, seed: Optional[int]) -> list:
+    """count seeded random k-tuples drawn from pool with replacement."""
+    rng = random.Random(seed)
+    return [
+        tuple(pool[rng.randrange(len(pool))] for _ in range(k)) for _ in range(count)
+    ]
+
+
 def non_colourability_scan(
     n: int,
     depth: int,
@@ -246,58 +246,34 @@ def non_colourability_scan(
     """Scan k-colourings of the bottomed truncation for isolated points.
 
     Exhaustive over all k-tuples of upsets when samples is None, otherwise
-    a seeded random sample. Reports how many colourings isolate every point
-    and the largest class count seen.
+    a seeded random sample; the seed is recorded in sampled mode only.
+    Reports how many colourings isolate every point and the largest class
+    count seen.
     """
     spec = LadderSpec(n, depth, with_bottom=True)
     P = build_ladder(spec)
     k = n if k is None else k
     masks = upset_masks(P, budget_upsets)
     if samples is None:
-        cap = DEFAULT_TUPLE_BUDGET if budget_tuples is None else budget_tuples
-        if len(masks) ** k > cap:
-            raise BudgetExceeded(
-                f"{len(masks)}^{k} colour tuples exceed the budget of {cap}"
-            )
-        tuples = product(masks, repeat=k)
-        checked = len(masks) ** k
+        tuples = upset_tuples(masks, k, budget_tuples)
     else:
-        rng = random.Random(seed)
-        tuples = [
-            tuple(masks[rng.randrange(len(masks))] for _ in range(k))
-            for _ in range(samples)
-        ]
-        checked = samples
-    max_classes = 0
-    coloured_found = 0
+        tuples = random_tuples(masks, k, samples, seed)
+    checked = max_classes = coloured_found = 0
     for tup in tuples:
-        block_of, _ = _omega_block_of(P, tup)
-        nb = max(block_of) + 1
-        max_classes = max(max_classes, nb)
-        if nb == P.n:
+        classes = omega_class_count(P, tup)
+        checked += 1
+        max_classes = max(max_classes, classes)
+        if classes == P.n:
             coloured_found += 1
     return {
         "n": n,
         "depth": depth,
         "k": k,
         "mode": "exhaustive" if samples is None else "sampled",
-        "seed": seed,
+        "seed": None if samples is None else seed,
         "checked": checked,
         "upset_count": len(masks),
         "point_count": P.n,
         "max_classes": max_classes,
         "coloured_found": coloured_found,
     }
-
-
-def exhaustive_non_colourability(
-    n: int,
-    depth: int,
-    budget_upsets: Optional[int] = None,
-    budget_tuples: Optional[int] = None,
-) -> bool:
-    """True when no n-tuple of upsets colours the bottomed truncation."""
-    report = non_colourability_scan(
-        n, depth, budget_upsets=budget_upsets, budget_tuples=budget_tuples
-    )
-    return report["coloured_found"] == 0

@@ -6,7 +6,8 @@ indices, and subsets of points are packed into Python ints (bit i = point i).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Optional
+from itertools import product
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import BudgetExceeded, CycleError, EmptyPoset, ForeignPoint
 
@@ -195,10 +196,7 @@ def up_closure(P: Poset, S: Iterable[int]) -> Upset:
 
 def down_closure(P: Poset, S: Iterable[int]) -> frozenset:
     """Smallest down-closed superset of S, as a set of point indices."""
-    m = 0
-    for i in iter_bits(_mask_of(P, S)):
-        m |= P.down[i]
-    return frozenset(iter_bits(m))
+    return frozenset(iter_bits(down_closure_mask(P, _mask_of(P, S))))
 
 
 def down_closure_mask(P: Poset, mask: int) -> int:
@@ -231,25 +229,39 @@ def upset_masks(P: Poset, budget: Optional[int] = None) -> tuple:
         return P._upset_masks
     n = P.n
     # decide membership from maximal points downward so that, when a point
-    # is considered, everything strictly above it is already decided
+    # is considered, everything strictly above it is already decided; an
+    # explicit stack keeps deep posets (long chains) off the call stack
     order = sorted(range(n), key=lambda i: (bin(P.up[i]).count("1"), i))
     out = []
-
-    def walk(pos: int, cur: int) -> None:
+    stack = [(0, 0)]
+    while stack:
+        pos, cur = stack.pop()
         if pos == n:
             out.append(cur)
             if len(out) > cap:
                 raise BudgetExceeded(f"more than {cap} upsets")
-            return
+            continue
         i = order[pos]
-        walk(pos + 1, cur)
         if P.up[i] & ~(1 << i) & ~cur == 0:
-            walk(pos + 1, cur | (1 << i))
-
-    walk(0, 0)
+            stack.append((pos + 1, cur | (1 << i)))
+        stack.append((pos + 1, cur))
     masks = tuple(sorted(out))
     P._upset_masks = masks
     return masks
+
+
+def check_tuple_budget(count: int, budget: Optional[int] = None) -> None:
+    """Raise BudgetExceeded when a scan of count tuples exceeds the budget."""
+    cap = DEFAULT_TUPLE_BUDGET if budget is None else budget
+    if count > cap:
+        raise BudgetExceeded(f"{count} tuples exceed the budget of {cap}")
+
+
+def upset_tuples(items: Sequence, k: int, budget: Optional[int] = None):
+    """Every k-tuple of items in product order, once the tuple count has
+    been checked against the tuple budget."""
+    check_tuple_budget(len(items) ** k, budget)
+    return product(items, repeat=k)
 
 
 def enumerate_upsets(P: Poset, budget: Optional[int] = None) -> list:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .algebra import imp_mask
-from .colouring import _initial_block_of, _omega_block_of, _refine_block_of
+from .colouring import _initial_block_of, _refine_block_of, omega_class_count
 from .errors import BudgetExceeded
 from .poset import DEFAULT_UPSET_BUDGET, Poset, Upset, upset_masks
 
@@ -167,24 +167,15 @@ def rank_type_mismatches(
     return bad
 
 
-def check_rank_type_lemma(
-    P: Poset, G: Iterable, n: int, budget: Optional[int] = None
-) -> bool:
-    """Does the stage-n type partition over G equal the partition induced by
-    membership in the generated upsets of rank <= n?"""
-    return n not in rank_type_mismatches(P, G, n, budget)
-
-
-def check_duality_theorem(
-    P: Poset,
-    G: Iterable,
-    budget_upsets: Optional[int] = None,
-    budget_alg: Optional[int] = None,
-) -> bool:
-    """G generates all of Up(P) exactly when its omega-types are discrete."""
+def duality_sides(P: Poset, G: Iterable, budget: Optional[int] = None) -> tuple:
+    """(G generates all of Up(P), the omega-types of G are discrete); the
+    budget caps both the upsets of P and the generated subalgebra."""
     gmasks = _norm_masks(G)
-    ra = generate(P, gmasks, budget_alg)
-    generates_all = len(ra.elements) == len(upset_masks(P, budget_upsets))
-    block_of, _ = _omega_block_of(P, gmasks)
-    coloured = max(block_of) + 1 == P.n
+    size = len(generate(P, gmasks, budget).elements)
+    return size == len(upset_masks(P, budget)), omega_class_count(P, gmasks) == P.n
+
+
+def check_duality_theorem(P: Poset, G: Iterable, budget: Optional[int] = None) -> bool:
+    """G generates all of Up(P) exactly when its omega-types are discrete."""
+    generates_all, coloured = duality_sides(P, G, budget)
     return generates_all == coloured

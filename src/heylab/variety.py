@@ -4,13 +4,20 @@ strict-generation report for ladder truncations."""
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .algebra import FiniteHeytingAlgebra
 from .errors import BudgetExceeded, ForeignElement
 from .ladder import LadderSpec, build_ladder, canonical_colouring
-from .poset import DEFAULT_TUPLE_BUDGET, DEFAULT_UPSET_BUDGET, iter_bits, upset_masks
+from .poset import (
+    DEFAULT_UPSET_BUDGET,
+    check_tuple_budget,
+    iter_bits,
+    upset_masks,
+    upset_tuples,
+)
 from .subalgebra import generate
 
 
@@ -71,9 +78,7 @@ def max_k_generated_size(
     budget_tuples: Optional[int] = None,
 ) -> GenerationReport:
     """Exact maximum of |<gens>| over all k-tuples of elements."""
-    cap = DEFAULT_TUPLE_BUDGET if budget_tuples is None else budget_tuples
-    if A.size ** k > cap:
-        raise BudgetExceeded(f"{A.size}^{k} tuples exceed the budget of {cap}")
+    tuples = upset_tuples(range(A.size), k, budget_tuples)
     memo: dict = {}
 
     def closure_size(gens) -> int:
@@ -84,7 +89,7 @@ def max_k_generated_size(
 
     best = -1
     witness: tuple = ()
-    for tup in product(range(A.size), repeat=k):
+    for tup in tuples:
         sz = closure_size(tup)
         if sz > best:
             best, witness = sz, tup
@@ -144,29 +149,33 @@ def strictness_report(
     n: int,
     depths: Sequence[int],
     budget_upsets: Optional[int] = None,
-    budget_alg: Optional[int] = None,
+    budget_tuples: Optional[int] = None,
 ) -> list:
     """Per-depth generation data for bottomed parameter-n ladders.
 
     For each depth: the full upset-algebra size, the largest subalgebra
     generated by any n upsets (scanned exhaustively at the upset level),
-    and whether the canonical (n+1)-colouring generates everything.
+    and whether the canonical (n+1)-colouring generates everything. The
+    upset budget caps each truncation's upsets, and so each generated
+    subalgebra; the tuple budget caps the C(|Up|+n-1, n) generator
+    multisets of each depth's scan.
     """
     rows = []
-    for d in depths:
-        P = build_ladder(LadderSpec(n, d, with_bottom=True))
+    for spec in [LadderSpec(n, d, with_bottom=True) for d in depths]:
+        P = build_ladder(spec)
         masks = upset_masks(P, budget_upsets)
+        check_tuple_budget(comb(len(masks) + n - 1, n), budget_tuples)
         best = 0
         witness: tuple = ()
         for tup in combinations_with_replacement(masks, n):
-            size = len(generate(P, sorted(set(tup)), budget_alg).elements)
+            size = len(generate(P, sorted(set(tup)), budget_upsets).elements)
             if size > best:
                 best, witness = size, tup
         canonical = canonical_colouring(P, n)
-        canonical_size = len(generate(P, canonical.masks, budget_alg).elements)
+        canonical_size = len(generate(P, canonical.masks, budget_upsets).elements)
         rows.append(
             {
-                "depth": d,
+                "depth": spec.depth,
                 "k": n,
                 "algebra_size": len(masks),
                 "max_k_generated_size": best,

@@ -8,11 +8,12 @@ so identical arguments give byte-identical reports.
 
 from __future__ import annotations
 
+import inspect
 import random
 from typing import Optional, Sequence
 
 from .algebra import algebra_of, imp_mask
-from .colouring import _omega_block_of
+from .colouring import Colouring
 from .corpus import DEFAULT_SEED, corpus_from_spec
 from .ladder import (
     LadderSpec,
@@ -21,11 +22,12 @@ from .ladder import (
     collapse_check,
     next_level_bound_check,
     non_colourability_scan,
+    random_tuples,
     verify_canonical,
 )
 from .poset import Poset, iter_bits, poset_to_json, upset_masks
-from .subalgebra import generate, rank_type_mismatches
-from .variety import strictness_report
+from .subalgebra import duality_sides, generate, rank_type_mismatches
+from .variety import generated_size, strictness_report
 
 DEFAULT_CORPUS = "exhaustive5,random200:2718"
 
@@ -92,13 +94,12 @@ def verify_rank_type(
     max_stage: int = 5,
     seed: int = DEFAULT_SEED,
     budget_upsets: Optional[int] = None,
-    budget_alg: Optional[int] = None,
 ) -> dict:
     """Stage-n types against rank-<=n membership, all stages up to max_stage."""
     failures = []
     checks = 0
     for P, G in _corpus_generator_runs(corpus, gens_per_poset, seed, budget_upsets):
-        bad = rank_type_mismatches(P, G, max_stage, budget_alg)
+        bad = rank_type_mismatches(P, G, max_stage, budget_upsets)
         checks += max_stage + 1
         if bad:
             failures.append(
@@ -125,16 +126,12 @@ def verify_duality(
     gens_per_poset: int = 20,
     seed: int = DEFAULT_SEED,
     budget_upsets: Optional[int] = None,
-    budget_alg: Optional[int] = None,
 ) -> dict:
     """The generation/colouring biconditional over a sampled corpus."""
     failures = []
     checks = 0
     for P, G in _corpus_generator_runs(corpus, gens_per_poset, seed, budget_upsets):
-        ra = generate(P, G, budget_alg)
-        generates_all = len(ra.elements) == len(upset_masks(P, budget_upsets))
-        block_of, _ = _omega_block_of(P, G)
-        coloured = max(block_of) + 1 == P.n
+        generates_all, coloured = duality_sides(P, G, budget_upsets)
         checks += 1
         if generates_all != coloured:
             failures.append(
@@ -199,11 +196,9 @@ def verify_collapse(
     spec = LadderSpec(n, depth, with_bottom=True)
     P = build_ladder(spec)
     pool = _support_restricted_masks(P, support_levels - 1)
-    rng = random.Random(seed)
     failures = []
-    for _ in range(samples):
-        masks = tuple(pool[rng.randrange(len(pool))] for _ in range(n))
-        report = collapse_check(spec, _colouring_from(P, masks))
+    for masks in random_tuples(pool, n, samples, seed):
+        report = collapse_check(spec, Colouring.from_masks(P, masks))
         if not report.bound_satisfied:
             failures.append(
                 {"colours": _upset_lists(P, masks), "report": report.to_json()}
@@ -218,12 +213,6 @@ def verify_collapse(
         "failures": failures,
         "passed": not failures,
     }
-
-
-def _colouring_from(P: Poset, masks):
-    from .colouring import Colouring
-
-    return Colouring.from_masks(P, masks)
 
 
 def verify_non_colourable(
@@ -255,17 +244,12 @@ def verify_next_level(
     canonical colouring."""
     spec = LadderSpec(n, depth, with_bottom=True)
     P = build_ladder(spec)
-    masks_pool = upset_masks(P)
     k = n if k is None else k
-    rng = random.Random(seed)
-    trials = [tuple(canonical_colouring(P, n).masks)]
-    for _ in range(samples):
-        trials.append(
-            tuple(masks_pool[rng.randrange(len(masks_pool))] for _ in range(k))
-        )
+    trials = [canonical_colouring(P, n).masks]
+    trials += random_tuples(upset_masks(P), k, samples, seed)
     failures = []
     for masks in trials:
-        if not next_level_bound_check(spec, _colouring_from(P, masks)):
+        if not next_level_bound_check(spec, Colouring.from_masks(P, masks)):
             failures.append({"colours": _upset_lists(P, masks)})
     return {
         "lemma": "next-level",
@@ -283,11 +267,11 @@ def verify_strictness(
     n: int = 1,
     depths: Sequence[int] = (4, 5, 6, 7, 8),
     budget_upsets: Optional[int] = None,
-    budget_alg: Optional[int] = None,
+    budget_tuples: Optional[int] = None,
 ) -> dict:
     """Constant max n-generated size, growing full algebra, canonical
     generation at every depth."""
-    rows = strictness_report(n, depths, budget_upsets, budget_alg)
+    rows = strictness_report(n, depths, budget_upsets, budget_tuples)
     sizes = [r["algebra_size"] for r in rows]
     maxgen = [r["max_k_generated_size"] for r in rows]
     constant = len(set(maxgen)) == 1
@@ -310,12 +294,9 @@ def verify_oracle_equivalence(
     gens_per_poset: int = 20,
     seed: int = DEFAULT_SEED,
     budget_upsets: Optional[int] = None,
-    budget_alg: Optional[int] = None,
 ) -> dict:
     """Table-based closure size against the rank-stratified closure size,
     on the same sampled instances as the rank-type check."""
-    from .variety import generated_size
-
     failures = []
     checks = 0
     current: Optional[Poset] = None
@@ -327,7 +308,7 @@ def verify_oracle_equivalence(
             A = algebra_of(P, budget_upsets)
             mask_to_idx = {m: i for i, m in enumerate(upset_masks(P))}
         table_size = generated_size(A, [mask_to_idx[m] for m in G])
-        strata_size = len(generate(P, G, budget_alg).elements)
+        strata_size = len(generate(P, G, budget_upsets).elements)
         checks += 1
         if table_size != strata_size:
             failures.append(
@@ -349,32 +330,74 @@ def verify_oracle_equivalence(
     }
 
 
-def run_verification(name: str, **kwargs) -> dict:
-    """Dispatch a verification by its CLI name."""
-    corpus_spec = kwargs.pop("corpus", None)
-    needs_corpus = name in ("rank-type", "duality", "residuation", "oracle")
-    if needs_corpus:
-        corpus = corpus_from_spec(corpus_spec or DEFAULT_CORPUS)
-        kwargs["corpus"] = corpus
-    dispatch = {
-        "residuation": verify_residuation,
-        "rank-type": verify_rank_type,
-        "duality": verify_duality,
-        "canonical": _verify_canonical_entry,
-        "collapse": verify_collapse,
-        "non-colourable": verify_non_colourable,
-        "next-level": verify_next_level,
-        "strictness": verify_strictness,
-        "oracle": verify_oracle_equivalence,
-    }
-    if name not in dispatch:
-        raise ValueError(f"unknown lemma {name!r}")
-    kwargs = {k: v for k, v in kwargs.items() if v is not None}
-    return dispatch[name](**kwargs)
-
-
 def _verify_canonical_entry(n: Optional[int] = None, depth: Optional[int] = None) -> dict:
     if n is None:
+        if depth is not None:
+            raise ValueError("--depth needs --n")
         return verify_canonical_range()
     max_depth = depth if depth is not None else (6 if n >= 2 else 8)
     return verify_canonical_range(cases=((n, max_depth),))
+
+
+# The lemmas by CLI name. run_verification reads what each one takes from
+# its parameters: `corpus` takes a corpus spec, `seed` and the budgets come
+# from the global options, and every other parameter is a lemma option.
+LEMMAS = {
+    "residuation": verify_residuation,
+    "rank-type": verify_rank_type,
+    "duality": verify_duality,
+    "canonical": _verify_canonical_entry,
+    "collapse": verify_collapse,
+    "non-colourable": verify_non_colourable,
+    "next-level": verify_next_level,
+    "strictness": verify_strictness,
+    "oracle": verify_oracle_equivalence,
+}
+
+# The least value each integer lemma option accepts; below it a report
+# checks nothing or misstates what it checked.
+_OPTION_MINIMUM = {
+    "depth": 1, "k": 0, "samples": 0, "gens_per_poset": 1, "max_stage": 0
+}
+
+
+def _flag(param: str) -> str:
+    return "--" + param.replace("_", "-")
+
+
+def run_verification(
+    name: str,
+    corpus: Optional[str] = None,
+    seed: Optional[int] = None,
+    budget_upsets: Optional[int] = None,
+    budget_tuples: Optional[int] = None,
+    **options,
+) -> dict:
+    """Dispatch a verification by its CLI name.
+
+    A lemma that takes a corpus gets corpus_from_spec(corpus), the default
+    corpus when corpus is None; seed and the budgets go to every lemma that
+    takes them. An option left None is not given. A ValueError names the
+    flag of an option the lemma does not take, lacks or gets out of range.
+    """
+    if name not in LEMMAS:
+        raise ValueError(f"unknown lemma {name!r}")
+    fn = LEMMAS[name]
+    params = inspect.signature(fn).parameters
+    kwargs = {key: value for key, value in options.items() if value is not None}
+    if corpus is not None:
+        kwargs["corpus"] = corpus
+    for key, value in kwargs.items():
+        if key not in params:
+            raise ValueError(f"lemma {name!r} does not take {_flag(key)}")
+        if key in _OPTION_MINIMUM and value < _OPTION_MINIMUM[key]:
+            least = _OPTION_MINIMUM[key]
+            raise ValueError(f"{_flag(key)} must be >= {least}, got {value}")
+    if "corpus" in params:
+        kwargs["corpus"] = corpus_from_spec(corpus or DEFAULT_CORPUS)
+    given = dict(seed=seed, budget_upsets=budget_upsets, budget_tuples=budget_tuples)
+    kwargs.update((k, v) for k, v in given.items() if v is not None and k in params)
+    for key, param in params.items():
+        if param.default is param.empty and key not in kwargs:
+            raise ValueError(f"lemma {name!r} needs {_flag(key)}")
+    return fn(**kwargs)

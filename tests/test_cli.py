@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -181,3 +182,139 @@ def test_out_file(runner, fork_file, tmp_path):
 def test_bad_budget_rejected(runner, fork_file):
     res = runner.invoke(main, ["--budget-upsets", "0", "upsets", fork_file])
     assert res.exit_code == 1
+
+
+# sha256 of the stdout of `heylab verify ...` for every lemma, pinned from
+# the reports of the code before the lemma registry: moving what each lemma
+# takes into one registry must not change a byte of any report
+VERIFY_DIGESTS = [
+    pytest.param(
+        ["residuation", "--corpus", "exhaustive3"],
+        "519c05281e96d656570d80973b41cd1932deb086852d658edfd60efdedfb1514",
+        id="residuation",
+    ),
+    pytest.param(
+        ["rank-type", "--corpus", "exhaustive3", "--gens-per-poset", "3"],
+        "b256bc2c7e3a8dec1b6e677d4bd94b223a8a21a367a72328c03b7640cf6545c3",
+        id="rank-type",
+    ),
+    pytest.param(
+        ["duality", "--corpus", "exhaustive3", "--gens-per-poset", "3"],
+        "2de9ce2444b90ebc929f9266b5560b8c55d02042bc627e867085c5a8d2cb4c8d",
+        id="duality",
+    ),
+    pytest.param(
+        ["oracle", "--corpus", "exhaustive3", "--gens-per-poset", "3"],
+        "8671e389a9eaef6fddd95be86c31783766af6f08b2d81b5d88a2ce6843c3842f",
+        id="oracle",
+    ),
+    pytest.param(
+        ["canonical", "--n", "1", "--depth", "4"],
+        "1163c37c1e70e2e761712714cd9b6700e3a96474d8475d50cd253cb20178a6e3",
+        id="canonical",
+    ),
+    pytest.param(
+        ["collapse", "--n", "1", "--samples", "3"],
+        "88f5573486d6e1424b8e1f1604b8635bd67331b58b75e167f86abd663f45d714",
+        id="collapse",
+    ),
+    pytest.param(
+        ["non-colourable", "--n", "1", "--depth", "3"],
+        "8a65cb9056d5f79ad4e58f07b7a0a59c55b180a1132b6fb68630d4485d48279e",
+        id="non-colourable-exhaustive",
+    ),
+    pytest.param(
+        ["non-colourable", "--n", "2", "--depth", "2", "--k", "2", "--samples", "20"],
+        "0e2598c15cb7fbe481a5390f5a04b99a866143de6f831c43da98449bbb065084",
+        id="non-colourable-sampled",
+    ),
+    pytest.param(
+        ["next-level", "--n", "1", "--depth", "4", "--samples", "5"],
+        "59b09185e24d834dcd5f865005f618c6df6ff954fc577a8fa4d7ba956a59d2da",
+        id="next-level",
+    ),
+    pytest.param(
+        ["strictness", "--n", "1", "--depths", "4,5"],
+        "8d343ae8f9713d494598a3d0358115be40a14e326ca04d4de5d2d10b2c91b92b",
+        id="strictness",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, digest", VERIFY_DIGESTS)
+def test_verify_report_digest(runner, args, digest):
+    res = runner.invoke(main, ["verify", *args])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
+
+ONE_ELEMENT = {
+    "size": 1,
+    "elements": [[]],
+    "meet": [[0]],
+    "join": [[0]],
+    "imp": [[0]],
+    "bottom": 0,
+    "top": 0,
+}
+
+
+def _algebra(**changes):
+    return lambda write: write({**ONE_ELEMENT, **changes})
+
+
+def _chain(write):
+    # deeper than the interpreter's recursion limit
+    n = 1200
+    return write(poset_to_json(validate([f"c{i}" for i in range(n)],
+                                        [(i, i + 1) for i in range(n - 1)])))
+
+
+# argv (a callable item writes an input file and gives its path), exit code
+MALFORMED = [
+    pytest.param(["--budget-tuples", "10", "strictness", "--n", "1", "--depths", "4"],
+                 2, id="strictness-tuple-budget"),
+    pytest.param(["--budget-tuples", "10", "verify", "strictness", "--n", "1",
+                  "--depths", "4"], 2, id="verify-strictness-tuple-budget"),
+    pytest.param(["--budget-upsets", "3", "verify", "residuation", "--corpus",
+                  "exhaustive3"], 2, id="verify-upset-budget"),
+    pytest.param(["--budget-upsets", "1000", "upsets", _chain], 2, id="chain1200"),
+    pytest.param(["product", _algebra(meet=[[5]]), _algebra()], 1, id="entry-range"),
+    pytest.param(["product", _algebra(), _algebra(join="x")], 1, id="table-type"),
+    pytest.param(["product", _algebra(imp=[[0, 0]]), _algebra()], 1, id="table-shape"),
+    pytest.param(["product", _algebra(top=1), _algebra()], 1, id="top-range"),
+    pytest.param(["product", _algebra(bottom="0"), _algebra()], 1, id="bottom-type"),
+    pytest.param(["product", _algebra(elements="a"), _algebra()], 1, id="elements"),
+    pytest.param(["verify", "rank-type", "--corpus", "exhaustive3", "--max-stage",
+                  "-2"], 1, id="max-stage"),
+    pytest.param(["verify", "duality", "--corpus", "exhaustive3", "--gens-per-poset",
+                  "-1"], 1, id="gens-per-poset"),
+    pytest.param(["verify", "collapse", "--n", "1", "--samples", "-1"], 1,
+                 id="samples"),
+    pytest.param(["verify", "non-colourable", "--n", "1", "--depth", "3", "--samples",
+                  "-2"], 1, id="sampled-scan"),
+    pytest.param(["verify", "next-level", "--n", "1", "--depth", "4", "--k", "-1"],
+                 1, id="k"),
+    pytest.param(["verify", "canonical", "--n", "1", "--depth", "0"], 1, id="depth"),
+    pytest.param(["verify", "canonical", "--depth", "3"], 1, id="depth-without-n"),
+    pytest.param(["verify", "canonical", "--corpus", "exhaustive3"], 1,
+                 id="option-not-taken"),
+    pytest.param(["verify", "collapse"], 1, id="option-missing"),
+]
+
+
+@pytest.mark.parametrize("argv, code", MALFORMED)
+def test_malformed_input_exits_with_one_line(runner, tmp_path, argv, code):
+    written = []
+
+    def write(data):
+        path = tmp_path / f"input{len(written)}.json"
+        path.write_text(json.dumps(data))
+        written.append(path)
+        return str(path)
+
+    res = runner.invoke(main, [a(write) if callable(a) else a for a in argv])
+    assert res.exit_code == code
+    assert isinstance(res.exception, SystemExit)  # not an uncaught error
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1

@@ -5,11 +5,9 @@ import pytest
 from heylab import (
     Colouring,
     PosetMismatch,
-    count_omega_classes,
     find_k_colouring,
     initial_partition,
     is_coloured,
-    is_isolated,
     min_colours,
     omega_types,
     refine_once,
@@ -52,16 +50,16 @@ def test_refine_omega_rejected(fork):
 def test_empty_colouring(chain2, point):
     # no colours: the chain never splits, the single point is trivially done
     c = Colouring.from_masks(chain2, [])
-    assert count_omega_classes(chain2, c) == 1
+    assert omega_types(chain2, c).n_blocks == 1
     assert not is_coloured(chain2, c)
     assert is_coloured(point, Colouring.from_masks(point, []))
 
 
 def test_isolated(fork):
     c = Colouring.from_masks(fork, [0b010])
-    assert all(is_isolated(fork, c, i) for i in range(3))
+    assert omega_types(fork, c).blocks == ((0,), (1,), (2,))
     empty = Colouring.from_masks(fork, [])
-    assert not is_isolated(fork, empty, 1)
+    assert omega_types(fork, empty).blocks == ((0, 1, 2),)
 
 
 def test_omega_is_a_fixpoint(small_corpus):

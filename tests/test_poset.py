@@ -94,6 +94,14 @@ def test_upset_budget(antichain3):
         upset_masks(antichain3, budget=4)
 
 
+def test_upset_masks_on_long_chain():
+    # deeper than the interpreter's recursion limit
+    n = 1200
+    P = validate([f"c{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+    suffixes = [P.full_mask & ~((1 << i) - 1) for i in range(n + 1)]
+    assert upset_masks(P) == tuple(sorted(suffixes))
+
+
 def test_enumerate_upsets(fork):
     us = enumerate_upsets(fork)
     assert [u.mask for u in us] == list(upset_masks(fork))

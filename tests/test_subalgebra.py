@@ -5,13 +5,13 @@ import pytest
 from heylab import (
     Upset,
     check_duality_theorem,
-    check_rank_type_lemma,
     generate,
     lattice_closure,
 )
 from heylab.corpus import all_posets_up_to_iso
 from heylab.errors import BudgetExceeded
 from heylab.poset import upset_masks
+from heylab.subalgebra import rank_type_mismatches
 
 
 def oracle_imp(P, u, v):
@@ -110,7 +110,6 @@ def test_generate_budget(fork):
 
 
 def test_rank_type_and_duality_on_fork(fork):
-    for n in range(4):
-        assert check_rank_type_lemma(fork, [0b010], n)
+    assert rank_type_mismatches(fork, [0b010], 3) == []
     assert check_duality_theorem(fork, [0b010])
     assert check_duality_theorem(fork, [])  # nothing generated, nothing coloured

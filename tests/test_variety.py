@@ -99,3 +99,13 @@ def test_strictness_report_depth4():
     assert row["algebra_size"] == 36
     assert row["max_k_generated_size"] == 9
     assert row["canonical_generates_full"] is True
+
+
+def test_strictness_report_tuple_budget():
+    # n = 1, depth 4 scans C(36, 1) = 36 generator multisets
+    with pytest.raises(BudgetExceeded):
+        strictness_report(1, [4], budget_tuples=35)
+    assert strictness_report(1, [4], budget_tuples=36) == strictness_report(1, [4])
+    # n = 3, depth 1: C(515, 3) = 22,632,705 triples of its 513 upsets
+    with pytest.raises(BudgetExceeded):
+        strictness_report(3, [1])
