@@ -19,6 +19,7 @@ from .colouring import (
     min_colours,
     omega_types,
     refine_once,
+    stage_types,
 )
 from .errors import (
     BudgetExceeded,
@@ -58,6 +59,7 @@ from .subalgebra import (
     check_duality_theorem,
     generate,
     lattice_closure,
+    quotient_size,
 )
 from .variety import (
     GenerationReport,

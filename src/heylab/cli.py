@@ -1,11 +1,13 @@
 """Command-line front end: reproducible experiments with JSON/DOT output.
 
-Exit codes: 0 success / verification passed, 1 invalid input, 2 budget
-exceeded, 3 verification failed or search unsuccessful.
+Exit codes: 0 success / verification passed, 1 invalid input (click usage
+errors included), 2 budget exceeded, 3 verification failed or search
+unsuccessful.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
@@ -15,13 +17,7 @@ import click
 
 from . import verify as verify_mod
 from .algebra import algebra_from_json, algebra_of
-from .colouring import (
-    Colouring,
-    find_k_colouring,
-    initial_partition,
-    omega_types,
-    refine_once,
-)
+from .colouring import Colouring, find_k_colouring, omega_types, stage_types
 from .corpus import DEFAULT_SEED
 from .errors import BudgetExceeded, HeylabError
 from .ladder import LadderSpec, build_ladder
@@ -64,16 +60,33 @@ def _emit(cfg: RunConfig, payload, *, text: Optional[str] = None) -> None:
         click.echo(body, nl=False)
 
 
+@contextlib.contextmanager
+def _one_line_errors():
+    """The CLI's one error path: a BudgetExceeded exits 2, and any other
+    HeylabError, ValueError or click usage error exits 1, each with a
+    one-line message."""
+    try:
+        yield
+    except click.UsageError as e:
+        click.echo(f"error: {e.format_message()}", err=True)
+        sys.exit(EXIT_INVALID)
+    except (HeylabError, ValueError) as e:
+        click.echo(f"error: {e}", err=True)
+        sys.exit(EXIT_BUDGET if isinstance(e, BudgetExceeded) else EXIT_INVALID)
+
+
 class _Heylab(click.Group):
-    """The CLI's one error path: a BudgetExceeded exits 2 and any other
-    HeylabError or ValueError exits 1, each with a one-line message."""
+    """Routes the errors of parsing the global options (make_context) and
+    of running a command, its own options included (invoke), through
+    _one_line_errors."""
+
+    def make_context(self, *args, **kwargs):
+        with _one_line_errors():
+            return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx):
-        try:
+        with _one_line_errors():
             return super().invoke(ctx)
-        except (HeylabError, ValueError) as e:
-            click.echo(f"error: {e}", err=True)
-            sys.exit(EXIT_BUDGET if isinstance(e, BudgetExceeded) else EXIT_INVALID)
 
 
 def _load(path: str, parse, what: str):
@@ -103,7 +116,8 @@ def _depth_list(text: str) -> list:
         raise ValueError(f"bad depth list {text!r}") from None
 
 
-@click.group(cls=_Heylab)
+# a bare `heylab` is a usage error (missing command), not a help page
+@click.group(cls=_Heylab, no_args_is_help=False)
 @click.option("--budget-upsets", default=1 << 20, show_default=True)
 @click.option("--budget-tuples", default=1 << 20, show_default=True)
 @click.option("--seed", default=DEFAULT_SEED, show_default=True)
@@ -171,14 +185,7 @@ def types(cfg: RunConfig, poset_file, colours, stage):
     """Type partition of a poset under a colouring."""
     P = _load(poset_file, poset_from_json, "poset")
     c = Colouring.from_masks(P, _parse_upsets(P, colours))
-    if stage is None:
-        t = omega_types(P, c)
-    else:
-        if stage < 0:
-            raise ValueError("stage must be >= 0")
-        t = initial_partition(P, c)
-        for _ in range(stage):
-            t = refine_once(t)
+    t = omega_types(P, c) if stage is None else stage_types(P, c, stage)
     payload = t.to_json()
     payload["seed"] = cfg.seed
     _emit(cfg, payload)

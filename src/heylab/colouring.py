@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import PosetMismatch
-from .poset import Poset, Upset, is_upset_mask, iter_bits, upset_masks, upset_tuples
+from .poset import Poset, Upset, cover_walk, is_upset_mask, upset_masks, upset_tuples
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class TypePartition:
         }
 
 
-def _normalize(sigs: Sequence) -> tuple:
+def _normalize(sigs: Iterable) -> tuple:
     ids: dict = {}
     out = []
     for s in sigs:
@@ -91,16 +91,27 @@ def _normalize(sigs: Sequence) -> tuple:
 
 
 def _initial_block_of(P: Poset, masks: Sequence[int]) -> tuple:
-    return _normalize(
-        [tuple(m >> i & 1 for m in masks) for i in range(P.n)]
-    )
+    if not masks:
+        return (0,) * P.n
+    # point i's membership vector is the i-th column of the masks' bit rows
+    rows = [format(m, f"0{P.n}b")[::-1] for m in masks]
+    return _normalize(zip(*rows))
+
+
+def _met(P: Poset, block_of: Sequence[int]) -> list:
+    """met[i] is the bitmask of the blocks that the up-set of point i meets:
+    its own block joined with what its upper covers meet, walked top down."""
+    met = [0] * P.n
+    for i, ups in cover_walk(P):
+        m = 1 << block_of[i]
+        for j in ups:
+            m |= met[j]
+        met[i] = m
+    return met
 
 
 def _refine_block_of(P: Poset, block_of: Sequence[int]) -> tuple:
-    sigs = []
-    for i in range(P.n):
-        sigs.append(frozenset(block_of[j] for j in iter_bits(P.up[i])))
-    return _normalize(sigs)
+    return _normalize(_met(P, block_of))
 
 
 def _omega_block_of(P: Poset, masks: Sequence[int]):
@@ -138,6 +149,21 @@ def refine_once(t: TypePartition) -> TypePartition:
     if t.stage is None:
         raise ValueError("cannot refine an omega partition")
     return TypePartition(t.parent, t.stage + 1, _refine_block_of(t.parent, t.block_of))
+
+
+def stage_types(P: Poset, c: Colouring, stage: int) -> TypePartition:
+    """The stage-n partition for n = stage. A round that changes nothing has
+    reached the omega fixpoint, which every later stage repeats, so the
+    refinement stops there."""
+    if stage < 0:
+        raise ValueError("stage must be >= 0")
+    t = initial_partition(P, c)
+    while t.stage < stage:
+        nxt = refine_once(t)
+        if nxt.block_of == t.block_of:
+            return TypePartition(P, stage, t.block_of)
+        t = nxt
+    return t
 
 
 def omega_types(P: Poset, c: Colouring) -> TypePartition:

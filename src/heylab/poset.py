@@ -32,25 +32,24 @@ class Poset:
     its arguments.
     """
 
-    __slots__ = ("points", "up", "down", "level_tags", "_index", "_upset_masks")
+    __slots__ = (
+        "points", "up", "down", "level_tags", "_index", "_upset_masks", "_cover_walk"
+    )
 
     def __init__(
         self,
         points: Iterable[str],
         up: Iterable[int],
+        down: Iterable[int],
         level_tags: Optional[Mapping[int, int]] = None,
     ):
         self.points = tuple(points)
         self.up = tuple(up)
-        n = len(self.points)
-        down = [0] * n
-        for i in range(n):
-            for j in iter_bits(self.up[i]):
-                down[j] |= 1 << i
         self.down = tuple(down)
         self.level_tags = dict(level_tags) if level_tags is not None else None
         self._index = {name: i for i, name in enumerate(self.points)}
         self._upset_masks: Optional[tuple] = None
+        self._cover_walk: Optional[tuple] = None
 
     @property
     def n(self) -> int:
@@ -159,9 +158,9 @@ def validate(
 ) -> Poset:
     """Build a Poset from any binary relation on the points.
 
-    The input relation is closed reflexively and transitively, then checked
-    for antisymmetry. Pairs are (i, j) meaning point i <= point j, with
-    indices into the points list.
+    The input relation is closed reflexively and transitively; a cycle
+    through two or more points raises CycleError. Pairs are (i, j) meaning
+    point i <= point j, with indices into the points list.
     """
     pts = list(points)
     if not pts:
@@ -169,21 +168,47 @@ def validate(
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate point names")
     n = len(pts)
-    up = [1 << i for i in range(n)]
+    succ = [0] * n
     for i, j in raw_leq:
         if not (0 <= i < n and 0 <= j < n):
             raise ForeignPoint(f"relation pair ({i}, {j}) out of range")
-        up[i] |= 1 << j
-    for k in range(n):
-        bit = 1 << k
-        for i in range(n):
-            if up[i] & bit:
-                up[i] |= up[k]
-    for i in range(n):
-        for j in iter_bits(up[i]):
-            if j != i and up[j] >> i & 1:
-                raise CycleError(f"{pts[i]} <= {pts[j]} <= {pts[i]}")
-    return Poset(pts, up, level_tags)
+        if i != j:
+            succ[i] |= 1 << j
+    # one depth-first pass: a point finishes once all its successors have,
+    # and its up-set is itself joined with theirs (reverse topological
+    # order); a successor still on the path closes a cycle
+    up = [0] * n
+    finished = []
+    done = 0
+    for root in range(n):
+        if done >> root & 1:
+            continue
+        path, on_path = [root], 1 << root
+        while path:
+            i = path[-1]
+            pending = succ[i] & ~done
+            if pending & on_path:
+                j = (pending & on_path).bit_length() - 1
+                raise CycleError(f"{pts[j]} <= {pts[i]} <= {pts[j]}")
+            if pending:
+                low = pending & -pending
+                path.append(low.bit_length() - 1)
+                on_path |= low
+                continue
+            path.pop()
+            m = 1 << i
+            for j in iter_bits(succ[i]):
+                m |= up[j]
+            up[i] = m
+            on_path &= ~(1 << i)
+            done |= 1 << i
+            finished.append(i)
+    # down-sets in topological order: each point passes its own on
+    down = [1 << i for i in range(n)]
+    for i in reversed(finished):
+        for j in iter_bits(succ[i]):
+            down[j] |= down[i]
+    return Poset(pts, up, down, level_tags)
 
 
 def up_closure(P: Poset, S: Iterable[int]) -> Upset:
@@ -227,27 +252,51 @@ def upset_masks(P: Poset, budget: Optional[int] = None) -> tuple:
                 f"{len(P._upset_masks)} upsets exceed the budget of {cap}"
             )
         return P._upset_masks
-    n = P.n
-    # decide membership from maximal points downward so that, when a point
-    # is considered, everything strictly above it is already decided; an
-    # explicit stack keeps deep posets (long chains) off the call stack
-    order = sorted(range(n), key=lambda i: (bin(P.up[i]).count("1"), i))
-    out = []
-    stack = [(0, 0)]
-    while stack:
-        pos, cur = stack.pop()
-        if pos == n:
-            out.append(cur)
-            if len(out) > cap:
-                raise BudgetExceeded(f"more than {cap} upsets")
-            continue
-        i = order[pos]
-        if P.up[i] & ~(1 << i) & ~cur == 0:
-            stack.append((pos + 1, cur | (1 << i)))
-        stack.append((pos + 1, cur))
-    masks = tuple(sorted(out))
+    masks = tuple(sorted(upsets_of(P.up, cap)))
     P._upset_masks = masks
     return masks
+
+
+def _top_down(up: Sequence[int]) -> list:
+    """The points ordered so that each comes after everything strictly above
+    it: a strictly larger point has a strictly smaller up-set."""
+    return sorted(range(len(up)), key=lambda i: (up[i].bit_count(), i))
+
+
+def upsets_of(up: Sequence[int], cap: int) -> list:
+    """Every up-closed subset of the order whose point i has up-set up[i]
+    (a bitmask with bit i set), unsorted; BudgetExceeded past cap of them.
+
+    The points are taken from the maximal ones downward, so that when a
+    point is added everything strictly above it is already decided: it
+    extends exactly the upsets found so far that hold all of its strict
+    up-set. No recursion, so deep orders (long chains) are fine.
+    """
+    out = [0]
+    for i in _top_down(up):
+        bit = 1 << i
+        above = up[i] & ~bit
+        out += [u | bit for u in out if u & above == above]
+        if len(out) > cap:
+            raise BudgetExceeded(f"more than {cap} upsets")
+    return out
+
+
+def cover_walk(P: Poset) -> tuple:
+    """(i, upper covers of i) for every point i, in _top_down order. Cached
+    on the poset."""
+    if P._cover_walk is None:
+        walk = []
+        for i in _top_down(P.up):
+            # drop what lies strictly above each remaining candidate
+            cov = rest = P.up[i] & ~(1 << i)
+            while rest:
+                low = rest & -rest
+                cov &= ~P.up[low.bit_length() - 1] | low
+                rest = cov & ~((low << 1) - 1)
+            walk.append((i, tuple(iter_bits(cov))))
+        P._cover_walk = tuple(walk)
+    return P._cover_walk
 
 
 def check_tuple_budget(count: int, budget: Optional[int] = None) -> None:
@@ -279,14 +328,7 @@ def minimal_points(P: Poset) -> frozenset:
 
 def covers(P: Poset) -> list:
     """Cover pairs (i, j): i < j with nothing strictly in between."""
-    out = []
-    for i in range(P.n):
-        strict = P.up[i] & ~(1 << i)
-        for j in iter_bits(strict):
-            between = strict & P.down[j] & ~(1 << j)
-            if between == 0:
-                out.append((i, j))
-    return out
+    return sorted((i, j) for i, ups in cover_walk(P) for j in ups)
 
 
 def poset_to_json(P: Poset) -> dict:

@@ -14,9 +14,15 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .algebra import imp_mask
-from .colouring import _initial_block_of, _refine_block_of, omega_class_count
+from .colouring import (
+    _initial_block_of,
+    _met,
+    _omega_block_of,
+    _refine_block_of,
+    omega_class_count,
+)
 from .errors import BudgetExceeded
-from .poset import DEFAULT_UPSET_BUDGET, Poset, Upset, upset_masks
+from .poset import DEFAULT_UPSET_BUDGET, Poset, Upset, upset_masks, upsets_of
 
 # witness terms: ('0',) | ('1',) | ('g', i) | (op, left_mask, right_mask)
 _OP_TEXT = {"and": "and", "or": "or", "imp": "->"}
@@ -143,6 +149,23 @@ def generate(P: Poset, G: Iterable, budget: Optional[int] = None) -> RankedAlgeb
                 ranks[m] = stage
             cur = nxt
     return RankedAlgebra(P, tuple(strata), ranks, witnesses, closed)
+
+
+def quotient_size(P: Poset, G: Iterable, budget: Optional[int] = None) -> int:
+    """|<G>| computed on the dual side, without closing G.
+
+    By finite Esakia duality, <G> is exactly the set of upsets of P that are
+    unions of omega-classes of G, so |<G>| is the number of upsets of the
+    quotient P/omega_G. Each class of that quotient sees the same classes
+    above it from every one of its points. The budget caps the count, as it
+    caps the closure in generate().
+    """
+    cap = DEFAULT_UPSET_BUDGET if budget is None else budget
+    block_of, _ = _omega_block_of(P, _norm_masks(G))
+    up = [0] * (max(block_of) + 1)
+    for b, met in zip(block_of, _met(P, block_of)):
+        up[b] = met
+    return len(upsets_of(up, cap))
 
 
 def rank_type_mismatches(

@@ -85,6 +85,23 @@ def test_types_stage(runner, fork_file):
     assert data["blocks"] == [[0, 2], [1]]
 
 
+def test_types_stage_past_fixpoint(runner, fork_file):
+    # stages past the omega fixpoint repeat it, so this returns at once
+    res = runner.invoke(main, ["types", fork_file, "--colour", "x", "--stage",
+                               "100000000"])
+    assert res.exit_code == 0
+    data = json.loads(res.output)
+    assert data["stage"] == 100000000
+    assert data["blocks"] == [[0], [1], [2]]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["ladder", "--help"]])
+def test_help_exits_0(runner, argv):
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 0
+    assert res.stdout.startswith("Usage:")
+
+
 def test_types_rejects_non_upset(runner, fork_file):
     res = runner.invoke(main, ["types", fork_file, "--colour", "b"])
     assert res.exit_code == 1
@@ -300,6 +317,16 @@ MALFORMED = [
     pytest.param(["verify", "canonical", "--corpus", "exhaustive3"], 1,
                  id="option-not-taken"),
     pytest.param(["verify", "collapse"], 1, id="option-missing"),
+    pytest.param(["ladder", "--n", "x", "--depth", "2"], 1, id="usage-bad-int"),
+    pytest.param(["ladder", "--depth", "2"], 1, id="usage-missing-option"),
+    pytest.param(["ladder", "--n", "1", "--depth", "2", "--bogus"], 1,
+                 id="usage-unknown-option"),
+    pytest.param(["--budget-upsets", "x", "ladder", "--n", "1", "--depth", "2"], 1,
+                 id="usage-global-option"),
+    pytest.param(["--format", "yaml", "upsets", "p.json"], 1, id="usage-choice"),
+    pytest.param(["verify"], 1, id="usage-missing-argument"),
+    pytest.param(["nosuch"], 1, id="usage-unknown-command"),
+    pytest.param([], 1, id="usage-no-command"),
 ]
 
 

@@ -11,9 +11,25 @@ from heylab import (
     min_colours,
     omega_types,
     refine_once,
+    stage_types,
 )
+from heylab.colouring import (
+    _initial_block_of,
+    _normalize,
+    _omega_block_of,
+    _refine_block_of,
+)
+from heylab.corpus import all_posets_up_to_iso
 from heylab.errors import BudgetExceeded
-from heylab.poset import upset_masks
+from heylab.poset import iter_bits, upset_masks
+
+
+def oracle_refine_block_of(P, block_of):
+    """One refinement round from the definition: group points by the set of
+    blocks their up-set meets."""
+    return _normalize(
+        [frozenset(block_of[j] for j in iter_bits(P.up[i])) for i in range(P.n)]
+    )
 
 
 def test_colouring_validation(fork, chain2):
@@ -99,3 +115,30 @@ def test_colour_search_is_canonical(fork):
         if m == found:
             break
         assert not is_coloured(fork, Colouring.from_masks(fork, [m]))
+
+
+def test_refinement_matches_frozenset_oracle_at_every_stage():
+    rng = random.Random(11)
+    for P in all_posets_up_to_iso(5):
+        masks = upset_masks(P)
+        for _ in range(4):
+            gens = [rng.choice(masks) for _ in range(rng.randint(0, 3))]
+            block_of, stage = _initial_block_of(P, gens), 0
+            while True:
+                refined = _refine_block_of(P, block_of)
+                assert refined == oracle_refine_block_of(P, block_of)
+                if refined == block_of:
+                    break
+                block_of, stage = refined, stage + 1
+            assert _omega_block_of(P, gens) == (block_of, stage)
+
+
+def test_stage_types_past_the_fixpoint(fork):
+    c = Colouring.from_masks(fork, [0b010])
+    w = omega_types(fork, c)
+    for stage in (w.stabilized_at, w.stabilized_at + 1, 10**8):
+        t = stage_types(fork, c, stage)
+        assert (t.stage, t.block_of, t.stabilized_at) == (stage, w.block_of, None)
+    assert stage_types(fork, c, 0) == initial_partition(fork, c)
+    with pytest.raises(ValueError):
+        stage_types(fork, c, -1)

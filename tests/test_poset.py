@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heylab import (
     CycleError,
@@ -17,7 +21,7 @@ from heylab import (
     validate,
 )
 from heylab.errors import BudgetExceeded
-from heylab.poset import covers, is_upset_mask, iter_bits, upset_masks
+from heylab.poset import covers, cover_walk, is_upset_mask, iter_bits, upset_masks
 
 
 def oracle_upset_masks(P):
@@ -49,7 +53,7 @@ def test_validate_transitive_reflexive():
 
 
 def test_validate_rejects_cycles_and_bad_input():
-    with pytest.raises(CycleError):
+    with pytest.raises(CycleError, match=r"^a <= b <= a$"):
         validate(["a", "b"], [(0, 1), (1, 0)])
     with pytest.raises(EmptyPoset):
         validate([], [])
@@ -57,6 +61,66 @@ def test_validate_rejects_cycles_and_bad_input():
         validate(["a", "a"], [])
     with pytest.raises(ForeignPoint):
         validate(["a"], [(0, 3)])
+
+
+def warshall_closure(n, pairs):
+    """Reflexive-transitive closure by the n-by-n Warshall loop."""
+    up = [1 << i for i in range(n)]
+    for i, j in pairs:
+        up[i] |= 1 << j
+    for k in range(n):
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    return up
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
+                                                       st.integers(0, n - 1))))))
+def test_validate_matches_warshall_closure(case):
+    n, pairs = case
+    names = [f"p{i}" for i in range(n)]
+    up = warshall_closure(n, pairs)
+    cyclic = any(up[j] >> i & 1 for i in range(n) for j in iter_bits(up[i]) if j != i)
+    if cyclic:
+        with pytest.raises(CycleError) as err:
+            validate(names, pairs)
+        a, b = re.fullmatch(r"p(\d+) <= p(\d+) <= p\1", str(err.value)).groups()
+        assert a != b and up[int(a)] >> int(b) & 1 and up[int(b)] >> int(a) & 1
+        return
+    P = validate(names, pairs)
+    assert list(P.up) == up
+    assert list(P.down) == [sum(1 << i for i in range(n) if up[i] >> j & 1)
+                            for j in range(n)]
+
+
+def test_validate_long_chain_in_one_pass():
+    n = 1200
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    P = validate([f"c{i}" for i in range(n)], pairs[::2] + pairs[1::2])
+    assert P.up == tuple(P.full_mask & ~((1 << i) - 1) for i in range(n))
+    assert P.down == tuple((1 << (i + 1)) - 1 for i in range(n))
+
+
+def test_validate_rejects_long_cycle():
+    n = 1200
+    with pytest.raises(CycleError, match=r"^(c\d+) <= c\d+ <= \1$"):
+        validate([f"c{i}" for i in range(n)], [(i, (i + 1) % n) for i in range(n)])
+
+
+def test_cover_walk(small_corpus):
+    for P in small_corpus:
+        seen = set()
+        for i, ups in cover_walk(P):
+            strict = P.up[i] & ~(1 << i)
+            assert set(iter_bits(strict)) <= seen  # everything above comes first
+            assert set(ups) == {
+                j for j in iter_bits(strict) if strict & P.down[j] == 1 << j
+            }
+            seen.add(i)
+        assert sorted(seen) == list(range(P.n))
 
 
 def test_index_and_names(fork):

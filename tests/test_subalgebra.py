@@ -1,6 +1,8 @@
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heylab import (
     Upset,
@@ -8,10 +10,12 @@ from heylab import (
     generate,
     lattice_closure,
 )
-from heylab.corpus import all_posets_up_to_iso
+from heylab.corpus import DEFAULT_SEED, all_posets_up_to_iso, corpus_from_spec
 from heylab.errors import BudgetExceeded
-from heylab.poset import upset_masks
-from heylab.subalgebra import rank_type_mismatches
+from heylab.ladder import LadderSpec, build_ladder
+from heylab.poset import upset_masks, validate
+from heylab.subalgebra import quotient_size, rank_type_mismatches
+from heylab.verify import DEFAULT_CORPUS, _corpus_generator_runs
 
 
 def oracle_imp(P, u, v):
@@ -113,3 +117,40 @@ def test_rank_type_and_duality_on_fork(fork):
     assert rank_type_mismatches(fork, [0b010], 3) == []
     assert check_duality_theorem(fork, [0b010])
     assert check_duality_theorem(fork, [])  # nothing generated, nothing coloured
+
+
+def test_quotient_size_on_every_ladder_pair():
+    P = build_ladder(LadderSpec(2, 3, with_bottom=True))
+    for pair in combinations_with_replacement(upset_masks(P), 2):
+        assert quotient_size(P, pair) == len(generate(P, pair).elements)
+
+
+def test_quotient_size_on_acceptance_runs():
+    # the generator sets that criteria 2, 3 and 8 sample at the default seed
+    corpus = corpus_from_spec(DEFAULT_CORPUS)
+    for P, G in _corpus_generator_runs(corpus, 20, DEFAULT_SEED, None):
+        assert quotient_size(P, G) == len(generate(P, G).elements)
+
+
+@st.composite
+def posets_with_generators(draw):
+    n = draw(st.integers(1, 7))
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    P = validate([f"p{i}" for i in range(n)], [s for s, c in zip(slots, chosen) if c])
+    gens = draw(st.lists(st.sampled_from(upset_masks(P)), max_size=3))
+    return P, gens
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(posets_with_generators())
+def test_quotient_size_matches_generate(case):
+    P, gens = case
+    assert quotient_size(P, gens) == len(generate(P, gens).elements)
+
+
+def test_quotient_size_budget(fork):
+    assert quotient_size(fork, [0b010]) == 5
+    assert quotient_size(fork, []) == 2
+    with pytest.raises(BudgetExceeded):
+        quotient_size(fork, [0b010], budget=4)
