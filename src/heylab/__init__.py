@@ -56,15 +56,12 @@ from .poset import (
 )
 from .subalgebra import (
     RankedAlgebra,
-    check_duality_theorem,
     generate,
-    lattice_closure,
     quotient_size,
 )
 from .variety import (
     GenerationReport,
     algebra_product,
-    generated_size,
     max_k_generated_size,
     strictness_report,
 )

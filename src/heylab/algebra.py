@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidAlgebra
+from .errors import BudgetExceeded, InvalidAlgebra
 from .poset import (
+    DEFAULT_TUPLE_BUDGET,
     Poset,
     Upset,
     _check_same_parent,
@@ -95,10 +96,48 @@ class FiniteHeytingAlgebra:
         }
 
 
-def algebra_from_json(data: dict) -> FiniteHeytingAlgebra:
+def check_heyting_laws(A: FiniteHeytingAlgebra, budget: Optional[int] = None) -> None:
+    """Raise InvalidAlgebra unless the tables form a Heyting algebra: the
+    order a <= b iff meet[a][b] == a is a partial order, meet and join are
+    its glb and lub, bottom and top are extremal, and c <= imp[a][b] iff
+    meet[c][a] <= b. The size**3 steps are capped by the tuple budget."""
+    n = A.size
+    cap = DEFAULT_TUPLE_BUDGET if budget is None else budget
+    if n ** 3 > cap:
+        raise BudgetExceeded(
+            f"checking the laws of a {n}-element algebra takes {n ** 3} steps, "
+            f"over the budget of {cap} (--budget-tuples)"
+        )
+    # down[a] and up[a]: bitmasks of the elements below and above a
+    down = [sum(1 << c for c in range(n) if A.meet[c][a] == c) for a in range(n)]
+    up = [sum(1 << c for c in range(n) if A.meet[a][c] == a) for a in range(n)]
+    full = (1 << n) - 1
+    for a in range(n):
+        # reflexive and antisymmetric at a, and what is below a is below it
+        if down[a] & up[a] != 1 << a or any(
+            down[b] & ~down[a] for b in range(n) if down[a] >> b & 1
+        ):
+            raise InvalidAlgebra(
+                f"the order read off meet is not a partial order at element {a}"
+            )
+    if up[A.bottom] != full or down[A.top] != full:
+        raise InvalidAlgebra("bottom and top are not the least and greatest elements")
+    for a in range(n):
+        for b in range(n):
+            if down[a] & down[b] != down[A.meet[a][b]]:
+                raise InvalidAlgebra(f"meet[{a}][{b}] is not the greatest lower bound")
+            if up[a] & up[b] != up[A.join[a][b]]:
+                raise InvalidAlgebra(f"join[{a}][{b}] is not the least upper bound")
+            residual = sum(1 << c for c in range(n) if down[b] >> A.meet[c][a] & 1)
+            if residual != down[A.imp[a][b]]:
+                raise InvalidAlgebra(f"imp[{a}][{b}] is not the residual of {b} by {a}")
+
+
+def algebra_from_json(data: dict, budget: Optional[int] = None) -> FiniteHeytingAlgebra:
     """Rebuild an exported algebra. Raises InvalidAlgebra unless every
-    table is square over the elements and every table entry, bottom and
-    top is an element index; the lattice laws are not checked."""
+    table is square over the elements, every table entry, bottom and top
+    is an element index and the tables satisfy check_heyting_laws, whose
+    work the budget caps."""
 
     def as_tuples(label):
         if isinstance(label, list):
@@ -123,7 +162,7 @@ def algebra_from_json(data: dict) -> FiniteHeytingAlgebra:
             raise InvalidAlgebra(f"the {name} table is not {size} x {size}")
         return tuple(tuple(index(x, f"{name} entry") for x in r) for r in rows)
 
-    return FiniteHeytingAlgebra(
+    A = FiniteHeytingAlgebra(
         elements=elements,
         meet=table("meet"),
         join=table("join"),
@@ -131,6 +170,8 @@ def algebra_from_json(data: dict) -> FiniteHeytingAlgebra:
         bottom=index(data["bottom"], "bottom"),
         top=index(data["top"], "top"),
     )
+    check_heyting_laws(A, budget)
+    return A
 
 
 def algebra_of(P: Poset, budget: Optional[int] = None) -> FiniteHeytingAlgebra:

@@ -46,13 +46,18 @@ class RunConfig:
     out: Optional[str]
 
 
-def _emit(cfg: RunConfig, payload, *, text: Optional[str] = None) -> None:
-    if cfg.fmt == "text" and text is not None:
-        body = text
-    elif isinstance(payload, str):
+def _emit(cfg: RunConfig, payload, **renderings: str) -> None:
+    """Write a str payload as it is, and any other payload as JSON under
+    --format json or as the command's rendering for another format (e.g.
+    text=...); a format the command does not render is a ValueError."""
+    if isinstance(payload, str):
         body = payload
-    else:
+    elif cfg.fmt == "json":
         body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    elif cfg.fmt in renderings:
+        body = renderings[cfg.fmt]
+    else:
+        raise ValueError(f"this command has no --format {cfg.fmt} output")
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(body)
@@ -90,10 +95,13 @@ class _Heylab(click.Group):
 
 
 def _load(path: str, parse, what: str):
-    """parse() applied to a JSON file; any failure names the file."""
+    """parse() applied to a JSON file; any failure but a budget's names the
+    file."""
     try:
         with open(path) as fh:
             return parse(json.load(fh))
+    except BudgetExceeded:
+        raise
     except (OSError, KeyError, TypeError, ValueError, HeylabError) as e:
         raise ValueError(f"cannot read {what} file {path}: {e}") from None
 
@@ -122,7 +130,8 @@ def _depth_list(text: str) -> list:
 @click.option("--budget-tuples", default=1 << 20, show_default=True)
 @click.option("--seed", default=DEFAULT_SEED, show_default=True)
 @click.option(
-    "--format", "fmt", type=click.Choice(["json", "text", "dot"]), default="json"
+    "--format", "fmt", type=click.Choice(["json", "text", "dot"]), default="json",
+    help="json (every command), text (strictness) or dot (ladder).",
 )
 @click.option("--out", default=None, help="Write output to this file.")
 @click.pass_context
@@ -313,8 +322,15 @@ def _strictness_text(report: dict) -> str:
 @click.argument("algebra_b")
 @click.pass_obj
 def product(cfg: RunConfig, algebra_a, algebra_b):
-    """Componentwise product of two exported algebras."""
-    A, B = (_load(p, algebra_from_json, "algebra") for p in (algebra_a, algebra_b))
+    """Componentwise product of two exported algebras.
+
+    Each input must satisfy the Heyting algebra laws; --budget-tuples caps
+    the size**3 steps of checking them.
+    """
+    A, B = (
+        _load(p, lambda data: algebra_from_json(data, cfg.budget_tuples), "algebra")
+        for p in (algebra_a, algebra_b)
+    )
     payload = algebra_product(A, B, cfg.budget_upsets).to_json()
     payload["seed"] = cfg.seed
     _emit(cfg, payload)

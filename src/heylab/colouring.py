@@ -115,13 +115,15 @@ def _refine_block_of(P: Poset, block_of: Sequence[int]) -> tuple:
 
 
 def _omega_block_of(P: Poset, masks: Sequence[int]):
-    """Refine to the fixpoint; returns (block_of, stabilized_at)."""
+    """Refine to the fixpoint; returns (block_of, stabilized_at, met), where
+    met is _met of the fixpoint, from the round that found it stable."""
     b = _initial_block_of(P, masks)
     stage = 0
     while True:
-        nb = _refine_block_of(P, b)
+        met = _met(P, b)
+        nb = _normalize(met)
         if nb == b:
-            return b, stage
+            return b, stage, met
         b = nb
         stage += 1
 
@@ -129,8 +131,7 @@ def _omega_block_of(P: Poset, masks: Sequence[int]):
 def omega_class_count(P: Poset, masks: Sequence[int]) -> int:
     """Number of omega-types of the colouring masks; the masks colour P
     exactly when this equals P.n."""
-    block_of, _ = _omega_block_of(P, masks)
-    return max(block_of) + 1
+    return max(_omega_block_of(P, masks)[0]) + 1
 
 
 def _check_parent(P: Poset, c: Colouring) -> None:
@@ -168,7 +169,7 @@ def stage_types(P: Poset, c: Colouring, stage: int) -> TypePartition:
 
 def omega_types(P: Poset, c: Colouring) -> TypePartition:
     _check_parent(P, c)
-    block_of, stabilized = _omega_block_of(P, c.masks)
+    block_of, stabilized, _ = _omega_block_of(P, c.masks)
     return TypePartition(P, None, block_of, stabilized_at=stabilized)
 
 

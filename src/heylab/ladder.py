@@ -150,7 +150,7 @@ class CollapseReport:
 
 
 def _level_stats(P: Poset, masks, depth: int):
-    block_of, _ = _omega_block_of(P, masks)
+    block_of = _omega_block_of(P, masks)[0]
     levels = level_points(P)
     classes = []
     uniform0 = []

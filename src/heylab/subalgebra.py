@@ -16,7 +16,6 @@ from typing import Iterable, Optional, Union
 from .algebra import imp_mask
 from .colouring import (
     _initial_block_of,
-    _met,
     _omega_block_of,
     _refine_block_of,
     omega_class_count,
@@ -36,7 +35,6 @@ class RankedAlgebra:
     strata: tuple
     ranks: dict
     witnesses: dict
-    closed: bool
 
     @property
     def elements(self) -> frozenset:
@@ -59,21 +57,30 @@ class RankedAlgebra:
         return f"({_OP_TEXT[op]} {self.witness_text(a)} {self.witness_text(b)})"
 
     def eval_witness(self, mask: int) -> int:
-        """Re-evaluate the witness term of mask (soundness check hook)."""
-        t = self.witnesses[mask]
-        if t[0] == "0":
-            return 0
-        if t[0] == "1":
-            return self.parent.full_mask
-        if t[0] == "g":
-            return mask
-        op, a, b = t
-        va, vb = self.eval_witness(a), self.eval_witness(b)
-        if op == "and":
-            return va & vb
-        if op == "or":
-            return va | vb
-        return imp_mask(self.parent, va, vb)
+        """Re-evaluate the witness term of mask (soundness check hook). The
+        terms share subterms; each one is evaluated once, without recursion."""
+        value: dict = {}
+        todo = [mask]
+        while todo:
+            m = todo.pop()
+            if m in value:
+                continue
+            t = self.witnesses[m]
+            if t[0] == "0":
+                value[m] = 0
+            elif t[0] == "1":
+                value[m] = self.parent.full_mask
+            elif t[0] == "g":
+                value[m] = m
+            elif t[1] not in value or t[2] not in value:
+                todo += [m, t[1], t[2]]
+            elif t[0] == "and":
+                value[m] = value[t[1]] & value[t[2]]
+            elif t[0] == "or":
+                value[m] = value[t[1]] | value[t[2]]
+            else:
+                value[m] = imp_mask(self.parent, value[t[1]], value[t[2]])
+        return value[mask]
 
 
 def _norm_masks(gens: Iterable) -> list:
@@ -83,7 +90,7 @@ def _norm_masks(gens: Iterable) -> list:
     return out
 
 
-def _lattice_close(P: Poset, seeds, witnesses: Optional[dict], cap: int) -> set:
+def _lattice_close(P: Poset, seeds, witnesses: dict, cap: int) -> set:
     elems = sorted(set(seeds))
     seen = set(elems)
     i = 0
@@ -95,26 +102,16 @@ def _lattice_close(P: Poset, seeds, witnesses: Optional[dict], cap: int) -> set:
             if m not in seen:
                 seen.add(m)
                 elems.append(m)
-                if witnesses is not None:
-                    witnesses.setdefault(m, ("and", a, b))
+                witnesses.setdefault(m, ("and", a, b))
             m = a | b
             if m not in seen:
                 seen.add(m)
                 elems.append(m)
-                if witnesses is not None:
-                    witnesses.setdefault(m, ("or", a, b))
+                witnesses.setdefault(m, ("or", a, b))
         if len(seen) > cap:
             raise BudgetExceeded(f"lattice closure exceeds the budget of {cap}")
         i += 1
     return seen
-
-
-def lattice_closure(P: Poset, S: Iterable, budget: Optional[int] = None) -> frozenset:
-    """Smallest set of upset masks containing S, 0 and 1 and closed under
-    pairwise intersection and union."""
-    cap = DEFAULT_UPSET_BUDGET if budget is None else budget
-    seeds = set(_norm_masks(S)) | {0, P.full_mask}
-    return frozenset(_lattice_close(P, seeds, None, cap))
 
 
 def generate(P: Poset, G: Iterable, budget: Optional[int] = None) -> RankedAlgebra:
@@ -129,8 +126,7 @@ def generate(P: Poset, G: Iterable, budget: Optional[int] = None) -> RankedAlgeb
     cur = _lattice_close(P, seeds, witnesses, cap)
     strata = [frozenset(cur)]
     ranks = {m: 0 for m in sorted(cur)}
-    closed = False
-    while not closed:
+    while True:
         cand = set(cur)
         cur_sorted = sorted(cur)
         for a in cur_sorted:
@@ -141,14 +137,11 @@ def generate(P: Poset, G: Iterable, budget: Optional[int] = None) -> RankedAlgeb
                     witnesses.setdefault(m, ("imp", a, b))
         nxt = _lattice_close(P, cand, witnesses, cap)
         if nxt == cur:
-            closed = True
-        else:
-            strata.append(frozenset(nxt))
-            stage = len(strata) - 1
-            for m in sorted(nxt - cur):
-                ranks[m] = stage
-            cur = nxt
-    return RankedAlgebra(P, tuple(strata), ranks, witnesses, closed)
+            return RankedAlgebra(P, tuple(strata), ranks, witnesses)
+        strata.append(frozenset(nxt))
+        for m in sorted(nxt - cur):
+            ranks[m] = len(strata) - 1
+        cur = nxt
 
 
 def quotient_size(P: Poset, G: Iterable, budget: Optional[int] = None) -> int:
@@ -161,10 +154,10 @@ def quotient_size(P: Poset, G: Iterable, budget: Optional[int] = None) -> int:
     caps the closure in generate().
     """
     cap = DEFAULT_UPSET_BUDGET if budget is None else budget
-    block_of, _ = _omega_block_of(P, _norm_masks(G))
+    block_of, _, met = _omega_block_of(P, _norm_masks(G))
     up = [0] * (max(block_of) + 1)
-    for b, met in zip(block_of, _met(P, block_of)):
-        up[b] = met
+    for b, m in zip(block_of, met):
+        up[b] = m
     return len(upsets_of(up, cap))
 
 
@@ -196,9 +189,3 @@ def duality_sides(P: Poset, G: Iterable, budget: Optional[int] = None) -> tuple:
     gmasks = _norm_masks(G)
     size = len(generate(P, gmasks, budget).elements)
     return size == len(upset_masks(P, budget)), omega_class_count(P, gmasks) == P.n
-
-
-def check_duality_theorem(P: Poset, G: Iterable, budget: Optional[int] = None) -> bool:
-    """G generates all of Up(P) exactly when its omega-types are discrete."""
-    generates_all, coloured = duality_sides(P, G, budget)
-    return generates_all == coloured

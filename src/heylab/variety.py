@@ -71,10 +71,6 @@ def subalgebra_closure(A: FiniteHeytingAlgebra, gens: Iterable[int]) -> frozense
     return frozenset(seen)
 
 
-def generated_size(A: FiniteHeytingAlgebra, gens: Iterable[int]) -> int:
-    return len(subalgebra_closure(A, gens))
-
-
 def max_k_generated_size(
     A: FiniteHeytingAlgebra,
     k: int,

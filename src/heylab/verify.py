@@ -27,7 +27,7 @@ from .ladder import (
 )
 from .poset import Poset, iter_bits, poset_to_json, upset_masks
 from .subalgebra import duality_sides, generate, rank_type_mismatches
-from .variety import generated_size, strictness_report
+from .variety import strictness_report, subalgebra_closure
 
 DEFAULT_CORPUS = "exhaustive5,random200:2718"
 
@@ -42,8 +42,12 @@ def _sample_generator_sets(masks, count: int, rng: random.Random, max_size: int 
     return sets_
 
 
-def _upset_lists(P: Poset, masks) -> list:
+def _upset_lists(masks) -> list:
     return [sorted(iter_bits(m)) for m in masks]
+
+
+def _report(lemma: str, failures: list, **fields) -> dict:
+    return {"lemma": lemma, **fields, "failures": failures, "passed": not failures}
 
 
 def verify_residuation(
@@ -67,25 +71,34 @@ def verify_residuation(
                         failures.append(
                             {
                                 "poset": poset_to_json(P),
-                                "triple": _upset_lists(P, (a, b, c)),
+                                "triple": _upset_lists((a, b, c)),
                             }
                         )
                 triples += len(masks)
-    return {
-        "lemma": "residuation",
-        "posets": len(corpus),
-        "triples": triples,
-        "failures": failures,
-        "passed": not failures,
-    }
+    return _report("residuation", failures, posets=len(corpus), triples=triples)
 
 
-def _corpus_generator_runs(corpus, gens_per_poset, seed, budget_upsets):
+def _sampled_lemma(
+    lemma, corpus, gens_per_poset, seed, budget_upsets, check, checks_per_run=1,
+    **fields,
+) -> dict:
+    """Run check(P, G) on each seeded generator set G of each poset P; a
+    check returns the details of a failure, or None."""
+    failures = []
+    runs = 0
     rng = random.Random(seed)
     for P in corpus:
         masks = upset_masks(P, budget_upsets)
         for G in _sample_generator_sets(masks, gens_per_poset, rng):
-            yield P, G
+            runs += 1
+            details = check(P, G)
+            if details is not None:
+                failure = {"poset": poset_to_json(P), "generators": _upset_lists(G)}
+                failures.append({**failure, **details})
+    return _report(
+        lemma, failures, seed=seed, posets=len(corpus), gens_per_poset=gens_per_poset,
+        checks=runs * checks_per_run, **fields,
+    )
 
 
 def verify_rank_type(
@@ -96,29 +109,15 @@ def verify_rank_type(
     budget_upsets: Optional[int] = None,
 ) -> dict:
     """Stage-n types against rank-<=n membership, all stages up to max_stage."""
-    failures = []
-    checks = 0
-    for P, G in _corpus_generator_runs(corpus, gens_per_poset, seed, budget_upsets):
+
+    def check(P, G):
         bad = rank_type_mismatches(P, G, max_stage, budget_upsets)
-        checks += max_stage + 1
-        if bad:
-            failures.append(
-                {
-                    "poset": poset_to_json(P),
-                    "generators": _upset_lists(P, G),
-                    "stages": bad,
-                }
-            )
-    return {
-        "lemma": "rank-type",
-        "seed": seed,
-        "posets": len(corpus),
-        "gens_per_poset": gens_per_poset,
-        "max_stage": max_stage,
-        "checks": checks,
-        "failures": failures,
-        "passed": not failures,
-    }
+        return {"stages": bad} if bad else None
+
+    return _sampled_lemma(
+        "rank-type", corpus, gens_per_poset, seed, budget_upsets, check,
+        checks_per_run=max_stage + 1, max_stage=max_stage,
+    )
 
 
 def verify_duality(
@@ -128,29 +127,14 @@ def verify_duality(
     budget_upsets: Optional[int] = None,
 ) -> dict:
     """The generation/colouring biconditional over a sampled corpus."""
-    failures = []
-    checks = 0
-    for P, G in _corpus_generator_runs(corpus, gens_per_poset, seed, budget_upsets):
+
+    def check(P, G):
         generates_all, coloured = duality_sides(P, G, budget_upsets)
-        checks += 1
         if generates_all != coloured:
-            failures.append(
-                {
-                    "poset": poset_to_json(P),
-                    "generators": _upset_lists(P, G),
-                    "generates_all": generates_all,
-                    "coloured": coloured,
-                }
-            )
-    return {
-        "lemma": "duality",
-        "seed": seed,
-        "posets": len(corpus),
-        "gens_per_poset": gens_per_poset,
-        "checks": checks,
-        "failures": failures,
-        "passed": not failures,
-    }
+            return {"generates_all": generates_all, "coloured": coloured}
+        return None
+
+    return _sampled_lemma("duality", corpus, gens_per_poset, seed, budget_upsets, check)
 
 
 def verify_canonical_range(cases=((0, 8), (1, 8), (2, 6))) -> dict:
@@ -162,13 +146,7 @@ def verify_canonical_range(cases=((0, 8), (1, 8), (2, 6))) -> dict:
             checks += 1
             if not verify_canonical(n, depth):
                 failures.append({"n": n, "depth": depth})
-    return {
-        "lemma": "canonical",
-        "cases": [list(c) for c in cases],
-        "checks": checks,
-        "failures": failures,
-        "passed": not failures,
-    }
+    return _report("canonical", failures, cases=[list(c) for c in cases], checks=checks)
 
 
 def _support_restricted_masks(P: Poset, max_level: int):
@@ -201,18 +179,12 @@ def verify_collapse(
         report = collapse_check(spec, Colouring.from_masks(P, masks))
         if not report.bound_satisfied:
             failures.append(
-                {"colours": _upset_lists(P, masks), "report": report.to_json()}
+                {"colours": _upset_lists(masks), "report": report.to_json()}
             )
-    return {
-        "lemma": "collapse",
-        "n": n,
-        "depth": depth,
-        "samples": samples,
-        "seed": seed,
-        "support_levels": support_levels,
-        "failures": failures,
-        "passed": not failures,
-    }
+    return _report(
+        "collapse", failures, n=n, depth=depth, samples=samples, seed=seed,
+        support_levels=support_levels,
+    )
 
 
 def verify_non_colourable(
@@ -250,17 +222,10 @@ def verify_next_level(
     failures = []
     for masks in trials:
         if not next_level_bound_check(spec, Colouring.from_masks(P, masks)):
-            failures.append({"colours": _upset_lists(P, masks)})
-    return {
-        "lemma": "next-level",
-        "n": n,
-        "depth": depth,
-        "k": k,
-        "samples": samples,
-        "seed": seed,
-        "failures": failures,
-        "passed": not failures,
-    }
+            failures.append({"colours": _upset_lists(masks)})
+    return _report(
+        "next-level", failures, n=n, depth=depth, k=k, samples=samples, seed=seed
+    )
 
 
 def verify_strictness(
@@ -297,37 +262,22 @@ def verify_oracle_equivalence(
 ) -> dict:
     """Table-based closure size against the rank-stratified closure size,
     on the same sampled instances as the rank-type check."""
-    failures = []
-    checks = 0
-    current: Optional[Poset] = None
-    A = None
-    mask_to_idx: dict = {}
-    for P, G in _corpus_generator_runs(corpus, gens_per_poset, seed, budget_upsets):
-        if P is not current:
-            current = P
+    tables = [None, None, None]  # the poset at hand, its algebra, mask -> index
+
+    def check(P, G):
+        if tables[0] is not P:
             A = algebra_of(P, budget_upsets)
-            mask_to_idx = {m: i for i, m in enumerate(upset_masks(P))}
-        table_size = generated_size(A, [mask_to_idx[m] for m in G])
+            tables[:] = P, A, {m: i for i, m in enumerate(upset_masks(P))}
+        _, A, index = tables
+        table_size = len(subalgebra_closure(A, [index[m] for m in G]))
         strata_size = len(generate(P, G, budget_upsets).elements)
-        checks += 1
         if table_size != strata_size:
-            failures.append(
-                {
-                    "poset": poset_to_json(P),
-                    "generators": _upset_lists(P, G),
-                    "table_size": table_size,
-                    "strata_size": strata_size,
-                }
-            )
-    return {
-        "lemma": "oracle-equivalence",
-        "seed": seed,
-        "posets": len(corpus),
-        "gens_per_poset": gens_per_poset,
-        "checks": checks,
-        "failures": failures,
-        "passed": not failures,
-    }
+            return {"table_size": table_size, "strata_size": strata_size}
+        return None
+
+    return _sampled_lemma(
+        "oracle-equivalence", corpus, gens_per_poset, seed, budget_upsets, check
+    )
 
 
 def _verify_canonical_entry(n: Optional[int] = None, depth: Optional[int] = None) -> dict:

@@ -1,7 +1,22 @@
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from heylab import validate
 from heylab.corpus import all_posets_up_to_iso, random_posets
+
+# one profile for every property test: derandomized, so tier-1 is reproducible
+settings.register_profile("heylab", derandomize=True, deadline=None, max_examples=300)
+settings.load_profile("heylab")
+
+
+@st.composite
+def posets(draw, max_points=7):
+    """A poset on p0, ..., p(n-1) whose order contains any chosen pairs i < j."""
+    n = draw(st.integers(1, max_points))
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    return validate([f"p{i}" for i in range(n)], [s for s, c in zip(slots, chosen) if c])
 
 
 @pytest.fixture

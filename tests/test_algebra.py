@@ -1,4 +1,6 @@
 import pytest
+from conftest import posets
+from hypothesis import given
 
 from heylab import (
     FiniteHeytingAlgebra,
@@ -11,8 +13,9 @@ from heylab import (
     neg,
 )
 from heylab.algebra import algebra_from_json, bottom, imp_mask, top
-from heylab.errors import BudgetExceeded
-from heylab.poset import upset_masks
+from heylab.corpus import all_posets_up_to_iso
+from heylab.errors import BudgetExceeded, InvalidAlgebra
+from heylab.poset import upset_masks, validate
 
 
 def oracle_imp(P, u, v):
@@ -85,6 +88,66 @@ def test_algebra_json_round_trip(fork):
     B = algebra_from_json(A.to_json())
     assert isinstance(B, FiniteHeytingAlgebra)
     assert B == A
+
+
+@given(posets(max_points=6))
+def test_algebra_json_round_trips(P):
+    A = algebra_of(P)
+    assert algebra_from_json(A.to_json()) == A
+
+
+def test_law_check_passes_on_exhaustive4():
+    for P in all_posets_up_to_iso(4):
+        A = algebra_of(P)
+        assert algebra_from_json(A.to_json()) == A
+
+
+@given(posets(max_points=6))
+def test_algebra_of_satisfies_heyting_laws(P):
+    A = algebra_of(P)
+    masks = upset_masks(P)
+    assert (masks[A.bottom], masks[A.top]) == (0, P.full_mask)
+    for a, ma in enumerate(masks):
+        for b, mb in enumerate(masks):
+            assert A.leq(a, b) == (ma & ~mb == 0)
+            assert (masks[A.meet[a][b]], masks[A.join[a][b]]) == (ma & mb, ma | mb)
+            below_imp = masks[A.imp[a][b]]
+            for c, mc in enumerate(masks):
+                # c and a below b exactly when c is below a -> b
+                assert (ma & mc & ~mb == 0) == (mc & ~below_imp == 0)
+
+
+def _corrupt(**changes):
+    # the four-element Boolean algebra of two incomparable points: elements
+    # 0, {a}, {b}, {a, b} at indices 0 to 3
+    data = algebra_of(validate(["a", "b"], [])).to_json()
+    for name, (i, j, value) in changes.items():
+        data[name][i][j] = value
+    return data
+
+
+@pytest.mark.parametrize("data, message", [
+    pytest.param(_corrupt(meet=(1, 1, 0)), "not a partial order at element 1",
+                 id="order"),
+    pytest.param(_corrupt(meet=(1, 2, 3)),
+                 r"meet\[1\]\[2\] is not the greatest lower bound", id="meet"),
+    pytest.param(_corrupt(join=(1, 2, 0)),
+                 r"join\[1\]\[2\] is not the least upper bound", id="join"),
+    pytest.param(_corrupt(imp=(1, 0, 3)),
+                 r"imp\[1\]\[0\] is not the residual of 0 by 1", id="imp"),
+    pytest.param({**_corrupt(), "bottom": 3, "top": 0}, "not the least and greatest",
+                 id="bottom-top"),
+])
+def test_law_check_rejects(data, message):
+    with pytest.raises(InvalidAlgebra, match=message):
+        algebra_from_json(data)
+
+
+def test_law_check_budget():
+    data = _corrupt()
+    with pytest.raises(BudgetExceeded, match="--budget-tuples"):
+        algebra_from_json(data, budget=63)
+    assert algebra_from_json(data, budget=64).size == 4
 
 
 def test_element_index(fork):

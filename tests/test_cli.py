@@ -178,6 +178,23 @@ def test_strictness_bad_depths(runner):
     assert res.exit_code == 1
 
 
+def test_format_without_rendering_names_it(runner, fork_file):
+    res = runner.invoke(main, ["--format", "dot", "upsets", fork_file])
+    assert res.exit_code == 1
+    assert "--format dot" in res.stderr
+
+
+def test_product_checks_laws_within_the_tuple_budget(runner, tmp_path):
+    f = tmp_path / "chain2.json"
+    f.write_text(json.dumps(CHAIN2))
+    res = runner.invoke(main, ["--budget-tuples", "8", "product", str(f), str(f)])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["size"] == 4
+    res = runner.invoke(main, ["--budget-tuples", "7", "product", str(f), str(f)])
+    assert res.exit_code == 2
+    assert "--budget-tuples" in res.stderr
+
+
 def test_product(runner, tmp_path):
     from heylab.algebra import algebra_of
 
@@ -280,6 +297,26 @@ def _algebra(**changes):
     return lambda write: write({**ONE_ELEMENT, **changes})
 
 
+# the two-element chain algebra 0 < 1
+CHAIN2 = {
+    "size": 2,
+    "elements": [[], [0]],
+    "meet": [[0, 0], [0, 1]],
+    "join": [[0, 1], [1, 1]],
+    "imp": [[1, 1], [0, 1]],
+    "bottom": 0,
+    "top": 1,
+}
+
+
+def _chain2(**changes):
+    return lambda write: write({**CHAIN2, **changes})
+
+
+def _fork(write):
+    return write(poset_to_json(validate(["b", "x", "y"], [(0, 1), (0, 2)])))
+
+
 def _chain(write):
     # deeper than the interpreter's recursion limit
     n = 1200
@@ -302,6 +339,17 @@ MALFORMED = [
     pytest.param(["product", _algebra(top=1), _algebra()], 1, id="top-range"),
     pytest.param(["product", _algebra(bottom="0"), _algebra()], 1, id="bottom-type"),
     pytest.param(["product", _algebra(elements="a"), _algebra()], 1, id="elements"),
+    pytest.param(["product", _chain2(imp=[[1, 1], [1, 1]]), _chain2()], 1,
+                 id="laws-residuation"),
+    pytest.param(["product", _chain2(), _chain2(meet=[[1, 0], [0, 1]])], 1,
+                 id="laws-order"),
+    pytest.param(["product", _chain2(bottom=1, top=0), _chain2()], 1,
+                 id="laws-bottom-top"),
+    pytest.param(["--budget-tuples", "7", "product", _chain2(), _chain2()], 2,
+                 id="laws-budget"),
+    pytest.param(["--format", "dot", "upsets", _fork], 1, id="format-dot-upsets"),
+    pytest.param(["--format", "text", "verify", "canonical", "--n", "1", "--depth",
+                  "2"], 1, id="format-text-verify"),
     pytest.param(["verify", "rank-type", "--corpus", "exhaustive3", "--max-stage",
                   "-2"], 1, id="max-stage"),
     pytest.param(["verify", "duality", "--corpus", "exhaustive3", "--gens-per-poset",

@@ -15,6 +15,7 @@ from heylab import (
 )
 from heylab.colouring import (
     _initial_block_of,
+    _met,
     _normalize,
     _omega_block_of,
     _refine_block_of,
@@ -130,7 +131,7 @@ def test_refinement_matches_frozenset_oracle_at_every_stage():
                 if refined == block_of:
                     break
                 block_of, stage = refined, stage + 1
-            assert _omega_block_of(P, gens) == (block_of, stage)
+            assert _omega_block_of(P, gens) == (block_of, stage, _met(P, block_of))
 
 
 def test_stage_types_past_the_fixpoint(fork):

@@ -4,7 +4,8 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from conftest import posets
+from hypothesis import given
 from hypothesis import strategies as st
 
 from heylab.corpus import (
@@ -112,16 +113,12 @@ def test_canonical_form_classes_match_brute_force(n):
 
 @st.composite
 def relabeled_posets(draw):
-    n = draw(st.integers(1, 7))
-    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
-    P = validate([f"p{i}" for i in range(n)], [s for s, c in zip(slots, chosen) if c])
-    perm = draw(st.permutations(range(n)))
-    pairs = [(perm[i], perm[j]) for i in range(n) for j in range(n) if P.leq(i, j)]
+    P = draw(posets())
+    perm = draw(st.permutations(range(P.n)))
+    pairs = [(perm[i], perm[j]) for i in range(P.n) for j in range(P.n) if P.leq(i, j)]
     return P, validate(P.points, pairs)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
 @given(relabeled_posets())
 def test_canonical_form_ignores_relabeling(case):
     P, Q = case

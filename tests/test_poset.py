@@ -1,7 +1,8 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from conftest import posets
+from hypothesis import given
 from hypothesis import strategies as st
 
 from heylab import (
@@ -75,7 +76,6 @@ def warshall_closure(n, pairs):
     return up
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.integers(1, 7).flatmap(
     lambda n: st.tuples(st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
                                                        st.integers(0, n - 1))))))
@@ -94,6 +94,11 @@ def test_validate_matches_warshall_closure(case):
     assert list(P.up) == up
     assert list(P.down) == [sum(1 << i for i in range(n) if up[i] >> j & 1)
                             for j in range(n)]
+
+
+@given(posets())
+def test_poset_json_round_trips(P):
+    assert poset_from_json(poset_to_json(P)) == P
 
 
 def test_validate_long_chain_in_one_pass():

@@ -2,7 +2,6 @@ import pytest
 
 from heylab import (
     algebra_of,
-    generated_size,
     max_k_generated_size,
     strictness_report,
     validate,
@@ -17,7 +16,7 @@ def test_subalgebra_closure_chain(chain2):
     assert subalgebra_closure(A, []) == {A.bottom, A.top}
     # the middle element generates everything: 0, a, 1
     mid = next(i for i in range(3) if i not in (A.bottom, A.top))
-    assert generated_size(A, [mid]) == 3
+    assert len(subalgebra_closure(A, [mid])) == 3
 
 
 def test_subalgebra_closure_guards(chain2):
@@ -35,7 +34,7 @@ def test_max_k_generated(fork):
     r1 = max_k_generated_size(A, 1)
     assert r1.algebra_size == 5
     assert r1.max_generated_size == 5  # the fork is 1-generated
-    assert generated_size(A, r1.witness_tuple) == 5
+    assert len(subalgebra_closure(A, r1.witness_tuple)) == 5
     assert r1.max_subset_generated_size == 5
     j = r1.to_json()
     assert j["k"] == 1 and isinstance(j["witness_tuple"], list)
