@@ -15,7 +15,6 @@ from .colouring import (
     TypePartition,
     find_k_colouring,
     initial_partition,
-    is_coloured,
     min_colours,
     omega_types,
     refine_once,

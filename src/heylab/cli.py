@@ -22,6 +22,8 @@ from .corpus import DEFAULT_SEED
 from .errors import BudgetExceeded, HeylabError
 from .ladder import LadderSpec, build_ladder
 from .poset import (
+    DEFAULT_TUPLE_BUDGET,
+    DEFAULT_UPSET_BUDGET,
     enumerate_upsets,
     is_upset_mask,
     iter_bits,
@@ -46,18 +48,18 @@ class RunConfig:
     out: Optional[str]
 
 
+# The formats other than json that each command renders; main rejects any
+# other --format before the command runs.
+RENDERINGS = {"ladder": ("dot",), "strictness": ("text",)}
+
+
 def _emit(cfg: RunConfig, payload, **renderings: str) -> None:
-    """Write a str payload as it is, and any other payload as JSON under
-    --format json or as the command's rendering for another format (e.g.
-    text=...); a format the command does not render is a ValueError."""
-    if isinstance(payload, str):
-        body = payload
-    elif cfg.fmt == "json":
+    """Write payload as JSON under --format json, or else the command's
+    rendering for the chosen format (e.g. text=...)."""
+    if cfg.fmt == "json":
         body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif cfg.fmt in renderings:
-        body = renderings[cfg.fmt]
     else:
-        raise ValueError(f"this command has no --format {cfg.fmt} output")
+        body = renderings[cfg.fmt]
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(body)
@@ -126,8 +128,8 @@ def _depth_list(text: str) -> list:
 
 # a bare `heylab` is a usage error (missing command), not a help page
 @click.group(cls=_Heylab, no_args_is_help=False)
-@click.option("--budget-upsets", default=1 << 20, show_default=True)
-@click.option("--budget-tuples", default=1 << 20, show_default=True)
+@click.option("--budget-upsets", default=DEFAULT_UPSET_BUDGET, show_default=True)
+@click.option("--budget-tuples", default=DEFAULT_TUPLE_BUDGET, show_default=True)
 @click.option("--seed", default=DEFAULT_SEED, show_default=True)
 @click.option(
     "--format", "fmt", type=click.Choice(["json", "text", "dot"]), default="json",
@@ -139,6 +141,8 @@ def main(ctx, budget_upsets, budget_tuples, seed, fmt, out):
     """Heyting algebras of upsets, poset colourings, and ladder experiments."""
     if budget_upsets <= 0 or budget_tuples <= 0:
         raise ValueError("budgets must be positive")
+    if fmt != "json" and fmt not in RENDERINGS.get(ctx.invoked_subcommand, ()):
+        raise ValueError(f"{ctx.invoked_subcommand} has no --format {fmt} output")
     ctx.obj = RunConfig(budget_upsets, budget_tuples, seed, fmt, out)
 
 
@@ -146,15 +150,11 @@ def main(ctx, budget_upsets, budget_tuples, seed, fmt, out):
 @click.option("--n", required=True, type=int)
 @click.option("--depth", required=True, type=int)
 @click.option("--with-bottom/--no-bottom", default=True)
-@click.option("--dot", is_flag=True, help="Emit DOT instead of JSON.")
 @click.pass_obj
-def ladder(cfg: RunConfig, n, depth, with_bottom, dot):
+def ladder(cfg: RunConfig, n, depth, with_bottom):
     """Build a ladder truncation and print it as poset JSON or DOT."""
     P = build_ladder(LadderSpec(n, depth, with_bottom), max_points=cfg.budget_upsets)
-    if dot or cfg.fmt == "dot":
-        _emit(cfg, poset_to_dot(P))
-    else:
-        _emit(cfg, poset_to_json(P))
+    _emit(cfg, poset_to_json(P), dot=poset_to_dot(P))
 
 
 @main.command()
@@ -325,7 +325,8 @@ def product(cfg: RunConfig, algebra_a, algebra_b):
     """Componentwise product of two exported algebras.
 
     Each input must satisfy the Heyting algebra laws; --budget-tuples caps
-    the size**3 steps of checking them.
+    the size**3 steps of checking them, and --budget-upsets the
+    (|A|*|B|)**2 entries of each product table.
     """
     A, B = (
         _load(p, lambda data: algebra_from_json(data, cfg.budget_tuples), "algebra")

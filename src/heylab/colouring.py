@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import PosetMismatch
-from .poset import Poset, Upset, cover_walk, is_upset_mask, upset_masks, upset_tuples
+from .poset import Poset, Upset, cover_walk, is_upset_mask, upset_masks, upset_multisets
 
 
 @dataclass(frozen=True)
@@ -173,10 +173,6 @@ def omega_types(P: Poset, c: Colouring) -> TypePartition:
     return TypePartition(P, None, block_of, stabilized_at=stabilized)
 
 
-def is_coloured(P: Poset, c: Colouring) -> bool:
-    return omega_types(P, c).is_discrete
-
-
 def find_k_colouring(
     P: Poset,
     k: int,
@@ -184,8 +180,9 @@ def find_k_colouring(
     budget_tuples: Optional[int] = None,
 ) -> Optional[Colouring]:
     """First k-tuple of upsets (canonical order) whose omega-types are
-    discrete, or None when no k-colouring exists."""
-    for tup in upset_tuples(upset_masks(P, budget_upsets), k, budget_tuples):
+    discrete, or None when no k-colouring exists. The types depend only on
+    the set of colours, so the search walks multisets."""
+    for tup in upset_multisets(upset_masks(P, budget_upsets), k, budget_tuples):
         if omega_class_count(P, tup) == P.n:
             return Colouring.from_masks(P, tup)
     return None

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 import re
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded
 from .poset import Poset, iter_bits, validate
@@ -40,8 +40,9 @@ def canonical_form(up: Sequence[int]) -> int:
 
     up[i] is the bitmask of the points strictly above point i. Points are
     placed at positions 0..n-1, each invariant cell (see _cells) onto its
-    own block of positions. Placing a point adds a row that records which
-    earlier positions lie below and above it, and the form is the least
+    own block of positions. Cells come in ascending |strict up| order, so
+    no earlier position lies below a point being placed: its row records
+    which earlier positions lie above it, and the form is the least
     concatenation of rows over all such placements. A placement is
     extended only while its rows so far are the least, so the search
     branches only where placements tie. Two strict orders get the same form
@@ -61,16 +62,14 @@ def canonical_form(up: Sequence[int]) -> int:
                     row = 0
                     bit = 1
                     for y in placed:
-                        if up[y] >> x & 1:
+                        if ux >> y & 1:
                             row |= bit
-                        elif ux >> y & 1:
-                            row |= bit << n
                         bit <<= 1
                     if least is None or row < least:
                         least, kept = row, []
                     if row == least:
                         kept.append(placed + (x,))
-            form = form << 2 * n | least
+            form = form << n | least
             placings = kept
     return form
 
@@ -133,13 +132,14 @@ def all_posets_up_to_iso(max_points: int) -> list:
     return out
 
 
-def random_poset(rng: random.Random, n_points: int, edge_prob: float = 0.45) -> Poset:
-    """A random poset: coin-flip a DAG over the index order and close it."""
+def random_poset(rng: random.Random, n_points: int) -> Poset:
+    """A random poset: coin-flip a DAG over the index order, each pair
+    related with probability 0.45, and close it."""
     pairs = [
         (i, j)
         for i in range(n_points)
         for j in range(i + 1, n_points)
-        if rng.random() < edge_prob
+        if rng.random() < 0.45
     ]
     return validate([f"p{i}" for i in range(n_points)], pairs)
 
@@ -147,13 +147,11 @@ def random_poset(rng: random.Random, n_points: int, edge_prob: float = 0.45) -> 
 def random_posets(
     count: int,
     seed: int = DEFAULT_SEED,
-    min_points: int = 2,
     max_points: int = 7,
 ) -> list:
+    """count random posets on 2..max_points points."""
     rng = random.Random(seed)
-    return [
-        random_poset(rng, rng.randint(min_points, max_points)) for _ in range(count)
-    ]
+    return [random_poset(rng, rng.randint(2, max_points)) for _ in range(count)]
 
 
 def _positive(item: str, text: str, what: str) -> int:
@@ -164,13 +162,13 @@ def _positive(item: str, text: str, what: str) -> int:
     return int(text)
 
 
-def corpus_from_spec(text: str, seed: Optional[int] = None) -> list:
+def corpus_from_spec(text: str) -> list:
     """Parse a corpus specifier into a poset list.
 
     Comma-separated items: 'exhaustiveK' enumerates all posets on <= K
     points up to isomorphism, 1 <= K <= MAX_EXHAUSTIVE_POINTS; 'randomN' or
-    'randomN:S' draws N >= 1 random posets on <= 7 points (seed S, else the
-    given or default seed). A malformed item raises ValueError and a K
+    'randomN:S' draws N >= 1 random posets on <= 7 points (seed S, else
+    DEFAULT_SEED). A malformed item raises ValueError and a K
     above the limit raises BudgetExceeded, each naming the item.
     """
     posets = []
@@ -187,16 +185,11 @@ def corpus_from_spec(text: str, seed: Optional[int] = None) -> list:
         elif item.startswith("random"):
             count_s, sep, seed_s = item[len("random"):].partition(":")
             count = _positive(item, count_s, "the count")
-            if sep:
-                if not re.fullmatch(r"-?[0-9]+", seed_s):
-                    raise ValueError(
-                        f"corpus item {item!r}: the seed must be an integer, "
-                        f"got {seed_s!r}"
-                    )
-                s = int(seed_s)
-            else:
-                s = DEFAULT_SEED if seed is None else seed
-            posets.extend(random_posets(count, s))
+            if sep and not re.fullmatch(r"-?[0-9]+", seed_s):
+                raise ValueError(
+                    f"corpus item {item!r}: the seed must be an integer, got {seed_s!r}"
+                )
+            posets.extend(random_posets(count, int(seed_s) if sep else DEFAULT_SEED))
         else:
             raise ValueError(f"unknown corpus item {item!r}")
     return posets

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
+from math import factorial, prod
 from typing import Optional
 
-from .colouring import Colouring, _omega_block_of, omega_class_count
+from .colouring import Colouring, _initial_block_of, _omega_block_of, omega_class_count
 from .errors import BudgetExceeded, PosetMismatch, SupportTooDeep
-from .poset import Poset, iter_bits, upset_masks, upset_tuples, validate
+from .poset import Poset, iter_bits, upset_masks, upset_multisets, validate
 
 BOTTOM_NAME = "bot"
 
@@ -119,9 +120,9 @@ def canonical_colouring(P: Poset, n: int) -> Colouring:
     return Colouring.from_masks(P, masks)
 
 
-def verify_canonical(n: int, depth: int, max_points: Optional[int] = None) -> bool:
+def verify_canonical(n: int, depth: int) -> bool:
     """Is the canonical colouring an actual colouring of the truncation?"""
-    P = build_ladder(LadderSpec(n, depth, with_bottom=True), max_points)
+    P = build_ladder(LadderSpec(n, depth, with_bottom=True))
     return omega_class_count(P, canonical_colouring(P, n).masks) == P.n
 
 
@@ -151,14 +152,14 @@ class CollapseReport:
 
 def _level_stats(P: Poset, masks, depth: int):
     block_of = _omega_block_of(P, masks)[0]
+    block0_of = _initial_block_of(P, masks)
     levels = level_points(P)
     classes = []
     uniform0 = []
     for j in range(depth):
         pts = levels[j]
         classes.append(len({block_of[i] for i in pts}))
-        sigs = {tuple(m >> i & 1 for m in masks) for i in pts}
-        uniform0.append(len(sigs) <= 1)
+        uniform0.append(len({block0_of[i] for i in pts}) <= 1)
     return classes, uniform0
 
 
@@ -248,23 +249,27 @@ def non_colourability_scan(
     Exhaustive over all k-tuples of upsets when samples is None, otherwise
     a seeded random sample; the seed is recorded in sampled mode only.
     Reports how many colourings isolate every point and the largest class
-    count seen.
+    count seen. The exhaustive scan walks multisets, each weighted by its
+    k!/prod(c_i!) orderings, so it counts ordered tuples.
     """
     spec = LadderSpec(n, depth, with_bottom=True)
     P = build_ladder(spec)
     k = n if k is None else k
     masks = upset_masks(P, budget_upsets)
     if samples is None:
-        tuples = upset_tuples(masks, k, budget_tuples)
+        tuples = upset_multisets(masks, k, budget_tuples)
     else:
         tuples = random_tuples(masks, k, samples, seed)
     checked = max_classes = coloured_found = 0
+    weight = 1
     for tup in tuples:
+        if samples is None:
+            weight = factorial(k) // prod(factorial(tup.count(m)) for m in set(tup))
         classes = omega_class_count(P, tup)
-        checked += 1
+        checked += weight
         max_classes = max(max_classes, classes)
         if classes == P.n:
-            coloured_found += 1
+            coloured_found += weight
     return {
         "n": n,
         "depth": depth,

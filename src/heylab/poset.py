@@ -6,7 +6,8 @@ indices, and subsets of points are packed into Python ints (bit i = point i).
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations_with_replacement
+from math import comb
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import BudgetExceeded, CycleError, EmptyPoset, ForeignPoint
@@ -306,11 +307,13 @@ def check_tuple_budget(count: int, budget: Optional[int] = None) -> None:
         raise BudgetExceeded(f"{count} tuples exceed the budget of {cap}")
 
 
-def upset_tuples(items: Sequence, k: int, budget: Optional[int] = None):
-    """Every k-tuple of items in product order, once the tuple count has
-    been checked against the tuple budget."""
-    check_tuple_budget(len(items) ** k, budget)
-    return product(items, repeat=k)
+def upset_multisets(items: Sequence, k: int, budget: Optional[int] = None):
+    """Every k-multiset of items, ascending, once their C(len(items)+k-1, k)
+    count is within the tuple budget. Sorting a tuple never moves it later
+    in product order: where only a tuple's set matters, the first multiset
+    with a property is the first ordered tuple with it."""
+    check_tuple_budget(comb(len(items) + k - 1, k), budget)
+    return combinations_with_replacement(items, k)
 
 
 def enumerate_upsets(P: Poset, budget: Optional[int] = None) -> list:

@@ -90,7 +90,7 @@ def _norm_masks(gens: Iterable) -> list:
     return out
 
 
-def _lattice_close(P: Poset, seeds, witnesses: dict, cap: int) -> set:
+def _lattice_close(seeds, witnesses: dict, cap: int) -> set:
     elems = sorted(set(seeds))
     seen = set(elems)
     i = 0
@@ -123,7 +123,7 @@ def generate(P: Poset, G: Iterable, budget: Optional[int] = None) -> RankedAlgeb
     for i, m in enumerate(gmasks):
         witnesses.setdefault(m, ("g", i))
     seeds = set(gmasks) | {0, P.full_mask}
-    cur = _lattice_close(P, seeds, witnesses, cap)
+    cur = _lattice_close(seeds, witnesses, cap)
     strata = [frozenset(cur)]
     ranks = {m: 0 for m in sorted(cur)}
     while True:
@@ -135,7 +135,7 @@ def generate(P: Poset, G: Iterable, budget: Optional[int] = None) -> RankedAlgeb
                 if m not in cand:
                     cand.add(m)
                     witnesses.setdefault(m, ("imp", a, b))
-        nxt = _lattice_close(P, cand, witnesses, cap)
+        nxt = _lattice_close(cand, witnesses, cap)
         if nxt == cur:
             return RankedAlgebra(P, tuple(strata), ranks, witnesses)
         strata.append(frozenset(nxt))

@@ -16,7 +16,7 @@ from .poset import (
     check_tuple_budget,
     iter_bits,
     upset_masks,
-    upset_tuples,
+    upset_multisets,
 )
 # generate is no longer called here, but stays importable under this name:
 # perfbench/probecheck.py patches heylab.variety.generate
@@ -26,18 +26,15 @@ from .subalgebra import quotient_size
 
 @dataclass(frozen=True)
 class GenerationReport:
-    """Maximum size of a k-generated subalgebra.
-
-    max_generated_size quantifies over k-tuples with repetition allowed;
-    max_subset_generated_size over k-element subsets (the |G| = k reading),
-    which coincides with the tuple reading whenever k <= algebra size.
-    """
+    """Maximum size of a k-generated subalgebra, over k-tuples with
+    repetition allowed. Generation is monotone in the generator set, so
+    this is also the maximum over k-element subsets whenever k <= algebra
+    size."""
 
     algebra_size: int
     k: int
     max_generated_size: int
     witness_tuple: tuple
-    max_subset_generated_size: int
 
     def to_json(self) -> dict:
         d = asdict(self)
@@ -76,34 +73,20 @@ def max_k_generated_size(
     k: int,
     budget_tuples: Optional[int] = None,
 ) -> GenerationReport:
-    """Exact maximum of |<gens>| over all k-tuples of elements."""
-    tuples = upset_tuples(range(A.size), k, budget_tuples)
-    memo: dict = {}
-
-    def closure_size(gens) -> int:
-        key = frozenset(gens)
-        if key not in memo:
-            memo[key] = len(subalgebra_closure(A, gens))
-        return memo[key]
-
+    """Exact maximum of |<gens>| over all k-tuples of elements, and the first
+    tuple that reaches it; the closure depends only on the set, so the scan
+    walks multisets."""
     best = -1
     witness: tuple = ()
-    for tup in tuples:
-        sz = closure_size(tup)
+    for tup in upset_multisets(range(A.size), k, budget_tuples):
+        sz = len(subalgebra_closure(A, tup))
         if sz > best:
             best, witness = sz, tup
-    subset_best = best
-    if 0 < k <= A.size:
-        subset_best = max(
-            closure_size(c) for c in combinations_with_replacement(range(A.size), k)
-            if len(set(c)) == k
-        )
     return GenerationReport(
         algebra_size=A.size,
         k=k,
         max_generated_size=best,
         witness_tuple=witness,
-        max_subset_generated_size=subset_best,
     )
 
 
@@ -112,10 +95,15 @@ def algebra_product(
     B: FiniteHeytingAlgebra,
     budget: Optional[int] = None,
 ) -> FiniteHeytingAlgebra:
-    """Componentwise product; element labels are label pairs."""
+    """Componentwise product; element labels are label pairs. The budget
+    caps the (|A|*|B|)**2 entries of each operation table, checked before
+    any table is built."""
     cap = DEFAULT_UPSET_BUDGET if budget is None else budget
-    if A.size * B.size > cap:
-        raise BudgetExceeded(f"product size {A.size * B.size} exceeds {cap}")
+    size = A.size * B.size
+    if size * size > cap:
+        raise BudgetExceeded(
+            f"product tables of {size * size} entries exceed the budget of {cap}"
+        )
     nb = B.size
     elements = tuple(
         (A.elements[i], B.elements[j]) for i in range(A.size) for j in range(nb)

@@ -30,14 +30,15 @@ from .subalgebra import duality_sides, generate, rank_type_mismatches
 from .variety import strictness_report, subalgebra_closure
 
 DEFAULT_CORPUS = "exhaustive5,random200:2718"
+COLLAPSE_SUPPORT_LEVELS = 3
 
 
-def _sample_generator_sets(masks, count: int, rng: random.Random, max_size: int = 2):
-    """Seeded generator-set sample; the empty set is always included."""
+def _sample_generator_sets(masks, count: int, rng: random.Random):
+    """Seeded sample of one- and two-upset generator sets after the empty set."""
     sets_ = [()]
     pool = list(masks)
     while len(sets_) < count:
-        size = rng.randint(1, min(max_size, len(pool)))
+        size = rng.randint(1, min(2, len(pool)))
         sets_.append(tuple(sorted(rng.sample(pool, size))))
     return sets_
 
@@ -166,14 +167,13 @@ def verify_collapse(
     n: int,
     samples: int = 100,
     seed: int = DEFAULT_SEED,
-    support_levels: int = 3,
     depth: Optional[int] = None,
 ) -> dict:
     """Collapse bound for seeded random n-colourings supported near the top."""
     depth = (2 ** n + 6) if depth is None else depth
     spec = LadderSpec(n, depth, with_bottom=True)
     P = build_ladder(spec)
-    pool = _support_restricted_masks(P, support_levels - 1)
+    pool = _support_restricted_masks(P, COLLAPSE_SUPPORT_LEVELS - 1)
     failures = []
     for masks in random_tuples(pool, n, samples, seed):
         report = collapse_check(spec, Colouring.from_masks(P, masks))
@@ -183,7 +183,7 @@ def verify_collapse(
             )
     return _report(
         "collapse", failures, n=n, depth=depth, samples=samples, seed=seed,
-        support_levels=support_levels,
+        support_levels=COLLAPSE_SUPPORT_LEVELS,
     )
 
 

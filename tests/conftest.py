@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from heylab import validate
 from heylab.corpus import all_posets_up_to_iso, random_posets
+from heylab.poset import upset_masks
 
 # one profile for every property test: derandomized, so tier-1 is reproducible
 settings.register_profile("heylab", derandomize=True, deadline=None, max_examples=300)
@@ -17,6 +18,14 @@ def posets(draw, max_points=7):
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
     return validate([f"p{i}" for i in range(n)], [s for s, c in zip(slots, chosen) if c])
+
+
+@st.composite
+def posets_with_generators(draw):
+    """A poset and a list of at most three of its upsets, as masks."""
+    P = draw(posets())
+    gens = draw(st.lists(st.sampled_from(upset_masks(P)), max_size=3))
+    return P, gens
 
 
 @pytest.fixture

@@ -30,7 +30,7 @@ def test_ladder_json(runner):
 
 
 def test_ladder_dot(runner):
-    res = runner.invoke(main, ["ladder", "--n", "0", "--depth", "2", "--dot"])
+    res = runner.invoke(main, ["--format", "dot", "ladder", "--n", "0", "--depth", "2"])
     assert res.exit_code == 0
     assert res.output.startswith("digraph poset {")
 
@@ -182,6 +182,46 @@ def test_format_without_rendering_names_it(runner, fork_file):
     res = runner.invoke(main, ["--format", "dot", "upsets", fork_file])
     assert res.exit_code == 1
     assert "--format dot" in res.stderr
+
+
+def test_unsupported_format_exits_before_the_command_runs(runner, monkeypatch):
+    def scan(*args):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr("heylab.verify.verify_strictness", scan)
+    argv = ["--format", "dot", "strictness", "--n", "2", "--depths", "5,6,7,8"]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 1
+    assert len(res.stderr.splitlines()) == 1 and "--format dot" in res.stderr
+
+
+def test_product_table_cap(runner, fork_file, tmp_path):
+    f = tmp_path / "fork-algebra.json"
+    f.write_text(runner.invoke(main, ["algebra", fork_file]).output)
+    # fork x fork: 25 elements, 625 entries per table
+    res = runner.invoke(main, ["--budget-upsets", "600", "product", str(f), str(f)])
+    assert res.exit_code == 2
+    assert len(res.stderr.splitlines()) == 1 and "625" in res.stderr
+    res = runner.invoke(main, ["--budget-upsets", "625", "product", str(f), str(f)])
+    assert res.exit_code == 0 and json.loads(res.output)["size"] == 25
+
+
+def test_failed_strictness_prints_its_report(runner):
+    # a repeated depth: the algebra sizes do not strictly increase
+    res = runner.invoke(main, ["strictness", "--n", "1", "--depths", "4,4"])
+    assert res.exit_code == 3
+    report = json.loads(res.output)
+    assert [r["algebra_size"] for r in report["rows"]] == [36, 36]
+    assert not report["algebra_size_strictly_increasing"] and not report["passed"]
+
+
+def test_failed_non_colourable_prints_its_report(runner):
+    argv = ["verify", "non-colourable", "--n", "1", "--depth", "2", "--k", "2"]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 3
+    report = json.loads(res.output)
+    assert (report["checked"], report["coloured_found"]) == (324, 42)
+    assert not report["passed"]
 
 
 def test_product_checks_laws_within_the_tuple_budget(runner, tmp_path):

@@ -1,13 +1,16 @@
 import random
+from itertools import product
 
 import pytest
+from conftest import posets_with_generators
+from hypothesis import given
+from hypothesis import strategies as st
 
 from heylab import (
     Colouring,
     PosetMismatch,
     find_k_colouring,
     initial_partition,
-    is_coloured,
     min_colours,
     omega_types,
     refine_once,
@@ -19,6 +22,7 @@ from heylab.colouring import (
     _normalize,
     _omega_block_of,
     _refine_block_of,
+    omega_class_count,
 )
 from heylab.corpus import all_posets_up_to_iso
 from heylab.errors import BudgetExceeded
@@ -68,8 +72,8 @@ def test_empty_colouring(chain2, point):
     # no colours: the chain never splits, the single point is trivially done
     c = Colouring.from_masks(chain2, [])
     assert omega_types(chain2, c).n_blocks == 1
-    assert not is_coloured(chain2, c)
-    assert is_coloured(point, Colouring.from_masks(point, []))
+    assert not omega_types(chain2, c).is_discrete
+    assert omega_types(point, Colouring.from_masks(point, [])).is_discrete
 
 
 def test_isolated(fork):
@@ -96,7 +100,7 @@ def test_omega_is_a_fixpoint(small_corpus):
 def test_find_k_colouring(fork, chain2, point):
     assert find_k_colouring(fork, 0) is None
     c = find_k_colouring(fork, 1)
-    assert c is not None and is_coloured(fork, c)
+    assert c is not None and omega_types(fork, c).is_discrete
     assert min_colours(fork) == 1
     assert min_colours(chain2) == 1
     assert min_colours(point) == 0
@@ -115,7 +119,7 @@ def test_colour_search_is_canonical(fork):
     for m in masks:
         if m == found:
             break
-        assert not is_coloured(fork, Colouring.from_masks(fork, [m]))
+        assert not omega_types(fork, Colouring.from_masks(fork, [m])).is_discrete
 
 
 def test_refinement_matches_frozenset_oracle_at_every_stage():
@@ -143,3 +147,41 @@ def test_stage_types_past_the_fixpoint(fork):
     assert stage_types(fork, c, 0) == initial_partition(fork, c)
     with pytest.raises(ValueError):
         stage_types(fork, c, -1)
+
+
+def test_colour_search_matches_ordered_tuple_oracle():
+    # the first colouring in product order, found by a scan of every ordered
+    # tuple; the search itself walks multisets
+    for P in all_posets_up_to_iso(4):
+        masks = upset_masks(P)
+        for k in range(3):
+            tuples = product(masks, repeat=k)
+            first = next((t for t in tuples if omega_class_count(P, t) == P.n), None)
+            c = find_k_colouring(P, k)
+            assert (None if c is None else c.masks) == first
+
+
+@given(posets_with_generators(), st.data())
+def test_omega_depends_only_on_the_generator_set(case, data):
+    # the multiset scans rest on this: omega ignores order and repeats
+    P, gens = case
+    repeats = data.draw(st.lists(st.sampled_from(gens), max_size=3)) if gens else []
+    again = data.draw(st.permutations(gens + repeats))
+    assert _omega_block_of(P, again)[0] == _omega_block_of(P, gens)[0]
+
+
+@given(posets_with_generators(), st.data())
+def test_adding_a_generator_refines_omega(case, data):
+    P, gens = case
+    g = data.draw(st.sampled_from(upset_masks(P)))
+    coarse = _omega_block_of(P, gens)[0]
+    fine = _omega_block_of(P, gens + [g])[0]
+    # each block of the finer partition lies inside one block of the coarser
+    assert len(set(zip(fine, coarse))) == max(fine) + 1
+
+
+@given(posets_with_generators())
+def test_refining_omega_returns_it(case):
+    P, gens = case
+    block_of = _omega_block_of(P, gens)[0]
+    assert _refine_block_of(P, block_of) == block_of

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from heylab import (
@@ -8,11 +10,11 @@ from heylab import (
     canonical_colouring,
     collapse_check,
     down_closure,
-    is_coloured,
     next_level_bound_check,
+    omega_types,
     verify_canonical,
 )
-from heylab.colouring import Colouring
+from heylab.colouring import Colouring, omega_class_count
 from heylab.errors import BudgetExceeded, SupportTooDeep
 from heylab.ladder import (
     BOTTOM_NAME,
@@ -20,6 +22,7 @@ from heylab.ladder import (
     non_colourability_scan,
     point_name,
 )
+from heylab.poset import upset_masks
 
 
 def test_spec_validation():
@@ -87,7 +90,7 @@ def test_canonical_colouring_masks():
 def test_canonical_colours_everything():
     for n, depth in ((0, 5), (1, 4), (2, 3)):
         P = build_ladder(LadderSpec(n, depth))
-        assert is_coloured(P, canonical_colouring(P, n))
+        assert omega_types(P, canonical_colouring(P, n)).is_discrete
     assert all(verify_canonical(0, d) for d in range(1, 9))
     assert verify_canonical(1, 6)
     assert verify_canonical(2, 4)
@@ -167,3 +170,24 @@ def test_non_colourability_scan_sampled():
 def test_non_colourability_budget():
     with pytest.raises(BudgetExceeded):
         non_colourability_scan(1, 4, k=3, budget_tuples=100)
+
+
+@pytest.mark.parametrize("k, checked, coloured", [(2, 324, 42), (3, 5832, 1710)])
+def test_exhaustive_scan_counts_ordered_tuples(k, checked, coloured):
+    # the scan walks multisets and weights each by its orderings; these
+    # counts are those of the scan over all 18**k ordered tuples
+    report = non_colourability_scan(1, 2, k=k)
+    assert report["upset_count"] == 18
+    assert report["checked"] == checked == 18**k
+    assert report["max_classes"] == 7
+    assert report["coloured_found"] == coloured
+
+
+@pytest.mark.parametrize("n, depth, k", [(0, 2, 3), (1, 1, 3), (1, 2, 2), (2, 1, 2)])
+def test_exhaustive_scan_matches_ordered_tuple_oracle(n, depth, k):
+    P = build_ladder(LadderSpec(n, depth))
+    classes = [omega_class_count(P, t) for t in product(upset_masks(P), repeat=k)]
+    report = non_colourability_scan(n, depth, k=k)
+    assert report["checked"] == len(classes)
+    assert report["max_classes"] == max(classes)
+    assert report["coloured_found"] == classes.count(P.n)

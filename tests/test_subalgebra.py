@@ -1,9 +1,8 @@
 from itertools import combinations, combinations_with_replacement
 
 import pytest
-from conftest import posets
+from conftest import posets_with_generators
 from hypothesis import given
-from hypothesis import strategies as st
 
 from heylab import Upset, generate
 from heylab.algebra import imp_mask
@@ -146,13 +145,6 @@ def test_quotient_size_on_acceptance_runs():
 
     report = _sampled_lemma("quotient-size", corpus, 20, DEFAULT_SEED, None, check)
     assert (report["checks"], report["failures"]) == (5740, [])
-
-
-@st.composite
-def posets_with_generators(draw):
-    P = draw(posets())
-    gens = draw(st.lists(st.sampled_from(upset_masks(P)), max_size=3))
-    return P, gens
 
 
 @given(posets_with_generators())

@@ -1,11 +1,16 @@
+from itertools import combinations, product
+
 import pytest
 
 from heylab import (
+    LadderSpec,
     algebra_of,
+    build_ladder,
     max_k_generated_size,
     strictness_report,
     validate,
 )
+from heylab.corpus import all_posets_up_to_iso
 from heylab.errors import BudgetExceeded, ForeignElement
 from heylab.variety import algebra_product, subalgebra_closure
 
@@ -35,9 +40,22 @@ def test_max_k_generated(fork):
     assert r1.algebra_size == 5
     assert r1.max_generated_size == 5  # the fork is 1-generated
     assert len(subalgebra_closure(A, r1.witness_tuple)) == 5
-    assert r1.max_subset_generated_size == 5
+    assert r1.max_generated_size == 5
     j = r1.to_json()
     assert j["k"] == 1 and isinstance(j["witness_tuple"], list)
+
+
+def test_max_k_generated_matches_ordered_tuple_oracle():
+    # the first maximum in product order, from a scan of every ordered tuple
+    for P in all_posets_up_to_iso(3):
+        A = algebra_of(P)
+        for k in range(3):
+            tuples = product(range(A.size), repeat=k)
+            sizes = {t: len(subalgebra_closure(A, t)) for t in tuples}
+            best = max(sizes.values())
+            first = next(t for t, size in sizes.items() if size == best)
+            r = max_k_generated_size(A, k)
+            assert (r.max_generated_size, r.witness_tuple) == (best, first)
 
 
 def test_max_k_generated_budget(fork):
@@ -50,7 +68,9 @@ def test_subset_vs_tuple_semantics(chain2):
     A = algebra_of(chain2)
     r = max_k_generated_size(A, 2)
     # repeating an element never beats a genuine 2-subset here
-    assert r.max_subset_generated_size == r.max_generated_size == 3
+    subsets = combinations(range(A.size), 2)
+    assert max(len(subalgebra_closure(A, c)) for c in subsets) == 3
+    assert r.max_generated_size == 3
 
 
 def test_product_matches_disjoint_union(point):
@@ -74,6 +94,14 @@ def test_product_budget(fork):
     A = algebra_of(fork)
     with pytest.raises(BudgetExceeded):
         algebra_product(A, A, budget=10)
+
+
+def test_product_budget_caps_table_entries(fork):
+    # 25 elements, so each operation table holds 625 entries
+    A = algebra_of(fork)
+    assert algebra_product(A, A, budget=625).size == 25
+    with pytest.raises(BudgetExceeded, match="625 entries"):
+        algebra_product(A, A, budget=624)
 
 
 def test_product_laws(chain2):
@@ -108,3 +136,14 @@ def test_strictness_report_tuple_budget():
     # n = 3, depth 1: C(515, 3) = 22,632,705 triples of its 513 upsets
     with pytest.raises(BudgetExceeded):
         strictness_report(3, [1])
+
+
+@pytest.mark.parametrize("n, depths", [(0, [1, 2, 3, 4]), (1, [1, 2, 3, 4]), (2, [1, 2])])
+def test_strictness_maximum_matches_table_closure(n, depths):
+    # the scan sizes each generated subalgebra on the omega-quotient, the
+    # oracle closes it on the operation tables; both keep the first maximum
+    for depth, row in zip(depths, strictness_report(n, depths)):
+        A = algebra_of(build_ladder(LadderSpec(n, depth)))
+        oracle = max_k_generated_size(A, n)
+        assert row["max_k_generated_size"] == oracle.max_generated_size
+        assert row["witness"] == [list(A.elements[i]) for i in oracle.witness_tuple]

@@ -1,9 +1,13 @@
+import dataclasses
+import importlib
 import json
 
 import pytest
 
 from heylab.corpus import all_posets_up_to_iso
+from heylab.poset import is_upset_mask, poset_from_json
 from heylab.verify import (
+    _sampled_lemma,
     run_verification,
     verify_canonical_range,
     verify_collapse,
@@ -90,3 +94,79 @@ def test_run_verification_dispatch():
 def test_run_verification_drops_none_kwargs():
     r = run_verification("non-colourable", n=1, depth=3, k=None, samples=None)
     assert r["passed"] and r["mode"] == "exhaustive"
+
+
+def test_sampled_lemma_failure_replays(tiny_corpus):
+    chosen = []
+
+    def check(P, G):
+        # fails on the first nonempty generator set only
+        if G and not chosen:
+            chosen.append((P, G))
+            return {"why": "chosen"}
+        return None
+
+    r = _sampled_lemma("probe", tiny_corpus, 5, 1, None, check)
+    assert not r["passed"] and r["checks"] == 120
+    (f,) = r["failures"]
+    P, G = chosen[0]
+    assert f["why"] == "chosen"
+    Q = poset_from_json(f["poset"])
+    assert Q == P
+    masks = [sum(1 << i for i in g) for g in f["generators"]]
+    assert masks == list(G) and all(is_upset_mask(Q, m) for m in masks)
+
+
+# (what to break, how, the lemma run, the keys of each failure payload)
+FAILURE_PATHS = [
+    pytest.param(
+        "heylab.verify.imp_mask", lambda orig: lambda P, b, c: P.full_mask,
+        lambda corpus: verify_residuation(corpus), {"poset", "triple"},
+        id="residuation",
+    ),
+    pytest.param(
+        "heylab.subalgebra._refine_block_of", lambda orig: lambda P, b: tuple(b),
+        lambda corpus: verify_rank_type(corpus, gens_per_poset=5, max_stage=3, seed=1),
+        {"poset", "generators", "stages"}, id="rank-type",
+    ),
+    pytest.param(
+        "heylab.subalgebra.omega_class_count", lambda orig: lambda P, masks: P.n,
+        lambda corpus: verify_duality(corpus, gens_per_poset=5, seed=1),
+        {"poset", "generators", "generates_all", "coloured"}, id="duality",
+    ),
+    pytest.param(
+        "heylab.verify.subalgebra_closure", lambda orig: lambda A, gens: frozenset(),
+        lambda corpus: verify_oracle_equivalence(corpus, gens_per_poset=5, seed=1),
+        {"poset", "generators", "table_size", "strata_size"}, id="oracle",
+    ),
+    pytest.param(
+        "heylab.verify.verify_canonical", lambda orig: lambda n, depth: False,
+        lambda corpus: verify_canonical_range(cases=((1, 2),)), {"n", "depth"},
+        id="canonical",
+    ),
+    pytest.param(
+        "heylab.verify.collapse_check",
+        lambda orig: lambda spec, c: dataclasses.replace(
+            orig(spec, c), bound_satisfied=False
+        ),
+        lambda corpus: verify_collapse(1, samples=3, seed=3), {"colours", "report"},
+        id="collapse",
+    ),
+    pytest.param(
+        "heylab.verify.next_level_bound_check", lambda orig: lambda spec, c: False,
+        lambda corpus: verify_next_level(1, 4, samples=3, seed=3), {"colours"},
+        id="next-level",
+    ),
+]
+
+
+@pytest.mark.parametrize("target, broken, run, keys", FAILURE_PATHS)
+def test_failure_paths_record_their_failures(
+    tiny_corpus, monkeypatch, target, broken, run, keys
+):
+    module, name = target.rsplit(".", 1)
+    orig = getattr(importlib.import_module(module), name)
+    monkeypatch.setattr(target, broken(orig))
+    r = run(tiny_corpus)
+    assert not r["passed"] and r["failures"]
+    assert all(set(f) == keys for f in r["failures"])
