@@ -17,15 +17,23 @@ from .poset import (
     Poset,
     Upset,
     _check_same_parent,
-    down_closure_mask,
     iter_bits,
     upset_masks,
 )
 
 
 def imp_mask(P: Poset, u: int, v: int) -> int:
-    """Heyting implication on masks: complement of (u \\ v) down-closed."""
-    return P.full_mask & ~down_closure_mask(P, u & ~v)
+    """Heyting implication on masks: complement of (u \\ v) down-closed.
+    The hot path of generate and algebra_of: one loop over the points of
+    u \\ v, joining their down-sets."""
+    down = P.down
+    d = u & ~v
+    m = 0
+    while d:
+        low = d & -d
+        m |= down[low.bit_length() - 1]
+        d ^= low
+    return ((1 << len(down)) - 1) & ~m
 
 
 def meet(U: Upset, V: Upset) -> Upset:

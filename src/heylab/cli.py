@@ -67,6 +67,12 @@ def _emit(cfg: RunConfig, payload, **renderings: str) -> None:
         click.echo(body, nl=False)
 
 
+def _fail(message: str, code: int):
+    # a point name read from a file may hold a line break
+    click.echo("error: " + "\\n".join(message.splitlines()), err=True)
+    sys.exit(code)
+
+
 @contextlib.contextmanager
 def _one_line_errors():
     """The CLI's one error path: a BudgetExceeded exits 2, and any other
@@ -75,23 +81,27 @@ def _one_line_errors():
     try:
         yield
     except click.UsageError as e:
-        click.echo(f"error: {e.format_message()}", err=True)
-        sys.exit(EXIT_INVALID)
+        _fail(e.format_message(), EXIT_INVALID)
     except (HeylabError, ValueError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_BUDGET if isinstance(e, BudgetExceeded) else EXIT_INVALID)
+        _fail(str(e), EXIT_BUDGET if isinstance(e, BudgetExceeded) else EXIT_INVALID)
+
+
+_HELP_ASKED = "heylab.help_asked"
 
 
 class _Heylab(click.Group):
     """Routes the errors of parsing the global options (make_context) and
     of running a command, its own options included (invoke), through
-    _one_line_errors."""
+    _one_line_errors. invoke also records in ctx.meta whether the command's
+    tokens ask for its --help: they are parsed only after main has run."""
 
     def make_context(self, *args, **kwargs):
         with _one_line_errors():
             return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx):
+        tokens = ctx.args[: ctx.args.index("--")] if "--" in ctx.args else ctx.args
+        ctx.meta[_HELP_ASKED] = any(t in ctx.help_option_names for t in tokens)
         with _one_line_errors():
             return super().invoke(ctx)
 
@@ -139,6 +149,8 @@ def _depth_list(text: str) -> list:
 @click.pass_context
 def main(ctx, budget_upsets, budget_tuples, seed, fmt, out):
     """Heyting algebras of upsets, poset colourings, and ladder experiments."""
+    if ctx.meta[_HELP_ASKED]:
+        return  # the command prints its help and exits 0
     if budget_upsets <= 0 or budget_tuples <= 0:
         raise ValueError("budgets must be positive")
     if fmt != "json" and fmt not in RENDERINGS.get(ctx.invoked_subcommand, ()):

@@ -250,7 +250,8 @@ def upset_masks(P: Poset, budget: Optional[int] = None) -> tuple:
     if P._upset_masks is not None:
         if len(P._upset_masks) > cap:
             raise BudgetExceeded(
-                f"{len(P._upset_masks)} upsets exceed the budget of {cap}"
+                f"{len(P._upset_masks)} upsets exceed the budget of {cap} "
+                "(--budget-upsets)"
             )
         return P._upset_masks
     masks = tuple(sorted(upsets_of(P.up, cap)))
@@ -279,7 +280,7 @@ def upsets_of(up: Sequence[int], cap: int) -> list:
         above = up[i] & ~bit
         out += [u | bit for u in out if u & above == above]
         if len(out) > cap:
-            raise BudgetExceeded(f"more than {cap} upsets")
+            raise BudgetExceeded(f"more than {cap} upsets (--budget-upsets)")
     return out
 
 
@@ -304,7 +305,9 @@ def check_tuple_budget(count: int, budget: Optional[int] = None) -> None:
     """Raise BudgetExceeded when a scan of count tuples exceeds the budget."""
     cap = DEFAULT_TUPLE_BUDGET if budget is None else budget
     if count > cap:
-        raise BudgetExceeded(f"{count} tuples exceed the budget of {cap}")
+        raise BudgetExceeded(
+            f"{count} tuples exceed the budget of {cap} (--budget-tuples)"
+        )
 
 
 def upset_multisets(items: Sequence, k: int, budget: Optional[int] = None):
@@ -350,6 +353,8 @@ def poset_from_json(data: dict) -> Poset:
     pairs = [tuple(p) for p in data["leq"]]
     tags = None
     if "levels" in data:
+        if not isinstance(data["levels"], dict):
+            raise ValueError("levels must map point names to levels")
         name_to_idx = {name: i for i, name in enumerate(points)}
         tags = {name_to_idx[name]: lvl for name, lvl in data["levels"].items()}
     return validate(points, pairs, tags)

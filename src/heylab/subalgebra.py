@@ -90,14 +90,20 @@ def _norm_masks(gens: Iterable) -> list:
     return out
 
 
-def _lattice_close(seeds, witnesses: dict, cap: int) -> set:
+def _lattice_close(seeds, witnesses: dict, cap: int, old=frozenset()) -> set:
+    """The meet/join closure of seeds. old, when given, is a lattice-closed
+    subset of them: a pair of its elements gives nothing new, so an element
+    of old is paired only with the fresh elements before it."""
     elems = sorted(set(seeds))
     seen = set(elems)
-    i = 0
-    while i < len(elems):
-        a = elems[i]
-        for j in range(i + 1):
-            b = elems[j]
+    fresh = []
+    for i, a in enumerate(elems):
+        if a in old:
+            partners = fresh
+        else:
+            fresh.append(a)
+            partners = elems[: i + 1]
+        for b in partners:
             m = a & b
             if m not in seen:
                 seen.add(m)
@@ -109,8 +115,9 @@ def _lattice_close(seeds, witnesses: dict, cap: int) -> set:
                 elems.append(m)
                 witnesses.setdefault(m, ("or", a, b))
         if len(seen) > cap:
-            raise BudgetExceeded(f"lattice closure exceeds the budget of {cap}")
-        i += 1
+            raise BudgetExceeded(
+                f"generated subalgebra exceeds the budget of {cap} (--budget-upsets)"
+            )
     return seen
 
 
@@ -126,22 +133,26 @@ def generate(P: Poset, G: Iterable, budget: Optional[int] = None) -> RankedAlgeb
     cur = _lattice_close(seeds, witnesses, cap)
     strata = [frozenset(cur)]
     ranks = {m: 0 for m in sorted(cur)}
+    # semi-naive rounds: a pair of elements of the previous stratum was
+    # formed in the previous round, and its implication is already in cur
+    prev: set = set()
     while True:
         cand = set(cur)
         cur_sorted = sorted(cur)
+        new_sorted = sorted(cur - prev)
         for a in cur_sorted:
-            for b in cur_sorted:
+            for b in new_sorted if a in prev else cur_sorted:
                 m = imp_mask(P, a, b)
                 if m not in cand:
                     cand.add(m)
                     witnesses.setdefault(m, ("imp", a, b))
-        nxt = _lattice_close(cand, witnesses, cap)
+        nxt = _lattice_close(cand, witnesses, cap, cur)
         if nxt == cur:
             return RankedAlgebra(P, tuple(strata), ranks, witnesses)
         strata.append(frozenset(nxt))
         for m in sorted(nxt - cur):
             ranks[m] = len(strata) - 1
-        cur = nxt
+        prev, cur = cur, nxt
 
 
 def quotient_size(P: Poset, G: Iterable, budget: Optional[int] = None) -> int:
@@ -171,14 +182,15 @@ def rank_type_mismatches(
     the partition induced by membership in rank-<=n generated upsets."""
     gmasks = _norm_masks(G)
     ra = generate(P, gmasks, budget)
+    rank_blocks = [
+        _initial_block_of(P, sorted(s)) for s in ra.strata[: max_stage + 1]
+    ]
     bad = []
     block_of = _initial_block_of(P, gmasks)
     for n in range(max_stage + 1):
         if n > 0:
             block_of = _refine_block_of(P, block_of)
-        stratum = sorted(ra.strata[min(n, len(ra.strata) - 1)])
-        rank_block_of = _initial_block_of(P, stratum)
-        if rank_block_of != block_of:
+        if rank_blocks[min(n, len(rank_blocks) - 1)] != block_of:
             bad.append(n)
     return bad
 

@@ -3,7 +3,11 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from conftest import posets
+from hypothesis import given
+from hypothesis import strategies as st
 
+from heylab.algebra import algebra_of
 from heylab.cli import main
 from heylab.poset import poset_to_json, validate
 
@@ -95,7 +99,13 @@ def test_types_stage_past_fixpoint(runner, fork_file):
     assert data["blocks"] == [[0], [1], [2]]
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["ladder", "--help"]])
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["ladder", "--help"],
+    # main's checks of the global options do not stop a command's help
+    ["--format", "dot", "upsets", "--help"],
+    ["--budget-upsets", "0", "upsets", "--help"],
+])
 def test_help_exits_0(runner, argv):
     res = runner.invoke(main, argv)
     assert res.exit_code == 0
@@ -364,6 +374,10 @@ def _chain(write):
                                         [(i, i + 1) for i in range(n - 1)])))
 
 
+def _cycle_with_line_breaks(write):
+    return write({"points": ["a\nb", "c"], "leq": [[0, 1], [1, 0]]})
+
+
 # argv (a callable item writes an input file and gives its path), exit code
 MALFORMED = [
     pytest.param(["--budget-tuples", "10", "strictness", "--n", "1", "--depths", "4"],
@@ -373,6 +387,8 @@ MALFORMED = [
     pytest.param(["--budget-upsets", "3", "verify", "residuation", "--corpus",
                   "exhaustive3"], 2, id="verify-upset-budget"),
     pytest.param(["--budget-upsets", "1000", "upsets", _chain], 2, id="chain1200"),
+    pytest.param(["--budget-upsets", "4", "generate", _fork, "--gen", "x"], 2,
+                 id="generate-upset-budget"),
     pytest.param(["product", _algebra(meet=[[5]]), _algebra()], 1, id="entry-range"),
     pytest.param(["product", _algebra(), _algebra(join="x")], 1, id="table-type"),
     pytest.param(["product", _algebra(imp=[[0, 0]]), _algebra()], 1, id="table-shape"),
@@ -387,6 +403,7 @@ MALFORMED = [
                  id="laws-bottom-top"),
     pytest.param(["--budget-tuples", "7", "product", _chain2(), _chain2()], 2,
                  id="laws-budget"),
+    pytest.param(["upsets", _cycle_with_line_breaks], 1, id="cycle-names-line-break"),
     pytest.param(["--format", "dot", "upsets", _fork], 1, id="format-dot-upsets"),
     pytest.param(["--format", "text", "verify", "canonical", "--n", "1", "--depth",
                   "2"], 1, id="format-text-verify"),
@@ -433,3 +450,72 @@ def test_malformed_input_exits_with_one_line(runner, tmp_path, argv, code):
     assert isinstance(res.exception, SystemExit)  # not an uncaught error
     assert res.stdout == ""
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    if code == 2:  # a budget error names the flag that raises the cap
+        assert next(a for a in argv if str(a).startswith("--budget-")) in res.stderr
+
+
+# any JSON value, small enough that a poset read from it has few points
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _with_any_field(files, keys):
+    """Files from the strategy, each with one of keys set to any JSON value."""
+    return st.tuples(files, st.sampled_from(keys), json_values).map(
+        lambda t: {**t[0], t[1]: t[2]}
+    )
+
+
+# posets with pairs out of range, cycles, duplicate points and stray levels
+_near_posets = st.fixed_dictionaries(
+    {
+        "points": st.lists(st.text(max_size=2), max_size=5),
+        "leq": st.lists(st.lists(st.integers(-1, 5), max_size=3), max_size=6),
+    },
+    optional={"levels": st.dictionaries(st.text(max_size=2), json_values, max_size=3)},
+)
+_exported_posets = posets(max_points=4).map(poset_to_json)
+poset_files = st.one_of(
+    json_values,
+    _near_posets,
+    _exported_posets,
+    _with_any_field(_exported_posets, ["points", "leq", "levels"]),
+)
+
+# algebras with ragged tables, entries out of range and broken laws
+_tables = st.lists(st.lists(st.integers(-1, 3), max_size=3), max_size=3)
+_near_algebras = st.fixed_dictionaries({
+    "elements": st.lists(json_values, max_size=3),
+    "meet": _tables,
+    "join": _tables,
+    "imp": _tables,
+    "bottom": st.integers(-1, 3),
+    "top": st.integers(-1, 3),
+})
+_exported_algebras = posets(max_points=3).map(lambda P: algebra_of(P).to_json())
+algebra_files = st.one_of(
+    json_values,
+    _near_algebras,
+    _exported_algebras,
+    _with_any_field(_exported_algebras, list(CHAIN2)),
+)
+
+
+@given(poset_files, algebra_files)
+def test_exit_contract_on_fuzzed_files(tmp_path_factory, poset, alg):
+    # whatever the files hold: exit 0, 1 or 2, and an error is one line
+    p, a = (tmp_path_factory.getbasetemp() / f"fuzz-{k}.json" for k in "pa")
+    p.write_text(json.dumps(poset))
+    a.write_text(json.dumps(alg))
+    for argv in (["upsets", str(p)], ["algebra", str(p)], ["product", str(a), str(a)]):
+        res = CliRunner().invoke(main, argv)
+        assert res.exit_code in (0, 1, 2), (argv, res.exception)
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        if res.exit_code:
+            assert res.stdout == ""
+            assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
