@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BudgetExceeded, InvalidAlgebra
+from .errors import InvalidAlgebra
 from .poset import (
-    DEFAULT_TUPLE_BUDGET,
     Poset,
     Upset,
     _check_same_parent,
+    check_tuple_budget,
     iter_bits,
     upset_masks,
 )
@@ -108,14 +108,10 @@ def check_heyting_laws(A: FiniteHeytingAlgebra, budget: Optional[int] = None) ->
     """Raise InvalidAlgebra unless the tables form a Heyting algebra: the
     order a <= b iff meet[a][b] == a is a partial order, meet and join are
     its glb and lub, bottom and top are extremal, and c <= imp[a][b] iff
-    meet[c][a] <= b. The size**3 steps are capped by the tuple budget."""
+    meet[c][a] <= b. Its size**3 element triples count against the tuple
+    budget."""
     n = A.size
-    cap = DEFAULT_TUPLE_BUDGET if budget is None else budget
-    if n ** 3 > cap:
-        raise BudgetExceeded(
-            f"checking the laws of a {n}-element algebra takes {n ** 3} steps, "
-            f"over the budget of {cap} (--budget-tuples)"
-        )
+    check_tuple_budget(n ** 3, budget)
     # down[a] and up[a]: bitmasks of the elements below and above a
     down = [sum(1 << c for c in range(n) if A.meet[c][a] == c) for a in range(n)]
     up = [sum(1 << c for c in range(n) if A.meet[a][c] == a) for a in range(n)]
@@ -142,10 +138,10 @@ def check_heyting_laws(A: FiniteHeytingAlgebra, budget: Optional[int] = None) ->
 
 
 def algebra_from_json(data: dict, budget: Optional[int] = None) -> FiniteHeytingAlgebra:
-    """Rebuild an exported algebra. Raises InvalidAlgebra unless every
-    table is square over the elements, every table entry, bottom and top
-    is an element index and the tables satisfy check_heyting_laws, whose
-    work the budget caps."""
+    """Rebuild an exported algebra. Raises InvalidAlgebra unless size is the
+    number of elements, every table is square over the elements, every
+    table entry, bottom and top is an element index and the tables satisfy
+    check_heyting_laws, whose work the budget caps."""
 
     def as_tuples(label):
         if isinstance(label, list):
@@ -156,6 +152,8 @@ def algebra_from_json(data: dict, budget: Optional[int] = None) -> FiniteHeyting
         raise InvalidAlgebra("elements must be a list")
     elements = tuple(as_tuples(e) for e in data["elements"])
     size = len(elements)
+    if type(data["size"]) is not int or data["size"] != size:
+        raise InvalidAlgebra(f"size {data['size']!r} does not match the {size} elements")
 
     def index(x, what: str) -> int:
         if type(x) is not int or not 0 <= x < size:

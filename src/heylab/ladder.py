@@ -15,8 +15,8 @@ from math import factorial, prod
 from typing import Optional
 
 from .colouring import Colouring, _initial_block_of, _omega_block_of, omega_class_count
-from .errors import BudgetExceeded, PosetMismatch, SupportTooDeep
-from .poset import Poset, iter_bits, upset_masks, upset_multisets, validate
+from .errors import PosetMismatch, SupportTooDeep
+from .poset import Poset, iter_bits, over_budget, upset_masks, upset_multisets, validate
 
 BOTTOM_NAME = "bot"
 
@@ -72,9 +72,7 @@ def ladder_rule_pairs(spec: LadderSpec) -> list:
 def build_ladder(spec: LadderSpec, max_points: Optional[int] = None) -> Poset:
     """Build the truncated ladder poset, levels tagged, bottom untagged."""
     if max_points is not None and spec.point_count > max_points:
-        raise BudgetExceeded(
-            f"{spec.point_count} points exceed the budget of {max_points}"
-        )
+        raise over_budget(spec.point_count, max_points, "ladder points")
     w = spec.width
     names = [point_name(l, i) for i in range(spec.depth) for l in range(w)]
     if spec.with_bottom:
@@ -150,6 +148,15 @@ class CollapseReport:
         return d
 
 
+def supported_within(P: Poset, m: int, max_level: int) -> bool:
+    """Is colour m the empty or the full upset, which carry no information,
+    or does it have all its points within levels 0..max_level?"""
+    tags = P.level_tags or {}
+    return m in (0, P.full_mask) or all(
+        i in tags and tags[i] <= max_level for i in iter_bits(m)
+    )
+
+
 def _level_stats(P: Poset, masks, depth: int):
     block_of = _omega_block_of(P, masks)[0]
     block0_of = _initial_block_of(P, masks)
@@ -168,23 +175,15 @@ def collapse_check(spec: LadderSpec, c: Colouring) -> CollapseReport:
 
     The colouring's support must stay in the top levels, leaving at least
     2**n + 3 colour-free levels below, so the truncation has room for the
-    collapse to play out; colours equal to the empty or full upset carry no
-    information and are exempt.
+    collapse to play out (supported_within).
     """
     P = c.parent
     if P.n != spec.point_count:
         raise PosetMismatch("colouring is not over a ladder of this spec")
     tail = 2 ** spec.n + 3
     max_support = spec.depth - 1 - tail
-    for m in c.masks:
-        if m in (0, P.full_mask):
-            continue
-        for i in iter_bits(m):
-            lvl = P.level_tags.get(i) if P.level_tags else None
-            if lvl is None or lvl > max_support:
-                raise SupportTooDeep(
-                    f"colour support must stay within levels 0..{max_support}"
-                )
+    if not all(supported_within(P, m, max_support) for m in c.masks):
+        raise SupportTooDeep(f"colour support must stay within levels 0..{max_support}")
     classes, uniform0 = _level_stats(P, c.masks, spec.depth)
     width = spec.width
     first_merge = None

@@ -16,6 +16,12 @@ DEFAULT_UPSET_BUDGET = 1 << 20
 DEFAULT_TUPLE_BUDGET = 1 << 20
 
 
+def over_budget(count: int, cap: int, what: str, flag: str = "--budget-upsets"):
+    """A BudgetExceeded in the one form "<count> <what> exceed the budget of
+    <cap> (<flag>)". Callers test count > cap themselves, then raise it."""
+    return BudgetExceeded(f"{count} {what} exceed the budget of {cap} ({flag})")
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the indices of the set bits of mask, ascending."""
     while mask:
@@ -249,10 +255,7 @@ def upset_masks(P: Poset, budget: Optional[int] = None) -> tuple:
     cap = DEFAULT_UPSET_BUDGET if budget is None else budget
     if P._upset_masks is not None:
         if len(P._upset_masks) > cap:
-            raise BudgetExceeded(
-                f"{len(P._upset_masks)} upsets exceed the budget of {cap} "
-                "(--budget-upsets)"
-            )
+            raise over_budget(len(P._upset_masks), cap, "upsets")
         return P._upset_masks
     masks = tuple(sorted(upsets_of(P.up, cap)))
     P._upset_masks = masks
@@ -280,7 +283,7 @@ def upsets_of(up: Sequence[int], cap: int) -> list:
         above = up[i] & ~bit
         out += [u | bit for u in out if u & above == above]
         if len(out) > cap:
-            raise BudgetExceeded(f"more than {cap} upsets (--budget-upsets)")
+            raise over_budget(len(out), cap, "upsets")
     return out
 
 
@@ -305,9 +308,7 @@ def check_tuple_budget(count: int, budget: Optional[int] = None) -> None:
     """Raise BudgetExceeded when a scan of count tuples exceeds the budget."""
     cap = DEFAULT_TUPLE_BUDGET if budget is None else budget
     if count > cap:
-        raise BudgetExceeded(
-            f"{count} tuples exceed the budget of {cap} (--budget-tuples)"
-        )
+        raise over_budget(count, cap, "tuples", "--budget-tuples")
 
 
 def upset_multisets(items: Sequence, k: int, budget: Optional[int] = None):
@@ -349,8 +350,18 @@ def poset_to_json(P: Poset) -> dict:
 
 
 def poset_from_json(data: dict) -> Poset:
-    points = data["points"]
-    pairs = [tuple(p) for p in data["leq"]]
+    """Read a poset file; ValueError unless points is a list of names and
+    leq a list of [i, j] index pairs."""
+    points, leq = data["points"], data["leq"]
+    if type(points) is not list or any(type(p) is not str for p in points):
+        raise ValueError("points must be a list of point names")
+    if type(leq) is not list:
+        raise ValueError("leq must be a list of [i, j] index pairs")
+    pairs = []
+    for p in leq:
+        if not (type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is int):
+            raise ValueError(f"leq entry {p!r} is not an [i, j] index pair")
+        pairs.append((p[0], p[1]))
     tags = None
     if "levels" in data:
         if not isinstance(data["levels"], dict):

@@ -20,8 +20,14 @@ from .colouring import (
     _refine_block_of,
     omega_class_count,
 )
-from .errors import BudgetExceeded
-from .poset import DEFAULT_UPSET_BUDGET, Poset, Upset, upset_masks, upsets_of
+from .poset import (
+    DEFAULT_UPSET_BUDGET,
+    Poset,
+    Upset,
+    over_budget,
+    upset_masks,
+    upsets_of,
+)
 
 # witness terms: ('0',) | ('1',) | ('g', i) | (op, left_mask, right_mask)
 _OP_TEXT = {"and": "and", "or": "or", "imp": "->"}
@@ -115,9 +121,7 @@ def _lattice_close(seeds, witnesses: dict, cap: int, old=frozenset()) -> set:
                 elems.append(m)
                 witnesses.setdefault(m, ("or", a, b))
         if len(seen) > cap:
-            raise BudgetExceeded(
-                f"generated subalgebra exceeds the budget of {cap} (--budget-upsets)"
-            )
+            raise over_budget(len(seen), cap, "upsets")
     return seen
 
 
@@ -179,7 +183,9 @@ def rank_type_mismatches(
     budget: Optional[int] = None,
 ) -> list:
     """Stages n <= max_stage where the stage-n type partition differs from
-    the partition induced by membership in rank-<=n generated upsets."""
+    the partition induced by membership in rank-<=n generated upsets. A
+    refinement that changes nothing is the fixpoint, which every later
+    stage repeats."""
     gmasks = _norm_masks(G)
     ra = generate(P, gmasks, budget)
     rank_blocks = [
@@ -187,9 +193,11 @@ def rank_type_mismatches(
     ]
     bad = []
     block_of = _initial_block_of(P, gmasks)
+    stable = False
     for n in range(max_stage + 1):
-        if n > 0:
-            block_of = _refine_block_of(P, block_of)
+        if n > 0 and not stable:
+            block_of, before = _refine_block_of(P, block_of), block_of
+            stable = block_of == before
         if rank_blocks[min(n, len(rank_blocks) - 1)] != block_of:
             bad.append(n)
     return bad

@@ -9,12 +9,13 @@ from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .algebra import FiniteHeytingAlgebra
-from .errors import BudgetExceeded, ForeignElement
+from .errors import ForeignElement
 from .ladder import LadderSpec, build_ladder, canonical_colouring
 from .poset import (
     DEFAULT_UPSET_BUDGET,
     check_tuple_budget,
     iter_bits,
+    over_budget,
     upset_masks,
     upset_multisets,
 )
@@ -101,9 +102,7 @@ def algebra_product(
     cap = DEFAULT_UPSET_BUDGET if budget is None else budget
     size = A.size * B.size
     if size * size > cap:
-        raise BudgetExceeded(
-            f"product tables of {size * size} entries exceed the budget of {cap}"
-        )
+        raise over_budget(size * size, cap, "entries per product table")
     nb = B.size
     elements = tuple(
         (A.elements[i], B.elements[j]) for i in range(A.size) for j in range(nb)

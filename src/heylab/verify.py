@@ -23,6 +23,7 @@ from .ladder import (
     next_level_bound_check,
     non_colourability_scan,
     random_tuples,
+    supported_within,
     verify_canonical,
 )
 from .poset import Poset, iter_bits, poset_to_json, upset_masks
@@ -150,30 +151,21 @@ def verify_canonical_range(cases=((0, 8), (1, 8), (2, 6))) -> dict:
     return _report("canonical", failures, cases=[list(c) for c in cases], checks=checks)
 
 
-def _support_restricted_masks(P: Poset, max_level: int):
-    """Upsets whose nontrivial support stays within levels 0..max_level."""
-    keep = []
-    for m in upset_masks(P):
-        if m in (0, P.full_mask):
-            keep.append(m)
-            continue
-        levels = [P.level_tags.get(i) for i in iter_bits(m)]
-        if all(lvl is not None and lvl <= max_level for lvl in levels):
-            keep.append(m)
-    return keep
-
-
 def verify_collapse(
     n: int,
     samples: int = 100,
     seed: int = DEFAULT_SEED,
     depth: Optional[int] = None,
+    budget_upsets: Optional[int] = None,
 ) -> dict:
     """Collapse bound for seeded random n-colourings supported near the top."""
     depth = (2 ** n + 6) if depth is None else depth
     spec = LadderSpec(n, depth, with_bottom=True)
     P = build_ladder(spec)
-    pool = _support_restricted_masks(P, COLLAPSE_SUPPORT_LEVELS - 1)
+    pool = [
+        m for m in upset_masks(P, budget_upsets)
+        if supported_within(P, m, COLLAPSE_SUPPORT_LEVELS - 1)
+    ]
     failures = []
     for masks in random_tuples(pool, n, samples, seed):
         report = collapse_check(spec, Colouring.from_masks(P, masks))
@@ -211,6 +203,7 @@ def verify_next_level(
     samples: int = 100,
     seed: int = DEFAULT_SEED,
     k: Optional[int] = None,
+    budget_upsets: Optional[int] = None,
 ) -> dict:
     """Next-level class bound for seeded random colourings plus the
     canonical colouring."""
@@ -218,7 +211,7 @@ def verify_next_level(
     P = build_ladder(spec)
     k = n if k is None else k
     trials = [canonical_colouring(P, n).masks]
-    trials += random_tuples(upset_masks(P), k, samples, seed)
+    trials += random_tuples(upset_masks(P, budget_upsets), k, samples, seed)
     failures = []
     for masks in trials:
         if not next_level_bound_check(spec, Colouring.from_masks(P, masks)):
@@ -267,7 +260,8 @@ def verify_oracle_equivalence(
     def check(P, G):
         if tables[0] is not P:
             A = algebra_of(P, budget_upsets)
-            tables[:] = P, A, {m: i for i, m in enumerate(upset_masks(P))}
+            index = {m: i for i, m in enumerate(upset_masks(P, budget_upsets))}
+            tables[:] = P, A, index
         _, A, index = tables
         table_size = len(subalgebra_closure(A, [index[m] for m in G]))
         strata_size = len(generate(P, G, budget_upsets).elements)

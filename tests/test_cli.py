@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -42,13 +43,6 @@ def test_ladder_dot(runner):
 def test_ladder_invalid(runner):
     res = runner.invoke(main, ["ladder", "--n", "-1", "--depth", "2"])
     assert res.exit_code == 1
-
-
-def test_ladder_budget(runner):
-    res = runner.invoke(
-        main, ["--budget-upsets", "5", "ladder", "--n", "2", "--depth", "8"]
-    )
-    assert res.exit_code == 2
 
 
 def test_upsets(runner, fork_file):
@@ -374,6 +368,10 @@ def _chain(write):
                                         [(i, i + 1) for i in range(n - 1)])))
 
 
+def _file(data):
+    return lambda write: write(data)
+
+
 def _cycle_with_line_breaks(write):
     return write({"points": ["a\nb", "c"], "leq": [[0, 1], [1, 0]]})
 
@@ -389,6 +387,21 @@ MALFORMED = [
     pytest.param(["--budget-upsets", "1000", "upsets", _chain], 2, id="chain1200"),
     pytest.param(["--budget-upsets", "4", "generate", _fork, "--gen", "x"], 2,
                  id="generate-upset-budget"),
+    pytest.param(["--budget-upsets", "5", "ladder", "--n", "2", "--depth", "8"], 2,
+                 id="ladder-point-budget"),
+    pytest.param(["--budget-upsets", "15", "product", _chain2(), _chain2()], 2,
+                 id="product-table-budget"),
+    pytest.param(["--budget-upsets", "3", "verify", "collapse", "--n", "1",
+                  "--samples", "5"], 2, id="collapse-upset-budget"),
+    pytest.param(["--budget-upsets", "3", "verify", "next-level", "--n", "1",
+                  "--depth", "4", "--samples", "5"], 2, id="next-level-upset-budget"),
+    pytest.param(["upsets", _file({"points": [0, 1.5], "leq": [[True, False]]})],
+                 1, id="points-type"),
+    pytest.param(["upsets", _file({"points": "ab", "leq": []})], 1,
+                 id="points-string"),
+    pytest.param(["upsets", _file({"points": ["a", "b"], "leq": [[True, False]]})],
+                 1, id="leq-bool"),
+    pytest.param(["product", _chain2(size=9), _chain2()], 1, id="algebra-size"),
     pytest.param(["product", _algebra(meet=[[5]]), _algebra()], 1, id="entry-range"),
     pytest.param(["product", _algebra(), _algebra(join="x")], 1, id="table-type"),
     pytest.param(["product", _algebra(imp=[[0, 0]]), _algebra()], 1, id="table-shape"),
@@ -450,8 +463,11 @@ def test_malformed_input_exits_with_one_line(runner, tmp_path, argv, code):
     assert isinstance(res.exception, SystemExit)  # not an uncaught error
     assert res.stdout == ""
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
-    if code == 2:  # a budget error names the flag that raises the cap
-        assert next(a for a in argv if str(a).startswith("--budget-")) in res.stderr
+    if code == 2:  # every budget error has one form, naming the flag given
+        flag = next(a for a in argv if str(a).startswith("--budget-"))
+        cap = argv[argv.index(flag) + 1]
+        form = rf"error: \d+ \S.* exceed the budget of {cap} \({flag}\)\n"
+        assert re.fullmatch(form, res.stderr)
 
 
 # any JSON value, small enough that a poset read from it has few points

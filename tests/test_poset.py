@@ -155,11 +155,12 @@ def test_upset_canonical_order(fork):
 
 
 def test_upset_budget(antichain3):
-    with pytest.raises(BudgetExceeded):
+    form = r"^8 upsets exceed the budget of 4 \(--budget-upsets\)$"
+    with pytest.raises(BudgetExceeded, match=form):
         upset_masks(antichain3, budget=4)
-    # a cached result over budget still raises
+    # a cached result over budget still raises, in the same form
     upset_masks(antichain3)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=form):
         upset_masks(antichain3, budget=4)
 
 

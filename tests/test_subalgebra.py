@@ -4,7 +4,7 @@ import pytest
 from conftest import posets_with_generators
 from hypothesis import given
 
-from heylab import Upset, generate
+from heylab import Upset, generate, subalgebra
 from heylab.algebra import imp_mask
 from heylab.corpus import DEFAULT_SEED, all_posets_up_to_iso, corpus_from_spec
 from heylab.errors import BudgetExceeded
@@ -237,6 +237,17 @@ def test_rank_type_and_duality_on_fork(fork):
     assert duality_sides(fork, [0b010]) == (True, True)
     # nothing generated, nothing coloured
     assert duality_sides(fork, []) == (False, False)
+
+
+def test_rank_type_stops_refining_at_the_fixpoint(fork, monkeypatch):
+    passes = []
+    refine = subalgebra._refine_block_of
+    monkeypatch.setattr(
+        subalgebra, "_refine_block_of", lambda P, b: passes.append(b) or refine(P, b)
+    )
+    # stage 1 splits b from y, stage 2 changes nothing: stages 3-5 repeat it
+    assert rank_type_mismatches(fork, [0b010], 5) == []
+    assert len(passes) == 2
 
 
 def test_quotient_size_on_every_ladder_pair():
