@@ -54,17 +54,30 @@ class RankedAlgebra:
     def witness_text(self, U: Union[Upset, int]) -> str:
         """Prefix-notation witness term evaluating to U over the generators."""
         mask = U.mask if isinstance(U, Upset) else U
-        t = self.witnesses[mask]
-        if t[0] == "g":
-            return f"g{t[1]}"
-        if t[0] in ("0", "1"):
-            return t[0]
-        op, a, b = t
-        return f"({_OP_TEXT[op]} {self.witness_text(a)} {self.witness_text(b)})"
+        return self._fold(
+            mask,
+            lambda m, t: f"g{t[1]}" if t[0] == "g" else t[0],
+            lambda op, a, b: f"({_OP_TEXT[op]} {a} {b})",
+        )
 
     def eval_witness(self, mask: int) -> int:
-        """Re-evaluate the witness term of mask (soundness check hook). The
-        terms share subterms; each one is evaluated once, without recursion."""
+        """Re-evaluate the witness term of mask (soundness check hook)."""
+        ops = {
+            "and": int.__and__,
+            "or": int.__or__,
+            "imp": lambda a, b: imp_mask(self.parent, a, b),
+        }
+        return self._fold(
+            mask,
+            lambda m, t: {"0": 0, "1": self.parent.full_mask, "g": m}[t[0]],
+            lambda op, a, b: ops[op](a, b),
+        )
+
+    def _fold(self, mask: int, leaf, node):
+        """The value of the witness term of mask, where a constant or
+        generator term t of element m has value leaf(m, t) and (op, a, b)
+        has node(op, value of a, value of b). The terms share subterms;
+        each one is valued once per call, without recursion."""
         value: dict = {}
         todo = [mask]
         while todo:
@@ -72,20 +85,12 @@ class RankedAlgebra:
             if m in value:
                 continue
             t = self.witnesses[m]
-            if t[0] == "0":
-                value[m] = 0
-            elif t[0] == "1":
-                value[m] = self.parent.full_mask
-            elif t[0] == "g":
-                value[m] = m
+            if len(t) < 3:
+                value[m] = leaf(m, t)
             elif t[1] not in value or t[2] not in value:
                 todo += [m, t[1], t[2]]
-            elif t[0] == "and":
-                value[m] = value[t[1]] & value[t[2]]
-            elif t[0] == "or":
-                value[m] = value[t[1]] | value[t[2]]
             else:
-                value[m] = imp_mask(self.parent, value[t[1]], value[t[2]])
+                value[m] = node(t[0], value[t[1]], value[t[2]])
         return value[mask]
 
 

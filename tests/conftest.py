@@ -12,9 +12,9 @@ settings.load_profile("heylab")
 
 
 @st.composite
-def posets(draw, max_points=7):
+def posets(draw, max_points=7, min_points=1):
     """A poset on p0, ..., p(n-1) whose order contains any chosen pairs i < j."""
-    n = draw(st.integers(1, max_points))
+    n = draw(st.integers(min_points, max_points))
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
     return validate([f"p{i}" for i in range(n)], [s for s, c in zip(slots, chosen) if c])

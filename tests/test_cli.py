@@ -147,7 +147,7 @@ def test_verify_pass(runner):
 
 
 @pytest.mark.parametrize(
-    "corpus, code", [("exhaustive0", 1), ("random5:x", 1), ("exhaustive8", 2)]
+    "corpus, code", [("exhaustive0", 1), ("random5:x", 1), ("exhaustive9", 2)]
 )
 def test_verify_bad_corpus(runner, corpus, code):
     res = runner.invoke(main, ["verify", "residuation", "--corpus", corpus])

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from itertools import permutations
+from typing import Iterator
 
 import pytest
 from conftest import posets
@@ -10,18 +11,23 @@ from hypothesis import strategies as st
 
 from heylab.corpus import (
     MAX_EXHAUSTIVE_POINTS,
+    _slots,
     all_posets_up_to_iso,
     canonical_form,
     corpus_from_spec,
+    least_bits,
     random_poset,
     random_posets,
 )
 from heylab.errors import BudgetExceeded
-from heylab.poset import poset_to_json, validate
+from heylab.poset import iter_bits, poset_to_json, validate
 
 # sha256 of json.dumps([poset_to_json(P) for P in all_posets_up_to_iso(6)])
 # as emitted by the brute-force scan below: points, up-sets and order.
 EXHAUSTIVE6_DIGEST = "03a933588e32b263e2a22bd7455c3642c1ae339d978ca4a62214263ec343f7e6"
+# the same for all_posets_up_to_iso(7), as emitted by the labelled-order
+# walk below
+EXHAUSTIVE7_DIGEST = "b0e106e19d0592329c04ee0fd9f809f77c7cd5626cc43fd5eb7a1f6c3217e166"
 
 
 # -- brute-force oracle: scan every relation on the index order, keep the
@@ -67,15 +73,80 @@ def _brute_all_posets(max_points: int) -> list:
     return out
 
 
-def _form_of_pairs(pairs, n: int) -> int:
+# -- labelled-order oracle: canonicalise every strict order contained in the
+# index order, and keep the least `bits` of each class
+
+
+def _natural_orders(n: int) -> Iterator[tuple]:
+    """Yield (bits, up) for every strict order on n points that is
+    contained in the index order, with up its strict up-set masks.
+
+    Points are added in index order; each new point is maximal so far and
+    its strict down-set is any down-set of the points before it.
+    """
+    slot = {pair: 1 << b for b, pair in enumerate(_slots(n))}
+
+    def extend(k: int, up: tuple, down: tuple, bits: int):
+        if k == n:
+            yield bits, up
+            return
+        # the down-sets of points 0..k-1, each with the bits of its pairs
+        # below the new point k
+        downsets = [(0, 0)]
+        for i in range(k):
+            below = down[i]
+            downsets += [
+                (d | 1 << i, b | slot[i, k]) for d, b in downsets if below & ~d == 0
+            ]
+        top = 1 << k
+        for d, b in downsets:
+            up_k = tuple(u | top if d >> i & 1 else u for i, u in enumerate(up))
+            yield from extend(k + 1, up_k + (0,), down + (d,), bits | b)
+
+    yield from extend(0, (), (), 0)
+
+
+def _walk_all_posets(max_points: int) -> list:
+    out = []
+    for n in range(1, max_points + 1):
+        least = {}
+        for bits, up in _natural_orders(n):
+            form = canonical_form(up)
+            if form not in least or bits < least[form]:
+                least[form] = bits
+        slots = _slots(n)
+        points = [f"p{i}" for i in range(n)]
+        for bits in sorted(least.values()):
+            out.append(validate(points, [slots[b] for b in iter_bits(bits)]))
+    return out
+
+
+def _bits_of_pairs(pairs, n: int) -> int:
+    return sum(1 << b for b, pair in enumerate(_slots(n)) if pair in pairs)
+
+
+def _strict_up(P) -> list:
+    return [u & ~(1 << i) for i, u in enumerate(P.up)]
+
+
+def _up_of_pairs(pairs, n: int) -> list:
     up = [0] * n
     for a, b in pairs:
         up[a] |= 1 << b
-    return canonical_form(up)
+    return up
+
+
+def _form_of_pairs(pairs, n: int) -> int:
+    return canonical_form(_up_of_pairs(pairs, n))
 
 
 def _form_of_poset(P) -> int:
-    return canonical_form([u & ~(1 << i) for i, u in enumerate(P.up)])
+    return canonical_form(_strict_up(P))
+
+
+def _digest(posets) -> str:
+    payload = json.dumps([poset_to_json(P) for P in posets])
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -83,22 +154,44 @@ def exhaustive6():
     return all_posets_up_to_iso(6)
 
 
-def test_exhaustive_counts(exhaustive6):
-    # posets on 1..6 points up to isomorphism, OEIS A000112
+@pytest.fixture(scope="module")
+def exhaustive7():
+    return all_posets_up_to_iso(7)
+
+
+def test_exhaustive_counts(exhaustive7):
+    # posets on 1..7 points up to isomorphism, OEIS A000112
     by_size = {}
-    for P in exhaustive6:
+    for P in exhaustive7:
         by_size[P.n] = by_size.get(P.n, 0) + 1
-    assert by_size == {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318}
-    assert len(exhaustive6) == 405
+    assert by_size == {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
+    assert len(exhaustive7) == 2450
 
 
-def test_exhaustive_order_and_representatives(exhaustive6):
-    payload = json.dumps([poset_to_json(P) for P in exhaustive6])
-    assert hashlib.sha256(payload.encode()).hexdigest() == EXHAUSTIVE6_DIGEST
+def test_exhaustive_order_and_representatives(exhaustive6, exhaustive7):
+    assert _digest(exhaustive6) == EXHAUSTIVE6_DIGEST
+    assert _digest(exhaustive7) == EXHAUSTIVE7_DIGEST
 
 
 def test_exhaustive_matches_brute_force_scan():
     assert all_posets_up_to_iso(5) == _brute_all_posets(5)
+
+
+def test_exhaustive_matches_labelled_order_walk(exhaustive6):
+    assert exhaustive6 == _walk_all_posets(6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_least_bits_matches_brute_force(n):
+    # every transitive relation on the index order is a natural labelling
+    # of its class, so the least bits of a class is the least over them
+    least, rels = {}, []
+    for pairs in _brute_relations(n):
+        brute, bits = _brute_form(pairs, n), _bits_of_pairs(pairs, n)
+        least[brute] = min(least.get(brute, bits), bits)
+        rels.append((brute, pairs))
+    for brute, pairs in rels:
+        assert least_bits(_up_of_pairs(pairs, n)) == least[brute]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -122,6 +215,17 @@ def relabeled_posets(draw):
 def test_canonical_form_ignores_relabeling(case):
     P, Q = case
     assert _form_of_poset(P) == _form_of_poset(Q)
+
+
+@given(relabeled_posets(), st.data())
+def test_least_bits_is_an_isomorphism_invariant(case, data):
+    # unchanged under relabelling, and on posets of one size equal exactly
+    # where canonical_form is
+    P, Q = case
+    R = data.draw(posets(min_points=P.n, max_points=P.n))
+    assert least_bits(_strict_up(P)) == least_bits(_strict_up(Q))
+    same = least_bits(_strict_up(P)) == least_bits(_strict_up(R))
+    assert same == (_form_of_poset(P) == _form_of_poset(R))
 
 
 def test_exhaustive_no_duplicates():
