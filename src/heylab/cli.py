@@ -165,7 +165,7 @@ def main(ctx, budget_upsets, budget_tuples, seed, fmt, out):
 @click.pass_obj
 def ladder(cfg: RunConfig, n, depth, with_bottom):
     """Build a ladder truncation and print it as poset JSON or DOT."""
-    P = build_ladder(LadderSpec(n, depth, with_bottom), max_points=cfg.budget_upsets)
+    P = build_ladder(LadderSpec(n, depth, with_bottom), cfg.budget_upsets)
     _emit(cfg, poset_to_json(P), dot=poset_to_dot(P))
 
 

@@ -12,66 +12,9 @@ from .poset import Poset, iter_bits, upsets_of, validate
 
 DEFAULT_SEED = 2718
 
-# Largest K accepted in an 'exhaustiveK' corpus item: the 16,999 classes on
-# 8 points take about 5 s, and 9 points have ten times as many (A000112).
+# Largest K in an 'exhaustiveK' corpus item: the 48,346 candidates on 8
+# points are labelled in about 5 s; 9 points have 10x the classes (A000112).
 MAX_EXHAUSTIVE_POINTS = 8
-
-
-def _cells(up: Sequence[int]) -> list:
-    """An isomorphism-invariant ordered partition of the points of a strict
-    order given as in canonical_form.
-
-    Points are grouped into cells by (|strict up|, |strict down|), and cells
-    are listed in the sorted order of that pair, so isomorphic orders get
-    corresponding cells in the same order.
-    """
-    down = [0] * len(up)
-    for i, u in enumerate(up):
-        for j in iter_bits(u):
-            down[j] += 1
-    cells: dict = {}
-    for i, u in enumerate(up):
-        cells.setdefault((bin(u).count("1"), down[i]), []).append(i)
-    return [cells[key] for key in sorted(cells)]
-
-
-def canonical_form(up: Sequence[int]) -> int:
-    """A complete isomorphism invariant of a strict order.
-
-    up[i] is the bitmask of the points strictly above point i. Points are
-    placed at positions 0..n-1, each invariant cell (see _cells) onto its
-    own block of positions. Cells come in ascending |strict up| order, so
-    no earlier position lies below a point being placed: its row records
-    which earlier positions lie above it, and the form is the least
-    concatenation of rows over all such placements. A placement is
-    extended only while its rows so far are the least, so the search
-    branches only where placements tie. Two strict orders get the same form
-    exactly when they are isomorphic.
-    """
-    n = len(up)
-    form = 0
-    placings = [()]
-    for cell in _cells(up):
-        for _ in cell:
-            least, kept = None, []
-            for placed in placings:
-                for x in cell:
-                    if x in placed:
-                        continue
-                    ux = up[x]
-                    row = 0
-                    bit = 1
-                    for y in placed:
-                        if ux >> y & 1:
-                            row |= bit
-                        bit <<= 1
-                    if least is None or row < least:
-                        least, kept = row, []
-                    if row == least:
-                        kept.append(placed + (x,))
-            form = form << n | least
-            placings = kept
-    return form
 
 
 def _slots(n: int) -> list:
@@ -81,18 +24,22 @@ def _slots(n: int) -> list:
 
 
 def least_bits(up: Sequence[int]) -> int:
-    """The least `bits` (see _slots) of a strict order, given as in
-    canonical_form, over its natural labellings (those in which every point
-    is below only higher labels).
+    """The least `bits` (see _slots) of a strict order over its natural
+    labellings (those in which every point is below only higher labels).
+    up[i] is the bitmask of the points strictly above point i. Isomorphic
+    orders have the same naturally labelled relations on 0..n-1, and the
+    least `bits` is one of them, so two orders on n points get the same
+    value exactly when they are isomorphic.
 
     Labels n-1, n-2, ... are given in turn, each to a point whose strict
     up-set is already labelled. `bits` compares its highest slot first, and
     the slots of label i are the pairs (i, j), j > i: they hold the row of
-    the point labelled i, which is fixed once labels i..n-1 are placed. As in
-    canonical_form, a placing is extended only while its rows so far are
-    the least, and bits is the concatenation of the least rows. Twins
-    (points with the same strict up- and down-sets) are swapped by an
-    automorphism, so of the unlabelled twins only the first is tried.
+    the point labelled i, which is fixed once labels i..n-1 are placed. So
+    a placing is extended only while its rows so far are the least, the
+    search branches only where rows tie, and bits is the concatenation of
+    the least rows. Twins (points with the same strict up- and down-sets)
+    are swapped by an automorphism, so of the unlabelled twins only the
+    first is tried.
     """
     n = len(up)
     down = [0] * n
@@ -134,13 +81,15 @@ def all_posets_up_to_iso(max_points: int) -> list:
 
     The classes on K points come from those on K-1: every poset has a
     maximal point, so adding a new maximal point above each down-set of
-    each (K-1)-point class reaches every K-point class, and canonical_form
-    keeps one member of each. Within each size the representative of a
-    class is its natural labelling with the least `bits` (see least_bits),
-    and classes come in the order of their representatives.
+    each (K-1)-point class reaches every K-point class. Each candidate is
+    keyed by its least `bits` (see least_bits), which is the same for two
+    candidates exactly when they are isomorphic, and one member of each
+    class is kept to extend. The representative of a class is its
+    natural labelling with that least `bits`, and within each size
+    classes come in the order of their representatives.
     """
     out = []
-    classes = {canonical_form(()): ()}
+    classes = {least_bits(()): ()}
     for n in range(1, max_points + 1):
         parents, classes = classes.values(), {}
         top = 1 << (n - 1)
@@ -152,10 +101,10 @@ def all_posets_up_to_iso(max_points: int) -> list:
                 down = full ^ upset
                 child = [u | top if down >> i & 1 else u for i, u in enumerate(up)]
                 child.append(0)
-                classes.setdefault(canonical_form(child), child)
+                classes.setdefault(least_bits(child), child)
         slots = _slots(n)
         points = [f"p{i}" for i in range(n)]
-        for bits in sorted(least_bits(up) for up in classes.values()):
+        for bits in sorted(classes):
             out.append(validate(points, [slots[b] for b in iter_bits(bits)]))
     return out
 

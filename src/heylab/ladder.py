@@ -16,7 +16,15 @@ from typing import Optional
 
 from .colouring import Colouring, _initial_block_of, _omega_block_of, omega_class_count
 from .errors import PosetMismatch, SupportTooDeep
-from .poset import Poset, iter_bits, over_budget, upset_masks, upset_multisets, validate
+from .poset import (
+    DEFAULT_UPSET_BUDGET,
+    Poset,
+    iter_bits,
+    over_budget,
+    upset_masks,
+    upset_multisets,
+    validate,
+)
 
 BOTTOM_NAME = "bot"
 
@@ -40,6 +48,13 @@ class LadderSpec:
     @property
     def point_count(self) -> int:
         return self.width * self.depth + (1 if self.with_bottom else 0)
+
+    @property
+    def pair_count(self) -> int:
+        """len(ladder_rule_pairs(self)), without building them."""
+        w, d = self.width, self.depth
+        bottom = w * d if self.with_bottom else 0
+        return (d - 1) * (w * w - w + 1) + w * w * (d - 1) * (d - 2) // 2 + bottom
 
 
 def point_name(l: int, i: int) -> str:
@@ -69,10 +84,20 @@ def ladder_rule_pairs(spec: LadderSpec) -> list:
     return pairs
 
 
-def build_ladder(spec: LadderSpec, max_points: Optional[int] = None) -> Poset:
-    """Build the truncated ladder poset, levels tagged, bottom untagged."""
-    if max_points is not None and spec.point_count > max_points:
-        raise over_budget(spec.point_count, max_points, "ladder points")
+def check_ladder_budget(spec: LadderSpec, budget: Optional[int] = None) -> None:
+    """Raise BudgetExceeded when the truncation's points or rule pairs
+    exceed the upset budget (the default when budget is None)."""
+    cap = DEFAULT_UPSET_BUDGET if budget is None else budget
+    counts = (spec.point_count, "ladder points"), (spec.pair_count, "ladder pairs")
+    for count, what in counts:
+        if count > cap:
+            raise over_budget(count, cap, what)
+
+
+def build_ladder(spec: LadderSpec, budget: Optional[int] = None) -> Poset:
+    """Build the truncated ladder poset, levels tagged, bottom untagged,
+    once check_ladder_budget admits it."""
+    check_ladder_budget(spec, budget)
     w = spec.width
     names = [point_name(l, i) for i in range(spec.depth) for l in range(w)]
     if spec.with_bottom:
@@ -118,9 +143,9 @@ def canonical_colouring(P: Poset, n: int) -> Colouring:
     return Colouring.from_masks(P, masks)
 
 
-def verify_canonical(n: int, depth: int) -> bool:
+def verify_canonical(n: int, depth: int, budget_upsets: Optional[int] = None) -> bool:
     """Is the canonical colouring an actual colouring of the truncation?"""
-    P = build_ladder(LadderSpec(n, depth, with_bottom=True))
+    P = build_ladder(LadderSpec(n, depth, with_bottom=True), budget_upsets)
     return omega_class_count(P, canonical_colouring(P, n).masks) == P.n
 
 
@@ -252,7 +277,7 @@ def non_colourability_scan(
     k!/prod(c_i!) orderings, so it counts ordered tuples.
     """
     spec = LadderSpec(n, depth, with_bottom=True)
-    P = build_ladder(spec)
+    P = build_ladder(spec, budget_upsets)
     k = n if k is None else k
     masks = upset_masks(P, budget_upsets)
     if samples is None:

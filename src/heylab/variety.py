@@ -149,7 +149,7 @@ def strictness_report(
     """
     rows = []
     for spec in [LadderSpec(n, d, with_bottom=True) for d in depths]:
-        P = build_ladder(spec)
+        P = build_ladder(spec, budget_upsets)
         masks = upset_masks(P, budget_upsets)
         check_tuple_budget(comb(len(masks) + n - 1, n), budget_tuples)
         best = 0

@@ -19,6 +19,7 @@ from .ladder import (
     LadderSpec,
     build_ladder,
     canonical_colouring,
+    check_ladder_budget,
     collapse_check,
     next_level_bound_check,
     non_colourability_scan,
@@ -139,14 +140,20 @@ def verify_duality(
     return _sampled_lemma("duality", corpus, gens_per_poset, seed, budget_upsets, check)
 
 
-def verify_canonical_range(cases=((0, 8), (1, 8), (2, 6))) -> dict:
-    """Canonical colouring isolates everything, over a grid of truncations."""
+def verify_canonical_range(
+    cases=((0, 8), (1, 8), (2, 6)), budget_upsets: Optional[int] = None
+) -> dict:
+    """Canonical colouring isolates everything, over a grid of truncations.
+    Every case's deepest truncation is checked against the upset budget
+    before any is built."""
+    for n, max_depth in cases:
+        check_ladder_budget(LadderSpec(n, max_depth, with_bottom=True), budget_upsets)
     failures = []
     checks = 0
     for n, max_depth in cases:
         for depth in range(1, max_depth + 1):
             checks += 1
-            if not verify_canonical(n, depth):
+            if not verify_canonical(n, depth, budget_upsets):
                 failures.append({"n": n, "depth": depth})
     return _report("canonical", failures, cases=[list(c) for c in cases], checks=checks)
 
@@ -161,7 +168,7 @@ def verify_collapse(
     """Collapse bound for seeded random n-colourings supported near the top."""
     depth = (2 ** n + 6) if depth is None else depth
     spec = LadderSpec(n, depth, with_bottom=True)
-    P = build_ladder(spec)
+    P = build_ladder(spec, budget_upsets)
     pool = [
         m for m in upset_masks(P, budget_upsets)
         if supported_within(P, m, COLLAPSE_SUPPORT_LEVELS - 1)
@@ -208,7 +215,7 @@ def verify_next_level(
     """Next-level class bound for seeded random colourings plus the
     canonical colouring."""
     spec = LadderSpec(n, depth, with_bottom=True)
-    P = build_ladder(spec)
+    P = build_ladder(spec, budget_upsets)
     k = n if k is None else k
     trials = [canonical_colouring(P, n).masks]
     trials += random_tuples(upset_masks(P, budget_upsets), k, samples, seed)
@@ -274,13 +281,17 @@ def verify_oracle_equivalence(
     )
 
 
-def _verify_canonical_entry(n: Optional[int] = None, depth: Optional[int] = None) -> dict:
+def _verify_canonical_entry(
+    n: Optional[int] = None,
+    depth: Optional[int] = None,
+    budget_upsets: Optional[int] = None,
+) -> dict:
     if n is None:
         if depth is not None:
             raise ValueError("--depth needs --n")
-        return verify_canonical_range()
+        return verify_canonical_range(budget_upsets=budget_upsets)
     max_depth = depth if depth is not None else (6 if n >= 2 else 8)
-    return verify_canonical_range(cases=((n, max_depth),))
+    return verify_canonical_range(cases=((n, max_depth),), budget_upsets=budget_upsets)
 
 
 # The lemmas by CLI name. run_verification reads what each one takes from

@@ -389,6 +389,9 @@ MALFORMED = [
                  id="generate-upset-budget"),
     pytest.param(["--budget-upsets", "5", "ladder", "--n", "2", "--depth", "8"], 2,
                  id="ladder-point-budget"),
+    # 32,771 points, but 268,484,611 rule pairs under the default budget
+    pytest.param(["--budget-upsets", "1048576", "verify", "canonical", "--n", "14",
+                  "--depth", "2"], 2, id="canonical-ladder-budget"),
     pytest.param(["--budget-upsets", "15", "product", _chain2(), _chain2()], 2,
                  id="product-table-budget"),
     pytest.param(["--budget-upsets", "3", "verify", "collapse", "--n", "1",

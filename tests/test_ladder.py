@@ -18,6 +18,7 @@ from heylab.colouring import Colouring, omega_class_count
 from heylab.errors import BudgetExceeded, SupportTooDeep
 from heylab.ladder import (
     BOTTOM_NAME,
+    ladder_rule_pairs,
     level_points,
     non_colourability_scan,
     point_name,
@@ -37,8 +38,18 @@ def test_spec_validation():
 
 
 def test_build_budget():
-    with pytest.raises(BudgetExceeded):
-        build_ladder(LadderSpec(1, 4), max_points=5)
+    with pytest.raises(BudgetExceeded, match="^13 ladder points exceed"):
+        build_ladder(LadderSpec(1, 4), budget=5)
+    # 10 points, but 32 rule pairs
+    with pytest.raises(BudgetExceeded, match="^32 ladder pairs exceed"):
+        build_ladder(LadderSpec(1, 3), budget=20)
+    assert build_ladder(LadderSpec(1, 3), budget=32).n == 10
+
+
+def test_pair_count_is_the_rule_pair_count():
+    for n, depth, with_bottom in product(range(4), range(1, 6), (True, False)):
+        spec = LadderSpec(n, depth, with_bottom)
+        assert spec.pair_count == len(ladder_rule_pairs(spec))
 
 
 def test_order_rules():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from heylab.corpus import all_posets_up_to_iso
+from heylab.errors import BudgetExceeded
 from heylab.poset import is_upset_mask, poset_from_json
 from heylab.verify import (
     _sampled_lemma,
@@ -47,6 +48,13 @@ def test_duality_report(tiny_corpus):
 def test_canonical_report():
     r = verify_canonical_range(cases=((0, 4), (1, 4)))
     assert r["passed"] and r["checks"] == 8
+
+
+def test_canonical_range_checks_every_case_before_building(monkeypatch):
+    # depth 1 of n=14 is within the budget, but takes a second to check
+    monkeypatch.setattr("heylab.verify.verify_canonical", lambda *args: pytest.fail())
+    with pytest.raises(BudgetExceeded, match="^268484611 ladder pairs exceed"):
+        verify_canonical_range(cases=((0, 2), (14, 2)))
 
 
 def test_collapse_report():
@@ -140,7 +148,7 @@ FAILURE_PATHS = [
         {"poset", "generators", "table_size", "strata_size"}, id="oracle",
     ),
     pytest.param(
-        "heylab.verify.verify_canonical", lambda orig: lambda n, depth: False,
+        "heylab.verify.verify_canonical", lambda orig: lambda n, depth, budget: False,
         lambda corpus: verify_canonical_range(cases=((1, 2),)), {"n", "depth"},
         id="canonical",
     ),
