@@ -58,11 +58,6 @@ from .subalgebra import (
     generate,
     quotient_size,
 )
-from .variety import (
-    GenerationReport,
-    algebra_product,
-    max_k_generated_size,
-    strictness_report,
-)
+from .variety import algebra_product, strictness_report
 
 __version__ = "0.1.0"

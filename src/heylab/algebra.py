@@ -13,11 +13,13 @@ from typing import Optional
 
 from .errors import InvalidAlgebra
 from .poset import (
+    DEFAULT_UPSET_BUDGET,
     Poset,
     Upset,
     _check_same_parent,
     check_tuple_budget,
     iter_bits,
+    over_budget,
     upset_masks,
 )
 
@@ -184,11 +186,16 @@ def algebra_of(P: Poset, budget: Optional[int] = None) -> FiniteHeytingAlgebra:
     """The full Heyting algebra Up(P) with populated operation tables.
 
     Elements are ordered lexicographically on the bit-vector, so the table
-    layout is reproducible across runs.
+    layout is reproducible across runs. The budget caps the upsets, and
+    then the size**2 entries of each operation table, checked before any
+    table is built.
     """
     masks = upset_masks(P, budget)
-    idx = {m: i for i, m in enumerate(masks)}
     size = len(masks)
+    cap = DEFAULT_UPSET_BUDGET if budget is None else budget
+    if size * size > cap:
+        raise over_budget(size * size, cap, "entries per algebra table")
+    idx = {m: i for i, m in enumerate(masks)}
     meet_t = tuple(
         tuple(idx[masks[a] & masks[b]] for b in range(size)) for a in range(size)
     )

@@ -55,14 +55,19 @@ RENDERINGS = {"ladder": ("dot",), "strictness": ("text",)}
 
 def _emit(cfg: RunConfig, payload, **renderings: str) -> None:
     """Write payload as JSON under --format json, or else the command's
-    rendering for the chosen format (e.g. text=...)."""
+    rendering for the chosen format (e.g. text=...). --out is opened only
+    here, so a command that fails leaves an existing file as it was."""
     if cfg.fmt == "json":
         body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         body = renderings[cfg.fmt]
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(body)
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(body)
+        except OSError as e:
+            message = f"cannot write --out file {cfg.out}: {e.strerror}"
+            raise ValueError(message) from None
     else:
         click.echo(body, nl=False)
 
@@ -161,11 +166,10 @@ def main(ctx, budget_upsets, budget_tuples, seed, fmt, out):
 @main.command()
 @click.option("--n", required=True, type=int)
 @click.option("--depth", required=True, type=int)
-@click.option("--with-bottom/--no-bottom", default=True)
 @click.pass_obj
-def ladder(cfg: RunConfig, n, depth, with_bottom):
+def ladder(cfg: RunConfig, n, depth):
     """Build a ladder truncation and print it as poset JSON or DOT."""
-    P = build_ladder(LadderSpec(n, depth, with_bottom), cfg.budget_upsets)
+    P = build_ladder(LadderSpec(n, depth), cfg.budget_upsets)
     _emit(cfg, poset_to_json(P), dot=poset_to_dot(P))
 
 

@@ -2,9 +2,9 @@
 
 A ladder of parameter n has levels of width 2**n + 1; level 0 is the top.
 Each point of level i+1 is below every point of level i except the one with
-the next colour index, below all of levels i-1 and above, and an optional
-bottom point sits below everything (the truncation's stand-in for the point
-at infinity).
+the next colour index, below all of levels i-1 and above, and a bottom point
+sits below everything (the truncation's stand-in for the point at
+infinity).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .colouring import Colouring, _initial_block_of, _omega_block_of, omega_clas
 from .errors import PosetMismatch, SupportTooDeep
 from .poset import (
     DEFAULT_UPSET_BUDGET,
+    EXACT_COUNT_BITS,
     Poset,
     iter_bits,
     over_budget,
@@ -33,7 +34,6 @@ BOTTOM_NAME = "bot"
 class LadderSpec:
     n: int
     depth: int
-    with_bottom: bool = True
 
     def __post_init__(self):
         if self.n < 0:
@@ -47,14 +47,13 @@ class LadderSpec:
 
     @property
     def point_count(self) -> int:
-        return self.width * self.depth + (1 if self.with_bottom else 0)
+        return self.width * self.depth + 1
 
     @property
     def pair_count(self) -> int:
         """len(ladder_rule_pairs(self)), without building them."""
         w, d = self.width, self.depth
-        bottom = w * d if self.with_bottom else 0
-        return (d - 1) * (w * w - w + 1) + w * w * (d - 1) * (d - 2) // 2 + bottom
+        return (d - 1) * (w * w - w + 1) + w * w * (d - 1) * (d - 2) // 2 + w * d
 
 
 def point_name(l: int, i: int) -> str:
@@ -78,16 +77,19 @@ def ladder_rule_pairs(spec: LadderSpec) -> list:
             for l in range(w):
                 for lp in range(w):
                     pairs.append((pid(l, i), pid(lp, i - t)))
-    if spec.with_bottom:
-        b = w * spec.depth
-        pairs.extend((b, p) for p in range(b))
+    b = w * spec.depth
+    pairs.extend((b, p) for p in range(b))
     return pairs
 
 
 def check_ladder_budget(spec: LadderSpec, budget: Optional[int] = None) -> None:
     """Raise BudgetExceeded when the truncation's points or rule pairs
-    exceed the upset budget (the default when budget is None)."""
+    exceed the upset budget (the default when budget is None). An n whose
+    level width 2**n + 1 alone is past the cap and past EXACT_COUNT_BITS
+    bits is refused by its exponent, before any power of two is formed."""
     cap = DEFAULT_UPSET_BUDGET if budget is None else budget
+    if spec.n >= max(EXACT_COUNT_BITS, cap.bit_length()):
+        raise over_budget(f"2 ** {spec.n} or more", cap, "ladder points")
     counts = (spec.point_count, "ladder points"), (spec.pair_count, "ladder pairs")
     for count, what in counts:
         if count > cap:
@@ -100,8 +102,7 @@ def build_ladder(spec: LadderSpec, budget: Optional[int] = None) -> Poset:
     check_ladder_budget(spec, budget)
     w = spec.width
     names = [point_name(l, i) for i in range(spec.depth) for l in range(w)]
-    if spec.with_bottom:
-        names.append(BOTTOM_NAME)
+    names.append(BOTTOM_NAME)
     tags = {i * w + l: i for i in range(spec.depth) for l in range(w)}
     return validate(names, ladder_rule_pairs(spec), tags)
 
@@ -145,7 +146,7 @@ def canonical_colouring(P: Poset, n: int) -> Colouring:
 
 def verify_canonical(n: int, depth: int, budget_upsets: Optional[int] = None) -> bool:
     """Is the canonical colouring an actual colouring of the truncation?"""
-    P = build_ladder(LadderSpec(n, depth, with_bottom=True), budget_upsets)
+    P = build_ladder(LadderSpec(n, depth), budget_upsets)
     return omega_class_count(P, canonical_colouring(P, n).masks) == P.n
 
 
@@ -276,7 +277,7 @@ def non_colourability_scan(
     count seen. The exhaustive scan walks multisets, each weighted by its
     k!/prod(c_i!) orderings, so it counts ordered tuples.
     """
-    spec = LadderSpec(n, depth, with_bottom=True)
+    spec = LadderSpec(n, depth)
     P = build_ladder(spec, budget_upsets)
     k = n if k is None else k
     masks = upset_masks(P, budget_upsets)

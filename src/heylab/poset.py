@@ -7,7 +7,6 @@ indices, and subsets of points are packed into Python ints (bit i = point i).
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from math import comb
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import BudgetExceeded, CycleError, EmptyPoset, ForeignPoint
@@ -16,9 +15,18 @@ DEFAULT_UPSET_BUDGET = 1 << 20
 DEFAULT_TUPLE_BUDGET = 1 << 20
 
 
-def over_budget(count: int, cap: int, what: str, flag: str = "--budget-upsets"):
+# a budget message writes a count past this many bits by its power of two
+EXACT_COUNT_BITS = 64
+
+
+def over_budget(count, cap: int, what: str, flag: str = "--budget-upsets"):
     """A BudgetExceeded in the one form "<count> <what> exceed the budget of
-    <cap> (<flag>)". Callers test count > cap themselves, then raise it."""
+    <cap> (<flag>)". Callers test count > cap themselves, then raise it. An
+    int count past EXACT_COUNT_BITS bits is written "2 ** <e> or more", e
+    its bit length less one, so the message stays short; a caller that must
+    not form a count gives that text itself."""
+    if isinstance(count, int) and count.bit_length() > EXACT_COUNT_BITS:
+        count = f"2 ** {count.bit_length() - 1} or more"
     return BudgetExceeded(f"{count} {what} exceed the budget of {cap} ({flag})")
 
 
@@ -311,12 +319,28 @@ def check_tuple_budget(count: int, budget: Optional[int] = None) -> None:
         raise over_budget(count, cap, "tuples", "--budget-tuples")
 
 
+def check_multiset_budget(n: int, k: int, budget: Optional[int] = None) -> None:
+    """check_tuple_budget for the C(n+k-1, k) k-multisets of n >= 1 items.
+    The count is formed one factor at a time, each partial product a
+    binomial no larger than the count, and only until it is past both the
+    cap and EXACT_COUNT_BITS bits: over_budget's "2 ** <e> or more" then
+    holds of the count too, however large k is."""
+    cap = DEFAULT_TUPLE_BUDGET if budget is None else budget
+    m = min(k, n - 1)
+    count = 1
+    for i in range(1, m + 1):
+        count = count * (n + k - 1 - m + i) // i
+        if count > cap and count.bit_length() > EXACT_COUNT_BITS:
+            break
+    check_tuple_budget(count, cap)
+
+
 def upset_multisets(items: Sequence, k: int, budget: Optional[int] = None):
     """Every k-multiset of items, ascending, once their C(len(items)+k-1, k)
     count is within the tuple budget. Sorting a tuple never moves it later
     in product order: where only a tuple's set matters, the first multiset
     with a property is the first ordered tuple with it."""
-    check_tuple_budget(comb(len(items) + k - 1, k), budget)
+    check_multiset_budget(len(items), k, budget)
     return combinations_with_replacement(items, k)
 
 

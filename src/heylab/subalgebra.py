@@ -11,7 +11,7 @@ gets a witness term, stored as a DAG keyed by element mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence
 
 from .algebra import imp_mask
 from .colouring import (
@@ -23,7 +23,6 @@ from .colouring import (
 from .poset import (
     DEFAULT_UPSET_BUDGET,
     Poset,
-    Upset,
     over_budget,
     upset_masks,
     upsets_of,
@@ -46,14 +45,12 @@ class RankedAlgebra:
     def elements(self) -> frozenset:
         return self.strata[-1]
 
-    def rank_of(self, U: Union[Upset, int]) -> Optional[int]:
-        """Minimal implication rank of U, or None when U is not generated."""
-        mask = U.mask if isinstance(U, Upset) else U
+    def rank_of(self, mask: int) -> Optional[int]:
+        """Minimal implication rank of mask; None when it is not generated."""
         return self.ranks.get(mask)
 
-    def witness_text(self, U: Union[Upset, int]) -> str:
-        """Prefix-notation witness term evaluating to U over the generators."""
-        mask = U.mask if isinstance(U, Upset) else U
+    def witness_text(self, mask: int) -> str:
+        """Prefix-notation witness term evaluating to mask over the generators."""
         return self._fold(
             mask,
             lambda m, t: f"g{t[1]}" if t[0] == "g" else t[0],
@@ -94,13 +91,6 @@ class RankedAlgebra:
         return value[mask]
 
 
-def _norm_masks(gens: Iterable) -> list:
-    out = []
-    for g in gens:
-        out.append(g.mask if isinstance(g, Upset) else g)
-    return out
-
-
 def _lattice_close(seeds, witnesses: dict, cap: int, old=frozenset()) -> set:
     """The meet/join closure of seeds. old, when given, is a lattice-closed
     subset of them: a pair of its elements gives nothing new, so an element
@@ -131,10 +121,10 @@ def _lattice_close(seeds, witnesses: dict, cap: int, old=frozenset()) -> set:
 
 
 def generate(P: Poset, G: Iterable, budget: Optional[int] = None) -> RankedAlgebra:
-    """Rank-stratified closure of the generators G under meet, join and
+    """Rank-stratified closure of the generator masks G under meet, join and
     implication, with the constants seeded at rank 0."""
     cap = DEFAULT_UPSET_BUDGET if budget is None else budget
-    gmasks = _norm_masks(G)
+    gmasks = list(G)
     witnesses = {0: ("0",), P.full_mask: ("1",)}
     for i, m in enumerate(gmasks):
         witnesses.setdefault(m, ("g", i))
@@ -164,7 +154,7 @@ def generate(P: Poset, G: Iterable, budget: Optional[int] = None) -> RankedAlgeb
         prev, cur = cur, nxt
 
 
-def quotient_size(P: Poset, G: Iterable, budget: Optional[int] = None) -> int:
+def quotient_size(P: Poset, G: Sequence, budget: Optional[int] = None) -> int:
     """|<G>| computed on the dual side, without closing G.
 
     By finite Esakia duality, <G> is exactly the set of upsets of P that are
@@ -174,7 +164,7 @@ def quotient_size(P: Poset, G: Iterable, budget: Optional[int] = None) -> int:
     caps the closure in generate().
     """
     cap = DEFAULT_UPSET_BUDGET if budget is None else budget
-    block_of, _, met = _omega_block_of(P, _norm_masks(G))
+    block_of, _, met = _omega_block_of(P, G)
     up = [0] * (max(block_of) + 1)
     for b, m in zip(block_of, met):
         up[b] = m
@@ -190,8 +180,9 @@ def rank_type_mismatches(
     """Stages n <= max_stage where the stage-n type partition differs from
     the partition induced by membership in rank-<=n generated upsets. A
     refinement that changes nothing is the fixpoint, which every later
-    stage repeats."""
-    gmasks = _norm_masks(G)
+    stage repeats; past it and the last stratum, every stage repeats the
+    last comparison, so the walk stops there."""
+    gmasks = list(G)
     ra = generate(P, gmasks, budget)
     rank_blocks = [
         _initial_block_of(P, sorted(s)) for s in ra.strata[: max_stage + 1]
@@ -205,12 +196,16 @@ def rank_type_mismatches(
             stable = block_of == before
         if rank_blocks[min(n, len(rank_blocks) - 1)] != block_of:
             bad.append(n)
+        if stable and n >= len(rank_blocks) - 1:
+            if bad[-1:] == [n]:
+                bad.extend(range(n + 1, max_stage + 1))
+            break
     return bad
 
 
 def duality_sides(P: Poset, G: Iterable, budget: Optional[int] = None) -> tuple:
     """(G generates all of Up(P), the omega-types of G are discrete); the
     budget caps both the upsets of P and the generated subalgebra."""
-    gmasks = _norm_masks(G)
+    gmasks = list(G)
     size = len(generate(P, gmasks, budget).elements)
     return size == len(upset_masks(P, budget)), omega_class_count(P, gmasks) == P.n

@@ -1,11 +1,9 @@
-"""Generation bounds inside abstract finite algebras, products, and the
+"""Subalgebra closure inside abstract finite algebras, products, and the
 strict-generation report for ladder truncations."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from itertools import combinations_with_replacement
-from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .algebra import FiniteHeytingAlgebra
@@ -13,34 +11,15 @@ from .errors import ForeignElement
 from .ladder import LadderSpec, build_ladder, canonical_colouring
 from .poset import (
     DEFAULT_UPSET_BUDGET,
-    check_tuple_budget,
+    check_multiset_budget,
     iter_bits,
     over_budget,
     upset_masks,
-    upset_multisets,
 )
 # generate is no longer called here, but stays importable under this name:
 # perfbench/probecheck.py patches heylab.variety.generate
 from .subalgebra import generate  # noqa: F401
 from .subalgebra import quotient_size
-
-
-@dataclass(frozen=True)
-class GenerationReport:
-    """Maximum size of a k-generated subalgebra, over k-tuples with
-    repetition allowed. Generation is monotone in the generator set, so
-    this is also the maximum over k-element subsets whenever k <= algebra
-    size."""
-
-    algebra_size: int
-    k: int
-    max_generated_size: int
-    witness_tuple: tuple
-
-    def to_json(self) -> dict:
-        d = asdict(self)
-        d["witness_tuple"] = list(self.witness_tuple)
-        return d
 
 
 def _check_elements(A: FiniteHeytingAlgebra, gens: Iterable[int]) -> list:
@@ -67,28 +46,6 @@ def subalgebra_closure(A: FiniteHeytingAlgebra, gens: Iterable[int]) -> frozense
                     elems.append(m)
         i += 1
     return frozenset(seen)
-
-
-def max_k_generated_size(
-    A: FiniteHeytingAlgebra,
-    k: int,
-    budget_tuples: Optional[int] = None,
-) -> GenerationReport:
-    """Exact maximum of |<gens>| over all k-tuples of elements, and the first
-    tuple that reaches it; the closure depends only on the set, so the scan
-    walks multisets."""
-    best = -1
-    witness: tuple = ()
-    for tup in upset_multisets(range(A.size), k, budget_tuples):
-        sz = len(subalgebra_closure(A, tup))
-        if sz > best:
-            best, witness = sz, tup
-    return GenerationReport(
-        algebra_size=A.size,
-        k=k,
-        max_generated_size=best,
-        witness_tuple=witness,
-    )
 
 
 def algebra_product(
@@ -148,10 +105,10 @@ def strictness_report(
     multisets of each depth's scan.
     """
     rows = []
-    for spec in [LadderSpec(n, d, with_bottom=True) for d in depths]:
+    for spec in [LadderSpec(n, d) for d in depths]:
         P = build_ladder(spec, budget_upsets)
         masks = upset_masks(P, budget_upsets)
-        check_tuple_budget(comb(len(masks) + n - 1, n), budget_tuples)
+        check_multiset_budget(len(masks), n, budget_tuples)
         best = 0
         witness: tuple = ()
         for tup in combinations_with_replacement(masks, n):

@@ -27,7 +27,7 @@ from .ladder import (
     supported_within,
     verify_canonical,
 )
-from .poset import Poset, iter_bits, poset_to_json, upset_masks
+from .poset import EXACT_COUNT_BITS, Poset, iter_bits, poset_to_json, upset_masks
 from .subalgebra import duality_sides, generate, rank_type_mismatches
 from .variety import strictness_report, subalgebra_closure
 
@@ -147,7 +147,7 @@ def verify_canonical_range(
     Every case's deepest truncation is checked against the upset budget
     before any is built."""
     for n, max_depth in cases:
-        check_ladder_budget(LadderSpec(n, max_depth, with_bottom=True), budget_upsets)
+        check_ladder_budget(LadderSpec(n, max_depth), budget_upsets)
     failures = []
     checks = 0
     for n, max_depth in cases:
@@ -165,9 +165,13 @@ def verify_collapse(
     depth: Optional[int] = None,
     budget_upsets: Optional[int] = None,
 ) -> dict:
-    """Collapse bound for seeded random n-colourings supported near the top."""
-    depth = (2 ** n + 6) if depth is None else depth
-    spec = LadderSpec(n, depth, with_bottom=True)
+    """Collapse bound for seeded random n-colourings supported near the top,
+    on 2**n + 6 levels unless depth is given."""
+    if depth is None:
+        if n >= EXACT_COUNT_BITS:  # the gate sees n before 2**n is formed
+            check_ladder_budget(LadderSpec(n, 1), budget_upsets)
+        depth = 2 ** n + 6
+    spec = LadderSpec(n, depth)
     P = build_ladder(spec, budget_upsets)
     pool = [
         m for m in upset_masks(P, budget_upsets)
@@ -214,7 +218,7 @@ def verify_next_level(
 ) -> dict:
     """Next-level class bound for seeded random colourings plus the
     canonical colouring."""
-    spec = LadderSpec(n, depth, with_bottom=True)
+    spec = LadderSpec(n, depth)
     P = build_ladder(spec, budget_upsets)
     k = n if k is None else k
     trials = [canonical_colouring(P, n).masks]

@@ -159,3 +159,7 @@ def test_element_index(fork):
 def test_algebra_budget(antichain3):
     with pytest.raises(BudgetExceeded):
         algebra_of(antichain3, budget=4)
+    # 8 upsets, so each operation table holds 64 entries
+    with pytest.raises(BudgetExceeded, match="^64 entries per algebra table"):
+        algebra_of(antichain3, budget=63)
+    assert algebra_of(antichain3, budget=64).size == 8

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -255,6 +256,10 @@ def test_out_file(runner, fork_file, tmp_path):
     res = runner.invoke(main, ["--out", str(out), "upsets", fork_file])
     assert res.exit_code == 0
     assert json.loads(out.read_text())["count"] == 5
+    # a command that fails writes nothing
+    res = runner.invoke(main, ["--out", str(out), "upsets", fork_file + ".missing"])
+    assert res.exit_code == 1
+    assert json.loads(out.read_text())["count"] == 5
 
 
 def test_bad_budget_rejected(runner, fork_file):
@@ -376,6 +381,15 @@ def _cycle_with_line_breaks(write):
     return write({"points": ["a\nb", "c"], "leq": [[0, 1], [1, 0]]})
 
 
+def _antichain(n):
+    return lambda write: write(poset_to_json(validate([f"a{i}" for i in range(n)], [])))
+
+
+def _directory(write):
+    # the directory that the input files are written to
+    return str(Path(write({})).parent)
+
+
 # argv (a callable item writes an input file and gives its path), exit code
 MALFORMED = [
     pytest.param(["--budget-tuples", "10", "strictness", "--n", "1", "--depths", "4"],
@@ -398,6 +412,20 @@ MALFORMED = [
                   "--samples", "5"], 2, id="collapse-upset-budget"),
     pytest.param(["--budget-upsets", "3", "verify", "next-level", "--n", "1",
                   "--depth", "4", "--samples", "5"], 2, id="next-level-upset-budget"),
+    # 2,048 upsets, so 4,194,304 entries per table
+    pytest.param(["--budget-upsets", "1048576", "algebra", _antichain(11)], 2,
+                 id="algebra-table-budget"),
+    # the level width 2**n + 1 is refused by n, before the power is formed
+    pytest.param(["--budget-upsets", "1048576", "ladder", "--n", "15000", "--depth",
+                  "1"], 2, id="ladder-n-15000"),
+    pytest.param(["--budget-upsets", "1048576", "ladder", "--n", "100000000000",
+                  "--depth", "1"], 2, id="ladder-n-1e11"),
+    # C(10**400 + 31, 31) multisets of 32 upsets: 12,367 digits
+    pytest.param(["--budget-tuples", "1048576", "colour-search", _antichain(5), "--k",
+                  str(10**400)], 2, id="colour-search-k-1e400"),
+    pytest.param(["--out", _directory, "upsets", _fork], 1, id="out-directory"),
+    pytest.param(["--out", "missing/dir/x.json", "upsets", _fork], 1,
+                 id="out-missing-directory"),
     pytest.param(["upsets", _file({"points": [0, 1.5], "leq": [[True, False]]})],
                  1, id="points-type"),
     pytest.param(["upsets", _file({"points": "ab", "leq": []})], 1,
@@ -466,6 +494,7 @@ def test_malformed_input_exits_with_one_line(runner, tmp_path, argv, code):
     assert isinstance(res.exception, SystemExit)  # not an uncaught error
     assert res.stdout == ""
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert len(res.stderr.rstrip("\n")) <= 200
     if code == 2:  # every budget error has one form, naming the flag given
         flag = next(a for a in argv if str(a).startswith("--budget-"))
         cap = argv[argv.index(flag) + 1]

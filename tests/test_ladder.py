@@ -29,8 +29,7 @@ from heylab.poset import upset_masks
 def test_spec_validation():
     assert LadderSpec(1, 4).width == 3
     assert LadderSpec(2, 3).width == 5
-    assert LadderSpec(1, 4, with_bottom=True).point_count == 13
-    assert LadderSpec(1, 4, with_bottom=False).point_count == 12
+    assert LadderSpec(1, 4).point_count == 13
     with pytest.raises(ValueError):
         LadderSpec(-1, 4)
     with pytest.raises(ValueError):
@@ -47,8 +46,8 @@ def test_build_budget():
 
 
 def test_pair_count_is_the_rule_pair_count():
-    for n, depth, with_bottom in product(range(4), range(1, 6), (True, False)):
-        spec = LadderSpec(n, depth, with_bottom)
+    for n, depth in product(range(4), range(1, 6)):
+        spec = LadderSpec(n, depth)
         assert spec.pair_count == len(ladder_rule_pairs(spec))
 
 

@@ -1,4 +1,5 @@
 import re
+from math import comb
 
 import pytest
 from conftest import posets
@@ -22,7 +23,14 @@ from heylab import (
     validate,
 )
 from heylab.errors import BudgetExceeded
-from heylab.poset import covers, cover_walk, is_upset_mask, iter_bits, upset_masks
+from heylab.poset import (
+    check_multiset_budget,
+    cover_walk,
+    covers,
+    is_upset_mask,
+    iter_bits,
+    upset_masks,
+)
 
 
 def oracle_upset_masks(P):
@@ -162,6 +170,19 @@ def test_upset_budget(antichain3):
     upset_masks(antichain3)
     with pytest.raises(BudgetExceeded, match=form):
         upset_masks(antichain3, budget=4)
+
+
+def test_multiset_budget_counts_exactly_up_to_the_cap():
+    for n in range(1, 7):
+        for k in range(7):
+            count = comb(n + k - 1, k)
+            check_multiset_budget(n, k, count)
+            with pytest.raises(BudgetExceeded, match=f"^{count} tuples exceed"):
+                check_multiset_budget(n, k, count - 1)
+    # C(10**400 + 16383, 16383) has 21.5M bits: the gate stops forming it
+    # once it is past the cap and 2 ** 64, and writes the bound it reached
+    with pytest.raises(BudgetExceeded, match=r"^2 \*\* 1328 or more tuples exceed"):
+        check_multiset_budget(2**14, 10**400)
 
 
 def test_upset_masks_on_long_chain():
