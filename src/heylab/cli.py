@@ -82,11 +82,15 @@ def _fail(message: str, code: int):
 def _one_line_errors():
     """The CLI's one error path: a BudgetExceeded exits 2, and any other
     HeylabError, ValueError or click usage error exits 1, each with a
-    one-line message."""
+    one-line message; a click message is clipped to 185 characters."""
     try:
         yield
     except click.UsageError as e:
-        _fail(e.format_message(), EXIT_INVALID)
+        # click echoes the value that it could not read, however long
+        message = e.format_message()
+        if len(message) > 185:
+            message = f"{message[:120]} ... {message[-60:]}"
+        _fail(message, EXIT_INVALID)
     except (HeylabError, ValueError) as e:
         _fail(str(e), EXIT_BUDGET if isinstance(e, BudgetExceeded) else EXIT_INVALID)
 

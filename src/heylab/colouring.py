@@ -3,7 +3,7 @@
 A colouring is an ordered list of upsets. Stage 0 groups points by their
 membership vector across the colours; each refinement stage re-groups points
 by the set of previous-stage blocks met by their up-set. The fixpoint of the
-chain is the omega-type partition.
+chain is the omega-type partition, held as a list of point masks, one per block.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import PosetMismatch
-from .poset import Poset, Upset, cover_walk, is_upset_mask, upset_masks, upset_multisets
+from .poset import (Poset, Upset, down_closure_mask, is_upset_mask, upset_masks,
+                    upset_multisets)
 
 
 @dataclass(frozen=True)
@@ -80,58 +81,56 @@ class TypePartition:
         }
 
 
-def _normalize(sigs: Iterable) -> tuple:
-    ids: dict = {}
-    out = []
-    for s in sigs:
-        if s not in ids:
-            ids[s] = len(ids)
-        out.append(ids[s])
-    return tuple(out)
+def _split(blocks: list, cuts: Iterable[int]) -> list:
+    """Each block (a point mask) split in two by each cut that holds part of it."""
+    for d in cuts:
+        out = []
+        for b in blocks:
+            a = b & d
+            if a and a != b:
+                out += (a, b ^ a)
+            else:
+                out.append(b)
+        blocks = out
+    return blocks
 
 
-def _initial_block_of(P: Poset, masks: Sequence[int]) -> tuple:
-    if not masks:
-        return (0,) * P.n
-    # point i's membership vector is the i-th column of the masks' bit rows
-    rows = [format(m, f"0{P.n}b")[::-1] for m in masks]
-    return _normalize(zip(*rows))
+def _initial_blocks(P: Poset, masks: Iterable[int]) -> list:
+    """Stage 0: the points split by membership in each colour."""
+    return _split([P.full_mask], masks)
 
 
-def _met(P: Poset, block_of: Sequence[int]) -> list:
-    """met[i] is the bitmask of the blocks that the up-set of point i meets:
-    its own block joined with what its upper covers meet, walked top down."""
-    met = [0] * P.n
-    for i, ups in cover_walk(P):
-        m = 1 << block_of[i]
-        for j in ups:
-            m |= met[j]
-        met[i] = m
-    return met
-
-
-def _refine_block_of(P: Poset, block_of: Sequence[int]) -> tuple:
-    return _normalize(_met(P, block_of))
+# perfbench/tracing.py wraps _refine_block_of and _omega_block_of by these names
+def _refine_block_of(P: Poset, blocks: list) -> list:
+    """One stage: points whose up-sets meet the same blocks stay together."""
+    return _split(blocks, [down_closure_mask(P, c) for c in blocks])
 
 
 def _omega_block_of(P: Poset, masks: Sequence[int]):
-    """Refine to the fixpoint; returns (block_of, stabilized_at, met), where
-    met is _met of the fixpoint, from the round that found it stable."""
-    b = _initial_block_of(P, masks)
-    stage = 0
+    """Refine to the fixpoint: (blocks, stabilized_at, downs), downs[b] the
+    down-closure of block b. A stage is split already by the down-closures
+    of the blocks before it, so it splits by those of its new blocks only."""
+    blocks = new = _initial_blocks(P, masks)
+    stage, downs = 0, {}
     while True:
-        met = _met(P, b)
-        nb = _normalize(met)
-        if nb == b:
-            return b, stage, met
-        b = nb
-        stage += 1
+        cuts = [down_closure_mask(P, c) for c in new]
+        downs.update(zip(new, cuts))
+        nxt = _split(blocks, cuts)
+        if len(nxt) == len(blocks):
+            return blocks, stage, downs
+        new = [b for b in nxt if b not in downs]
+        blocks, stage = nxt, stage + 1
+
+
+def _block_of(P: Poset, blocks: Iterable[int]) -> tuple:
+    """Block ids per point, the blocks numbered by their lowest point."""
+    ids = sorted(blocks, key=lambda b: b & -b)
+    return tuple(next(k for k, b in enumerate(ids) if b >> i & 1) for i in range(P.n))
 
 
 def omega_class_count(P: Poset, masks: Sequence[int]) -> int:
-    """Number of omega-types of the colouring masks; the masks colour P
-    exactly when this equals P.n."""
-    return max(_omega_block_of(P, masks)[0]) + 1
+    """The number of omega-types; the masks colour P exactly when it is P.n."""
+    return len(_omega_block_of(P, masks)[0])
 
 
 def _check_parent(P: Poset, c: Colouring) -> None:
@@ -142,14 +141,15 @@ def _check_parent(P: Poset, c: Colouring) -> None:
 def initial_partition(P: Poset, c: Colouring) -> TypePartition:
     """Stage-0 partition: group points by membership across the colours."""
     _check_parent(P, c)
-    return TypePartition(P, 0, _initial_block_of(P, c.masks))
+    return TypePartition(P, 0, _block_of(P, _initial_blocks(P, c.masks)))
 
 
 def refine_once(t: TypePartition) -> TypePartition:
     """One refinement step; requires a finite-stage partition."""
     if t.stage is None:
         raise ValueError("cannot refine an omega partition")
-    return TypePartition(t.parent, t.stage + 1, _refine_block_of(t.parent, t.block_of))
+    P, blocks = t.parent, [sum(1 << i for i in b) for b in t.blocks]
+    return TypePartition(P, t.stage + 1, _block_of(P, _refine_block_of(P, blocks)))
 
 
 def stage_types(P: Poset, c: Colouring, stage: int) -> TypePartition:
@@ -169,8 +169,8 @@ def stage_types(P: Poset, c: Colouring, stage: int) -> TypePartition:
 
 def omega_types(P: Poset, c: Colouring) -> TypePartition:
     _check_parent(P, c)
-    block_of, stabilized, _ = _omega_block_of(P, c.masks)
-    return TypePartition(P, None, block_of, stabilized_at=stabilized)
+    blocks, stabilized, _ = _omega_block_of(P, c.masks)
+    return TypePartition(P, None, _block_of(P, blocks), stabilized_at=stabilized)
 
 
 def find_k_colouring(

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 from math import factorial, prod
 from typing import Optional
 
-from .colouring import Colouring, _initial_block_of, _omega_block_of, omega_class_count
+from .colouring import Colouring, _initial_blocks, _omega_block_of, omega_class_count
 from .errors import PosetMismatch, SupportTooDeep
 from .poset import (
     DEFAULT_UPSET_BUDGET,
@@ -184,15 +184,15 @@ def supported_within(P: Poset, m: int, max_level: int) -> bool:
 
 
 def _level_stats(P: Poset, masks, depth: int):
-    block_of = _omega_block_of(P, masks)[0]
-    block0_of = _initial_block_of(P, masks)
+    blocks = _omega_block_of(P, masks)[0]
+    blocks0 = _initial_blocks(P, masks)
     levels = level_points(P)
     classes = []
     uniform0 = []
     for j in range(depth):
-        pts = levels[j]
-        classes.append(len({block_of[i] for i in pts}))
-        uniform0.append(len({block0_of[i] for i in pts}) <= 1)
+        level = sum(1 << i for i in levels[j])
+        classes.append(sum(1 for b in blocks if b & level))
+        uniform0.append(sum(1 for b in blocks0 if b & level) <= 1)
     return classes, uniform0
 
 

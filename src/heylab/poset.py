@@ -15,18 +15,22 @@ DEFAULT_UPSET_BUDGET = 1 << 20
 DEFAULT_TUPLE_BUDGET = 1 << 20
 
 
-# a budget message writes a count past this many bits by its power of two
+# a budget message writes a count or cap past this many bits by its power of two
 EXACT_COUNT_BITS = 64
 
 
 def over_budget(count, cap: int, what: str, flag: str = "--budget-upsets"):
     """A BudgetExceeded in the one form "<count> <what> exceed the budget of
     <cap> (<flag>)". Callers test count > cap themselves, then raise it. An
-    int count past EXACT_COUNT_BITS bits is written "2 ** <e> or more", e
-    its bit length less one, so the message stays short; a caller that must
-    not form a count gives that text itself."""
-    if isinstance(count, int) and count.bit_length() > EXACT_COUNT_BITS:
-        count = f"2 ** {count.bit_length() - 1} or more"
+    int count or cap past EXACT_COUNT_BITS bits is written "2 ** <e> or
+    more", e its bit length less one, so the message stays short; a caller
+    that must not form a count gives that text itself."""
+    count, cap = (
+        f"2 ** {x.bit_length() - 1} or more"
+        if isinstance(x, int) and x.bit_length() > EXACT_COUNT_BITS
+        else x
+        for x in (count, cap)
+    )
     return BudgetExceeded(f"{count} {what} exceed the budget of {cap} ({flag})")
 
 
@@ -240,9 +244,12 @@ def down_closure(P: Poset, S: Iterable[int]) -> frozenset:
 
 
 def down_closure_mask(P: Poset, mask: int) -> int:
+    """The points whose up-set meets mask; a point of mask already below
+    another adds nothing, so it is skipped."""
     m = 0
-    for i in iter_bits(mask):
-        m |= P.down[i]
+    while mask:
+        m |= P.down[(mask & -mask).bit_length() - 1]
+        mask &= ~m
     return m
 
 

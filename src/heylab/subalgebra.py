@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from .algebra import imp_mask
 from .colouring import (
-    _initial_block_of,
+    _initial_blocks,
     _omega_block_of,
     _refine_block_of,
     omega_class_count,
@@ -164,10 +164,13 @@ def quotient_size(P: Poset, G: Sequence, budget: Optional[int] = None) -> int:
     caps the closure in generate().
     """
     cap = DEFAULT_UPSET_BUDGET if budget is None else budget
-    block_of, _, met = _omega_block_of(P, G)
-    up = [0] * (max(block_of) + 1)
-    for b, m in zip(block_of, met):
-        up[b] = m
+    blocks, _, downs = _omega_block_of(P, G)
+    # class c lies above class b when the down-closure of c meets b
+    up = [0] * len(blocks)
+    for c, d in enumerate(map(downs.get, blocks)):
+        for b, B in enumerate(blocks):
+            if B & d:
+                up[b] |= 1 << c
     return len(upsets_of(up, cap))
 
 
@@ -185,16 +188,16 @@ def rank_type_mismatches(
     gmasks = list(G)
     ra = generate(P, gmasks, budget)
     rank_blocks = [
-        _initial_block_of(P, sorted(s)) for s in ra.strata[: max_stage + 1]
+        set(_initial_blocks(P, s)) for s in ra.strata[: max_stage + 1]
     ]
     bad = []
-    block_of = _initial_block_of(P, gmasks)
+    blocks = _initial_blocks(P, gmasks)
     stable = False
     for n in range(max_stage + 1):
         if n > 0 and not stable:
-            block_of, before = _refine_block_of(P, block_of), block_of
-            stable = block_of == before
-        if rank_blocks[min(n, len(rank_blocks) - 1)] != block_of:
+            blocks, before = _refine_block_of(P, blocks), blocks
+            stable = len(blocks) == len(before)
+        if rank_blocks[min(n, len(rank_blocks) - 1)] != set(blocks):
             bad.append(n)
         if stable and n >= len(rank_blocks) - 1:
             if bad[-1:] == [n]:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from heylab.algebra import algebra_of
 from heylab.cli import main
-from heylab.poset import poset_to_json, validate
+from heylab.poset import EXACT_COUNT_BITS, poset_to_json, validate
 
 
 @pytest.fixture
@@ -92,6 +92,29 @@ def test_types_stage_past_fixpoint(runner, fork_file):
     data = json.loads(res.output)
     assert data["stage"] == 100000000
     assert data["blocks"] == [[0], [1], [2]]
+
+
+# sha256 of `types` stdout for the n=1 depth-4 ladder coloured by x1_0 and
+# x2_0: the omega partition stabilizes at stage 5, and stages 0-3 split it
+# into 3, 6, 8 and 10 blocks
+TYPES_DIGESTS = {
+    None: "a073693d0346cd59a9c14eabb62e1748fb6ef3b37ef0460a802eeb4f86b46c59",
+    0: "8c0f997b6bde58ea1962bf05ac2288c50eefe5176231391c0f6ada4fe2e1994d",
+    1: "e300cdff01804ec6893c65b590ddb867b8eefcdd45e6dca76bc7ee378b8ccb81",
+    2: "6465a32c6382f5cfefcb570a95856b05da8e73bb482c06a0c81840014488a898",
+    3: "881d91bd0682982483fa8b231b8158a4bc9ad0dba24489f7e29249b5e8ca8bbd",
+}
+
+
+@pytest.mark.parametrize("stage", list(TYPES_DIGESTS), ids=str)
+def test_types_report_digest(runner, tmp_path, stage):
+    path = tmp_path / "ladder.json"
+    ladder = runner.invoke(main, ["ladder", "--n", "1", "--depth", "4"])
+    path.write_bytes(ladder.stdout_bytes)
+    argv = ["types", str(path), "--colour", "x1_0", "--colour", "x2_0"]
+    res = runner.invoke(main, argv + ([] if stage is None else ["--stage", str(stage)]))
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == TYPES_DIGESTS[stage]
 
 
 @pytest.mark.parametrize("argv", [
@@ -423,6 +446,11 @@ MALFORMED = [
     # C(10**400 + 31, 31) multisets of 32 upsets: 12,367 digits
     pytest.param(["--budget-tuples", "1048576", "colour-search", _antichain(5), "--k",
                   str(10**400)], 2, id="colour-search-k-1e400"),
+    # a cap and an unreadable value of thousands of digits
+    pytest.param(["--budget-upsets", "9" * 3000, "ladder", "--n", "1", "--depth",
+                  "9" * 3000], 2, id="budget-3000-digits"),
+    pytest.param(["ladder", "--n", "1", "--depth", "9" * 5000], 1,
+                 id="depth-5000-digits"),
     pytest.param(["--out", _directory, "upsets", _fork], 1, id="out-directory"),
     pytest.param(["--out", "missing/dir/x.json", "upsets", _fork], 1,
                  id="out-missing-directory"),
@@ -498,6 +526,8 @@ def test_malformed_input_exits_with_one_line(runner, tmp_path, argv, code):
     if code == 2:  # every budget error has one form, naming the flag given
         flag = next(a for a in argv if str(a).startswith("--budget-"))
         cap = argv[argv.index(flag) + 1]
+        if int(cap).bit_length() > EXACT_COUNT_BITS:
+            cap = r"2 \*\* \d+ or more"
         form = rf"error: \d+ \S.* exceed the budget of {cap} \({flag}\)\n"
         assert re.fullmatch(form, res.stderr)
 

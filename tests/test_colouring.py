@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from conftest import posets_with_generators
@@ -17,16 +17,64 @@ from heylab import (
     stage_types,
 )
 from heylab.colouring import (
-    _initial_block_of,
-    _met,
-    _normalize,
+    _block_of,
+    _initial_blocks,
     _omega_block_of,
     _refine_block_of,
     omega_class_count,
 )
 from heylab.corpus import all_posets_up_to_iso
 from heylab.errors import BudgetExceeded
-from heylab.poset import iter_bits, upset_masks
+from heylab.ladder import LadderSpec, build_ladder
+from heylab.poset import cover_walk, iter_bits, upset_masks
+from heylab.subalgebra import generate, quotient_size
+
+# The per-point engine that the block-mask engine replaced: each stage walks
+# every point, top down, and renumbers the blocks by first occurrence.
+
+
+def _normalize(sigs):
+    ids: dict = {}
+    out = []
+    for s in sigs:
+        if s not in ids:
+            ids[s] = len(ids)
+        out.append(ids[s])
+    return tuple(out)
+
+
+def _initial_block_of(P, masks):
+    if not masks:
+        return (0,) * P.n
+    # point i's membership vector is the i-th column of the masks' bit rows
+    rows = [format(m, f"0{P.n}b")[::-1] for m in masks]
+    return _normalize(zip(*rows))
+
+
+def _met(P, block_of):
+    """met[i] is the bitmask of the blocks that the up-set of point i meets:
+    its own block joined with what its upper covers meet, walked top down."""
+    met = [0] * P.n
+    for i, ups in cover_walk(P):
+        m = 1 << block_of[i]
+        for j in ups:
+            m |= met[j]
+        met[i] = m
+    return met
+
+
+def oracle_omega_block_of(P, masks):
+    """Refine to the fixpoint; returns (block_of, stabilized_at, met), where
+    met is _met of the fixpoint, from the round that found it stable."""
+    b = _initial_block_of(P, masks)
+    stage = 0
+    while True:
+        met = _met(P, b)
+        nb = _normalize(met)
+        if nb == b:
+            return b, stage, met
+        b = nb
+        stage += 1
 
 
 def oracle_refine_block_of(P, block_of):
@@ -35,6 +83,35 @@ def oracle_refine_block_of(P, block_of):
     return _normalize(
         [frozenset(block_of[j] for j in iter_bits(P.up[i])) for i in range(P.n)]
     )
+
+
+def assert_omega_matches_oracle(P, gens):
+    """The block-mask fixpoint against the per-point one: the partition,
+    stabilized_at, and the quotient order read off the down-closures."""
+    block_of, stage, met = oracle_omega_block_of(P, gens)
+    blocks, stabilized_at, downs = _omega_block_of(P, gens)
+    assert (_block_of(P, blocks), stabilized_at) == (block_of, stage)
+    # the blocks whose down-closure holds point i are those its up-set meets
+    ids = {b: block_of[(b & -b).bit_length() - 1] for b in blocks}
+    for i, m in enumerate(met):
+        assert sum(1 << ids[b] for b in blocks if downs[b] >> i & 1) == m
+
+
+def assert_matches_oracle(P, gens):
+    """Every stage up to the fixpoint, then the fixpoint itself."""
+    block_of, stage = _initial_block_of(P, gens), 0
+    blocks = _initial_blocks(P, gens)
+    while True:
+        assert _block_of(P, blocks) == block_of
+        refined = oracle_refine_block_of(P, block_of)
+        assert refined == _normalize(_met(P, block_of))
+        blocks = _refine_block_of(P, blocks)
+        if refined == block_of:
+            assert _block_of(P, blocks) == block_of
+            break
+        block_of, stage = refined, stage + 1
+    assert oracle_omega_block_of(P, gens)[:2] == (block_of, stage)
+    assert_omega_matches_oracle(P, gens)
 
 
 def test_colouring_validation(fork, chain2):
@@ -128,14 +205,23 @@ def test_refinement_matches_frozenset_oracle_at_every_stage():
         masks = upset_masks(P)
         for _ in range(4):
             gens = [rng.choice(masks) for _ in range(rng.randint(0, 3))]
-            block_of, stage = _initial_block_of(P, gens), 0
-            while True:
-                refined = _refine_block_of(P, block_of)
-                assert refined == oracle_refine_block_of(P, block_of)
-                if refined == block_of:
-                    break
-                block_of, stage = refined, stage + 1
-            assert _omega_block_of(P, gens) == (block_of, stage, _met(P, block_of))
+            assert_matches_oracle(P, gens)
+
+
+@given(posets_with_generators())
+def test_block_masks_match_the_per_point_oracle(case):
+    P, gens = case
+    assert_matches_oracle(P, gens)
+    assert quotient_size(P, gens) == len(generate(P, gens).elements)
+
+
+def test_block_masks_match_the_oracle_on_every_small_ladder_multiset():
+    # every generator multiset that a strictness scan of n <= 2, depth <= 4 draws
+    for n in range(3):
+        for depth in range(1, 5):
+            P = build_ladder(LadderSpec(n, depth))
+            for gens in combinations_with_replacement(upset_masks(P), n):
+                assert_omega_matches_oracle(P, gens)
 
 
 def test_stage_types_past_the_fixpoint(fork):
@@ -167,15 +253,17 @@ def test_omega_depends_only_on_the_generator_set(case, data):
     P, gens = case
     repeats = data.draw(st.lists(st.sampled_from(gens), max_size=3)) if gens else []
     again = data.draw(st.permutations(gens + repeats))
-    assert _omega_block_of(P, again)[0] == _omega_block_of(P, gens)[0]
+    assert _block_of(P, _omega_block_of(P, again)[0]) == _block_of(
+        P, _omega_block_of(P, gens)[0]
+    )
 
 
 @given(posets_with_generators(), st.data())
 def test_adding_a_generator_refines_omega(case, data):
     P, gens = case
     g = data.draw(st.sampled_from(upset_masks(P)))
-    coarse = _omega_block_of(P, gens)[0]
-    fine = _omega_block_of(P, gens + [g])[0]
+    coarse = _block_of(P, _omega_block_of(P, gens)[0])
+    fine = _block_of(P, _omega_block_of(P, gens + [g])[0])
     # each block of the finer partition lies inside one block of the coarser
     assert len(set(zip(fine, coarse))) == max(fine) + 1
 
@@ -183,5 +271,5 @@ def test_adding_a_generator_refines_omega(case, data):
 @given(posets_with_generators())
 def test_refining_omega_returns_it(case):
     P, gens = case
-    block_of = _omega_block_of(P, gens)[0]
-    assert _refine_block_of(P, block_of) == block_of
+    blocks = _omega_block_of(P, gens)[0]
+    assert _refine_block_of(P, blocks) == blocks

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from heylab import (
     canonical_colouring,
     collapse_check,
     down_closure,
+    initial_partition,
     next_level_bound_check,
     omega_types,
     verify_canonical,
@@ -18,6 +20,7 @@ from heylab.colouring import Colouring, omega_class_count
 from heylab.errors import BudgetExceeded, SupportTooDeep
 from heylab.ladder import (
     BOTTOM_NAME,
+    _level_stats,
     ladder_rule_pairs,
     level_points,
     non_colourability_scan,
@@ -201,3 +204,18 @@ def test_exhaustive_scan_matches_ordered_tuple_oracle(n, depth, k):
     assert report["checked"] == len(classes)
     assert report["max_classes"] == max(classes)
     assert report["coloured_found"] == classes.count(P.n)
+
+
+def test_level_stats_match_the_type_partitions():
+    # omega-classes per level, and whether stage 0 is uniform on each level
+    spec = LadderSpec(1, 6)
+    P = build_ladder(spec)
+    levels = level_points(P)
+    rng = random.Random(5)
+    for _ in range(40):
+        c = Colouring.from_masks(P, rng.sample(upset_masks(P), 2))
+        omega, stage0 = omega_types(P, c).block_of, initial_partition(P, c).block_of
+        classes, uniform0 = _level_stats(P, c.masks, spec.depth)
+        for j in range(spec.depth):
+            assert classes[j] == len({omega[i] for i in levels[j]})
+            assert uniform0[j] == (len({stage0[i] for i in levels[j]}) <= 1)
