@@ -7,7 +7,7 @@ indices, and subsets of points are packed into Python ints (bit i = point i).
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import BudgetExceeded, CycleError, EmptyPoset, ForeignPoint
 
@@ -52,7 +52,8 @@ class Poset:
     """
 
     __slots__ = (
-        "points", "up", "down", "level_tags", "_index", "_upset_masks", "_cover_walk"
+        "points", "up", "down", "level_tags", "full_mask", "_index",
+        "_upset_masks", "_cover_walk", "_down_closure",
     )
 
     def __init__(
@@ -66,17 +67,15 @@ class Poset:
         self.up = tuple(up)
         self.down = tuple(down)
         self.level_tags = dict(level_tags) if level_tags is not None else None
+        self.full_mask = (1 << len(self.points)) - 1
         self._index = {name: i for i, name in enumerate(self.points)}
         self._upset_masks: Optional[tuple] = None
         self._cover_walk: Optional[tuple] = None
+        self._down_closure: Optional[Callable[[int], int]] = None
 
     @property
     def n(self) -> int:
         return len(self.points)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.points)) - 1
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
@@ -243,14 +242,47 @@ def down_closure(P: Poset, S: Iterable[int]) -> frozenset:
     return frozenset(iter_bits(down_closure_mask(P, _mask_of(P, S))))
 
 
+def union_lookup(vectors: Sequence[int]) -> Callable[[int], int]:
+    """A callable taking a mask to the OR of vectors[x] over its bits x.
+
+    It holds one table per slice of 8 bits, entry s of a slice's table the
+    OR over the bits of s; a table is built by doubling, the entries that
+    hold a slice's bit j being those without it ORed with its vector. With
+    one slice the callable is the table's own lookup; with more, it ORs one
+    lookup per non-empty slice of the mask."""
+    tables = []
+    for lo in range(0, len(vectors), 8):
+        table = [0]
+        for v in vectors[lo : lo + 8]:
+            table += [t | v for t in table]
+        tables.append(table)
+    if len(tables) == 1:
+        return tables[0].__getitem__
+
+    def lookup(mask: int) -> int:
+        m = 0
+        for table in tables:
+            if mask & 0xFF:
+                m |= table[mask & 0xFF]
+            mask >>= 8
+            if not mask:
+                break
+        return m
+
+    return lookup
+
+
+def down_closure_of(P: Poset) -> Callable[[int], int]:
+    """The down-closure of a point mask, as a union_lookup of the down-sets
+    built on first use and cached on the poset."""
+    if P._down_closure is None:
+        P._down_closure = union_lookup(P.down)
+    return P._down_closure
+
+
 def down_closure_mask(P: Poset, mask: int) -> int:
-    """The points whose up-set meets mask; a point of mask already below
-    another adds nothing, so it is skipped."""
-    m = 0
-    while mask:
-        m |= P.down[(mask & -mask).bit_length() - 1]
-        mask &= ~m
-    return m
+    """The points whose up-set meets mask."""
+    return (P._down_closure or down_closure_of(P))(mask)
 
 
 def is_upset_mask(P: Poset, mask: int) -> bool:

@@ -23,6 +23,7 @@ from .colouring import (
 from .poset import (
     DEFAULT_UPSET_BUDGET,
     Poset,
+    down_closure_of,
     over_budget,
     upset_masks,
     upsets_of,
@@ -135,13 +136,15 @@ def generate(P: Poset, G: Iterable, budget: Optional[int] = None) -> RankedAlgeb
     # semi-naive rounds: a pair of elements of the previous stratum was
     # formed in the previous round, and its implication is already in cur
     prev: set = set()
+    # imp_mask inlined: a -> b is the complement of the down-closure of a \ b
+    close, full = down_closure_of(P), P.full_mask
     while True:
         cand = set(cur)
         cur_sorted = sorted(cur)
         new_sorted = sorted(cur - prev)
         for a in cur_sorted:
             for b in new_sorted if a in prev else cur_sorted:
-                m = imp_mask(P, a, b)
+                m = full & ~close(a & ~b)
                 if m not in cand:
                     cand.add(m)
                     witnesses.setdefault(m, ("imp", a, b))

@@ -9,6 +9,7 @@ from conftest import posets
 from hypothesis import given
 from hypothesis import strategies as st
 
+from heylab import ladder as ladder_mod
 from heylab.algebra import algebra_of
 from heylab.cli import main
 from heylab.poset import EXACT_COUNT_BITS, poset_to_json, validate
@@ -234,9 +235,15 @@ def test_product_table_cap(runner, fork_file, tmp_path):
     assert res.exit_code == 0 and json.loads(res.output)["size"] == 25
 
 
-def test_failed_strictness_prints_its_report(runner):
-    # a repeated depth: the algebra sizes do not strictly increase
-    res = runner.invoke(main, ["strictness", "--n", "1", "--depths", "4,4"])
+def test_failed_strictness_prints_its_report(runner, monkeypatch):
+    # a broken ladder builder that ignores the depth: the algebra sizes do
+    # not strictly increase (a repeated depth is refused, see MALFORMED)
+    orig = ladder_mod.build_ladder
+    monkeypatch.setattr(
+        "heylab.variety.build_ladder",
+        lambda spec, budget=None: orig(ladder_mod.LadderSpec(spec.n, 4), budget),
+    )
+    res = runner.invoke(main, ["strictness", "--n", "1", "--depths", "4,5"])
     assert res.exit_code == 3
     report = json.loads(res.output)
     assert [r["algebra_size"] for r in report["rows"]] == [36, 36]
@@ -494,6 +501,13 @@ MALFORMED = [
     pytest.param(["verify", "canonical", "--corpus", "exhaustive3"], 1,
                  id="option-not-taken"),
     pytest.param(["verify", "collapse"], 1, id="option-missing"),
+    # the lemma holds at any depths; out of order they are refused, not failed
+    pytest.param(["--format", "text", "strictness", "--n", "1", "--depths", "6,4"],
+                 1, id="depths-decreasing"),
+    pytest.param(["strictness", "--n", "1", "--depths", "4,4"], 1,
+                 id="depths-repeated"),
+    pytest.param(["verify", "strictness", "--n", "1", "--depths", "4,6,5"], 1,
+                 id="verify-depths-decreasing"),
     pytest.param(["ladder", "--n", "x", "--depth", "2"], 1, id="usage-bad-int"),
     pytest.param(["ladder", "--depth", "2"], 1, id="usage-missing-option"),
     pytest.param(["ladder", "--n", "1", "--depth", "2", "--bogus"], 1,

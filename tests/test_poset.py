@@ -1,3 +1,4 @@
+import random
 import re
 from math import comb
 
@@ -22,11 +23,15 @@ from heylab import (
     up_closure,
     validate,
 )
+from heylab.algebra import imp_mask
 from heylab.errors import BudgetExceeded
+from heylab.ladder import LadderSpec, build_ladder
 from heylab.poset import (
     check_multiset_budget,
     cover_walk,
     covers,
+    down_closure_mask,
+    down_closure_of,
     is_upset_mask,
     iter_bits,
     upset_masks,
@@ -148,6 +153,55 @@ def test_closures(fork):
     assert up_closure(fork, [1]).members == {1}
     assert down_closure(fork, [1]) == {0, 1}
     assert down_closure(fork, []) == frozenset()
+
+
+def oracle_down_closure_mask(P, mask):
+    """Down-closure by a loop over the points of mask; a point already
+    inside the closure formed so far adds nothing, so it is skipped."""
+    m = 0
+    while mask:
+        m |= P.down[(mask & -mask).bit_length() - 1]
+        mask &= ~m
+    return m
+
+
+def check_kernel(P, random_masks=200):
+    """The kernel against the oracle on every upset and on random masks, and
+    imp_mask against the complement of the oracle on every upset pair."""
+    rng = random.Random(P.n)
+    masks = upset_masks(P)
+    for mask in [*masks, *(rng.getrandbits(P.n) for _ in range(random_masks))]:
+        assert down_closure_mask(P, mask) == oracle_down_closure_mask(P, mask)
+    for u in masks:
+        for v in masks:
+            oracle = P.full_mask & ~oracle_down_closure_mask(P, u & ~v)
+            assert imp_mask(P, u, v) == oracle
+
+
+@given(posets())
+def test_down_closure_kernel_one_slice(P):
+    check_kernel(P, random_masks=20)
+
+
+def _chain(n):
+    return validate([f"c{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+
+
+# chains on either side of a slice edge, and ladders of four slices
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(pytest.param(lambda n=n: _chain(n), id=f"chain{n}") for n in (8, 9, 16, 17)),
+        pytest.param(lambda: build_ladder(LadderSpec(1, 8)), id="ladder-n1-d8"),
+        pytest.param(lambda: build_ladder(LadderSpec(2, 5)), id="ladder-n2-d5"),
+    ],
+)
+def test_down_closure_kernel_across_slices(make):
+    check_kernel(make())
+
+
+def test_down_closure_kernel_is_cached(fork):
+    assert down_closure_of(fork) is down_closure_of(fork)
 
 
 def test_upset_enumeration_against_oracle(small_corpus):

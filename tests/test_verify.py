@@ -4,10 +4,18 @@ import json
 
 import pytest
 
+from heylab import verify as verify_mod
 from heylab.corpus import all_posets_up_to_iso
 from heylab.errors import BudgetExceeded
-from heylab.poset import is_upset_mask, poset_from_json
+from heylab.poset import (
+    is_upset_mask,
+    iter_bits,
+    poset_from_json,
+    poset_to_json,
+    upset_masks,
+)
 from heylab.verify import (
+    _report,
     _sampled_lemma,
     run_verification,
     verify_canonical_range,
@@ -32,6 +40,40 @@ def test_residuation_report(tiny_corpus):
     assert r["passed"] and not r["failures"]
     assert r["posets"] == 24
     assert r["triples"] > 0
+
+
+def oracle_residuation(corpus):
+    """verify_residuation one triple at a time, through the implication
+    that heylab.verify uses."""
+    failures = []
+    triples = 0
+    for P in corpus:
+        masks = upset_masks(P)
+        for b in masks:
+            for c in masks:
+                imp = verify_mod.imp_mask(P, b, c)
+                for a in masks:
+                    ok = ((a & b & ~c) == 0) == ((a & ~imp) == 0)
+                    ok = ok and (a & (b | c)) == ((a & b) | (a & c))
+                    if not ok:
+                        triple = [sorted(iter_bits(m)) for m in (a, b, c)]
+                        failures.append({"poset": poset_to_json(P), "triple": triple})
+                triples += len(masks)
+    return _report("residuation", failures, posets=len(corpus), triples=triples)
+
+
+def test_residuation_against_per_triple_oracle(tiny_corpus):
+    assert verify_residuation(tiny_corpus) == oracle_residuation(tiny_corpus)
+
+
+def test_residuation_failures_against_per_triple_oracle(monkeypatch):
+    # a wrong implication, that leaves point 0 out of every b -> c
+    orig = verify_mod.imp_mask
+    monkeypatch.setattr("heylab.verify.imp_mask", lambda P, b, c: orig(P, b, c) & ~1)
+    corpus = all_posets_up_to_iso(3)
+    r = verify_residuation(corpus)
+    assert len(r["failures"]) == 274
+    assert json.dumps(r) == json.dumps(oracle_residuation(corpus))
 
 
 def test_rank_type_report(tiny_corpus):
@@ -77,6 +119,12 @@ def test_strictness_report():
     assert r["passed"]
     assert r["max_generated_constant"]
     assert r["algebra_size_strictly_increasing"]
+
+
+@pytest.mark.parametrize("depths", [(6, 4), (4, 4), (4, 6, 5)])
+def test_strictness_refuses_depths_out_of_order(depths):
+    with pytest.raises(ValueError, match="^--depths must be strictly increasing"):
+        verify_strictness(1, depths)
 
 
 def test_oracle_report(tiny_corpus):
