@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import PosetMismatch
-from .poset import (Poset, Upset, down_closure_mask, is_upset_mask, upset_masks,
-                    upset_multisets)
+from .poset import (Poset, Upset, down_closure_mask, down_closure_of, is_upset_mask,
+                    upset_masks, upset_multisets)
 
 
 @dataclass(frozen=True)
@@ -106,20 +106,54 @@ def _refine_block_of(P: Poset, blocks: list) -> list:
     return _split(blocks, [down_closure_mask(P, c) for c in blocks])
 
 
-def _omega_block_of(P: Poset, masks: Sequence[int]):
-    """Refine to the fixpoint: (blocks, stabilized_at, downs), downs[b] the
-    down-closure of block b. A stage is split already by the down-closures
-    of the blocks before it, so it splits by those of its new blocks only."""
-    blocks = new = _initial_blocks(P, masks)
-    stage, downs = 0, {}
+def _stabilise(P: Poset, blocks: list, downs: dict):
+    """Refine blocks to the fixpoint: (blocks, stages taken). downs holds
+    the down-closure of every block the partition has already been cut by,
+    and gains those of the blocks cut by here. A stage is split already by
+    those cuts, so it splits by the down-closures of its new blocks only."""
+    close, stage = down_closure_of(P), 0
     while True:
-        cuts = [down_closure_mask(P, c) for c in new]
+        new = [b for b in blocks if b not in downs]
+        cuts = [close(c) for c in new]
         downs.update(zip(new, cuts))
         nxt = _split(blocks, cuts)
         if len(nxt) == len(blocks):
-            return blocks, stage, downs
-        new = [b for b in nxt if b not in downs]
+            return blocks, stage
         blocks, stage = nxt, stage + 1
+
+
+def _omega_block_of(P: Poset, masks: Sequence[int]):
+    """Refine to the fixpoint: (blocks, stabilized_at, downs), downs[b] the
+    down-closure of block b."""
+    downs: dict = {}
+    blocks, stage = _stabilise(P, _initial_blocks(P, masks), downs)
+    return blocks, stage, downs
+
+
+def omega_walk(P: Poset, tuples: Iterable[tuple]):
+    """Yield (tup, blocks, downs) for each generator tuple, in order, with
+    blocks the omega-types of tup and downs[b] the down-closure of block b.
+
+    Omega of G plus g is the fixpoint of omega of G split by g, so each
+    prefix's partition is refined from its parent's. The walk keeps the
+    partitions of the last tuple's prefixes and reuses the longest prefix
+    it shares with the next, so ascending multisets refine each distinct
+    prefix once. Tuples are drawn one at a time."""
+    blocks, _, downs = _omega_block_of(P, ())
+    stack, last = [(blocks, downs)], ()
+    for tup in tuples:
+        shared = 0
+        for a, b in zip(last, tup):
+            if a != b:
+                break
+            shared += 1
+        del stack[shared + 1:]
+        for g in tup[shared:]:
+            blocks, downs = stack[-1]
+            downs = dict(downs)  # the parent's serves its later children too
+            stack.append((_stabilise(P, _split(blocks, (g,)), downs)[0], downs))
+        last = tup
+        yield (tup, *stack[-1])
 
 
 def _block_of(P: Poset, blocks: Iterable[int]) -> tuple:
@@ -182,8 +216,9 @@ def find_k_colouring(
     """First k-tuple of upsets (canonical order) whose omega-types are
     discrete, or None when no k-colouring exists. The types depend only on
     the set of colours, so the search walks multisets."""
-    for tup in upset_multisets(upset_masks(P, budget_upsets), k, budget_tuples):
-        if omega_class_count(P, tup) == P.n:
+    tuples = upset_multisets(upset_masks(P, budget_upsets), k, budget_tuples)
+    for tup, blocks, _ in omega_walk(P, tuples):
+        if len(blocks) == P.n:
             return Colouring.from_masks(P, tup)
     return None
 

@@ -14,7 +14,13 @@ from dataclasses import asdict, dataclass
 from math import factorial, prod
 from typing import Optional
 
-from .colouring import Colouring, _initial_blocks, _omega_block_of, omega_class_count
+from .colouring import (
+    Colouring,
+    _initial_blocks,
+    _omega_block_of,
+    omega_class_count,
+    omega_walk,
+)
 from .errors import PosetMismatch, SupportTooDeep
 from .poset import (
     DEFAULT_UPSET_BUDGET,
@@ -282,15 +288,25 @@ def non_colourability_scan(
     k = n if k is None else k
     masks = upset_masks(P, budget_upsets)
     if samples is None:
-        tuples = upset_multisets(masks, k, budget_tuples)
+        walk = omega_walk(P, upset_multisets(masks, k, budget_tuples))
+        scan = ((tup, len(blocks)) for tup, blocks, _ in walk)
     else:
+        # omega depends only on the generator set: count each set once
+        memo: dict = {}
+
+        def class_count(tup: tuple) -> int:
+            key = frozenset(tup)
+            if key not in memo:
+                memo[key] = omega_class_count(P, tup)
+            return memo[key]
+
         tuples = random_tuples(masks, k, samples, seed)
+        scan = ((tup, class_count(tup)) for tup in tuples)
     checked = max_classes = coloured_found = 0
     weight = 1
-    for tup in tuples:
+    for tup, classes in scan:
         if samples is None:
             weight = factorial(k) // prod(factorial(tup.count(m)) for m in set(tup))
-        classes = omega_class_count(P, tup)
         checked += weight
         max_classes = max(max_classes, classes)
         if classes == P.n:

@@ -166,8 +166,16 @@ def quotient_size(P: Poset, G: Sequence, budget: Optional[int] = None) -> int:
     above it from every one of its points. The budget caps the count, as it
     caps the closure in generate().
     """
-    cap = DEFAULT_UPSET_BUDGET if budget is None else budget
     blocks, _, downs = _omega_block_of(P, G)
+    return quotient_upset_count(blocks, downs, budget)
+
+
+def quotient_upset_count(
+    blocks: Sequence[int], downs: dict, budget: Optional[int] = None
+) -> int:
+    """The number of upsets of the quotient whose classes are the blocks,
+    downs[b] the down-closure of block b; the budget caps the count."""
+    cap = DEFAULT_UPSET_BUDGET if budget is None else budget
     # class c lies above class b when the down-closure of c meets b
     up = [0] * len(blocks)
     for c, d in enumerate(map(downs.get, blocks)):

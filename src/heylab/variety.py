@@ -7,6 +7,7 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Optional, Sequence
 
 from .algebra import FiniteHeytingAlgebra
+from .colouring import omega_walk
 from .errors import ForeignElement
 from .ladder import LadderSpec, build_ladder, canonical_colouring
 from .poset import (
@@ -19,7 +20,7 @@ from .poset import (
 # generate is no longer called here, but stays importable under this name:
 # perfbench/probecheck.py patches heylab.variety.generate
 from .subalgebra import generate  # noqa: F401
-from .subalgebra import quotient_size
+from .subalgebra import quotient_size, quotient_upset_count
 
 
 def _check_elements(A: FiniteHeytingAlgebra, gens: Iterable[int]) -> list:
@@ -99,10 +100,12 @@ def strictness_report(
     For each depth: the full upset-algebra size, the largest subalgebra
     generated by any n upsets (scanned exhaustively at the upset level),
     and whether the canonical (n+1)-colouring generates everything. Each
-    subalgebra is sized by quotient_size, on the omega-quotient. The
-    upset budget caps each truncation's upsets, and so each generated
-    subalgebra; the tuple budget caps the C(|Up|+n-1, n) generator
-    multisets of each depth's scan.
+    subalgebra is sized on its omega-quotient, as by quotient_size, with
+    the multisets refined along omega_walk. A quotient of c classes has at
+    most 2**c upsets, so one that cannot beat the largest so far is not
+    counted. The upset budget caps each truncation's upsets, and so each
+    generated subalgebra; the tuple budget caps the C(|Up|+n-1, n)
+    generator multisets of each depth's scan.
     """
     rows = []
     for spec in [LadderSpec(n, d) for d in depths]:
@@ -111,8 +114,12 @@ def strictness_report(
         check_multiset_budget(len(masks), n, budget_tuples)
         best = 0
         witness: tuple = ()
-        for tup in combinations_with_replacement(masks, n):
-            size = quotient_size(P, tup, budget_upsets)
+        tuples = combinations_with_replacement(masks, n)
+        for tup, blocks, downs in omega_walk(P, tuples):
+            # c classes have at most 2**c upsets, and only a strict gain counts
+            if 1 << len(blocks) <= best:
+                continue
+            size = quotient_upset_count(blocks, downs, budget_upsets)
             if size > best:
                 best, witness = size, tup
         canonical = canonical_colouring(P, n)

@@ -154,6 +154,43 @@ def test_colour_search_not_found(runner, fork_file):
     assert json.loads(res.output)["found"] is False
 
 
+# sha256 of stdout, and the exit code, of runs whose multiset scan draws only
+# the empty generator tuple (k = 0), pinned from the scans that refined each
+# multiset from scratch; "{fork}" and "{point}" name poset files
+EMPTY_TUPLE_DIGESTS = [
+    pytest.param(
+        ["strictness", "--n", "0", "--depths", "1,2,3"], 0,
+        "a21f3eee4a5e41daa8376c75006e7b573c84782f6fe3481d35d0a5bf1df0b18a",
+        id="strictness-n0",
+    ),
+    pytest.param(
+        ["verify", "non-colourable", "--n", "1", "--depth", "2", "--k", "0"], 0,
+        "7b17595ef8d8049584b2b43228999f992aa4b8d2ff03a739eb96577594d3d654",
+        id="non-colourable-k0",
+    ),
+    pytest.param(
+        ["colour-search", "{fork}", "--k", "0"], 3,
+        "5e636cf0e83f9cc480109db15ce5801a474f6067ab384d1ccaa50bdd877b4060",
+        id="colour-search-fork-k0",
+    ),
+    pytest.param(
+        ["colour-search", "{point}", "--k", "0"], 0,
+        "24b1b3fcbfc6109c0c9240c87ee2281eeba8085a4d948999cdc931cd9c940330",
+        id="colour-search-point-k0",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, code, digest", EMPTY_TUPLE_DIGESTS)
+def test_empty_generator_tuple_reports(runner, fork_file, tmp_path, args, code, digest):
+    point_file = tmp_path / "point.json"
+    point_file.write_text(json.dumps(poset_to_json(validate(["p"], []))))
+    argv = [a.format(fork=fork_file, point=point_file) for a in args]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == code
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
+
 def test_generate(runner, fork_file):
     res = runner.invoke(main, ["generate", fork_file, "--gen", "x"])
     assert res.exit_code == 0

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, product, tee
 
 import pytest
 from conftest import posets_with_generators
@@ -16,18 +16,20 @@ from heylab import (
     refine_once,
     stage_types,
 )
+import heylab.colouring
 from heylab.colouring import (
     _block_of,
     _initial_blocks,
     _omega_block_of,
     _refine_block_of,
     omega_class_count,
+    omega_walk,
 )
 from heylab.corpus import all_posets_up_to_iso
 from heylab.errors import BudgetExceeded
 from heylab.ladder import LadderSpec, build_ladder
-from heylab.poset import cover_walk, iter_bits, upset_masks
-from heylab.subalgebra import generate, quotient_size
+from heylab.poset import cover_walk, iter_bits, upset_masks, upset_multisets
+from heylab.subalgebra import generate, quotient_size, quotient_upset_count
 
 # The per-point engine that the block-mask engine replaced: each stage walks
 # every point, top down, and renumbers the blocks by first occurrence.
@@ -273,3 +275,82 @@ def test_refining_omega_returns_it(case):
     P, gens = case
     blocks = _omega_block_of(P, gens)[0]
     assert _refine_block_of(P, blocks) == blocks
+
+
+# The multiset scans before they shared prefixes: each multiset refined from
+# scratch by _omega_block_of.
+
+
+def oracle_find_k_colouring(P, k):
+    for tup in upset_multisets(upset_masks(P), k):
+        if omega_class_count(P, tup) == P.n:
+            return Colouring.from_masks(P, tup)
+    return None
+
+
+def assert_walk_matches_oracle(P, stream, count=False):
+    """omega_walk over the stream against _omega_block_of on each tuple: the
+    same blocks, their down-closures, and (when count) the quotient size."""
+    expected, drawn = tee(stream)
+    walk = omega_walk(P, drawn)
+    for want_tup in expected:
+        tup, blocks, downs = next(walk)
+        assert tup == want_tup
+        want, _, want_downs = _omega_block_of(P, tup)
+        assert set(blocks) == set(want) and len(blocks) == len(want)
+        assert all(downs[b] == want_downs[b] for b in want)
+        if count:
+            assert quotient_upset_count(blocks, downs) == quotient_size(P, tup)
+    assert next(walk, None) is None
+
+
+@given(posets_with_generators(), st.randoms(use_true_random=False))
+def test_walk_matches_omega_on_seeded_tuple_streams(case, rng):
+    P, gens = case
+    masks = upset_masks(P)
+    draws = [tuple(sorted(rng.choices(masks, k=rng.randint(0, 3)))) for _ in range(12)]
+    stream = sorted(set(draws) | {tuple(sorted(gens))})
+    assert_walk_matches_oracle(P, stream, count=True)
+    # any stream order, repeats included, gives the same answers
+    assert_walk_matches_oracle(P, draws + [tuple(gens)] + draws[::-1], count=True)
+
+
+@pytest.mark.parametrize("n, depth", [(n, d) for n in range(3) for d in range(1, 5)])
+def test_walk_matches_omega_on_every_small_ladder_multiset(n, depth):
+    # every generator multiset of k <= 3 upsets, as the scans walk them
+    P = build_ladder(LadderSpec(n, depth))
+    for k in range(4):
+        assert_walk_matches_oracle(P, upset_multisets(upset_masks(P), k), count=k <= n)
+
+
+def test_walk_refines_each_prefix_once_from_its_parent(monkeypatch):
+    # A prefix-closed ascending stream yields every prefix, each right
+    # before its extensions, so each step refines one new prefix. That step
+    # forms the down-closures of the child's new blocks only: none of the
+    # blocks its parent had cut by, which the child inherits.
+    P = build_ladder(LadderSpec(1, 3))
+    masks = upset_masks(P)[::4]
+    stream = sorted(t for k in range(4) for t in upset_multisets(masks, k))
+    close, formed = heylab.colouring.down_closure_of(P), []
+
+    def recording(Q):
+        assert Q is P
+        return lambda m: formed.append(m) or close(m)
+
+    monkeypatch.setattr(heylab.colouring, "down_closure_of", recording)
+    downs_of = {}
+    for tup, blocks, downs in omega_walk(P, stream):
+        step, formed[:] = list(formed), []
+        downs_of[tup] = dict(downs)
+        if tup:
+            parent = downs_of[tup[:-1]]
+            assert parent.items() <= downs.items()
+            assert sorted(step) == sorted(set(downs) - set(parent))
+        assert set(blocks) <= set(downs)
+
+
+def test_colour_search_matches_the_multiset_oracle():
+    for P in all_posets_up_to_iso(5):
+        for k in range(4):
+            c, want = find_k_colouring(P, k), oracle_find_k_colouring(P, k)
+            assert (None if c is None else c.masks) == (None if want is None else want.masks)

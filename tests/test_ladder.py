@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import factorial, prod
 
 import pytest
 
@@ -25,8 +26,9 @@ from heylab.ladder import (
     level_points,
     non_colourability_scan,
     point_name,
+    random_tuples,
 )
-from heylab.poset import upset_masks
+from heylab.poset import upset_masks, upset_multisets
 
 
 def test_spec_validation():
@@ -219,3 +221,56 @@ def test_level_stats_match_the_type_partitions():
         for j in range(spec.depth):
             assert classes[j] == len({omega[i] for i in levels[j]})
             assert uniform0[j] == (len({stage0[i] for i in levels[j]}) <= 1)
+
+
+def oracle_non_colourability_scan(n, depth, k, samples=None, seed=None):
+    """non_colourability_scan as it was before the prefix walk and the
+    per-set memo: every tuple refined from scratch by omega_class_count."""
+    P = build_ladder(LadderSpec(n, depth))
+    masks = upset_masks(P)
+    if samples is None:
+        tuples = upset_multisets(masks, k)
+    else:
+        tuples = random_tuples(masks, k, samples, seed)
+    checked = max_classes = coloured_found = 0
+    weight = 1
+    for tup in tuples:
+        if samples is None:
+            weight = factorial(k) // prod(factorial(tup.count(m)) for m in set(tup))
+        classes = omega_class_count(P, tup)
+        checked += weight
+        max_classes = max(max_classes, classes)
+        if classes == P.n:
+            coloured_found += weight
+    return {
+        "n": n,
+        "depth": depth,
+        "k": k,
+        "mode": "exhaustive" if samples is None else "sampled",
+        "seed": None if samples is None else seed,
+        "checked": checked,
+        "upset_count": len(masks),
+        "point_count": P.n,
+        "max_classes": max_classes,
+        "coloured_found": coloured_found,
+    }
+
+
+@pytest.mark.parametrize(
+    "n, depth, k, samples, seed",
+    [
+        (0, 3, 0, None, None),
+        (0, 4, 3, None, None),
+        (1, 2, 0, None, None),
+        (1, 3, 3, None, None),
+        (2, 2, 2, None, None),
+        (1, 2, 0, 40, 1),
+        (1, 2, 2, 2000, 5),
+        (2, 3, 2, 3000, 2718),
+    ],
+)
+def test_scan_matches_the_per_tuple_oracle(n, depth, k, samples, seed):
+    # exhaustive scans walk the multisets' prefixes, sampled scans count
+    # each generator set once; neither may change a report
+    got = non_colourability_scan(n, depth, k=k, samples=samples, seed=seed)
+    assert got == oracle_non_colourability_scan(n, depth, k, samples, seed)

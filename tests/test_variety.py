@@ -5,7 +5,11 @@ import pytest
 from heylab import LadderSpec, algebra_of, build_ladder, strictness_report, validate
 from heylab.corpus import all_posets_up_to_iso
 from heylab.errors import BudgetExceeded, ForeignElement
-from heylab.poset import upset_multisets
+import heylab.variety
+from heylab.colouring import omega_class_count
+from heylab.ladder import canonical_colouring
+from heylab.poset import iter_bits, upset_masks, upset_multisets
+from heylab.subalgebra import quotient_size
 from heylab.variety import algebra_product, subalgebra_closure
 
 
@@ -20,6 +24,33 @@ def max_k_generated_size(A, k, budget_tuples=None):
         if size > best:
             best, witness = size, tup
     return best, witness
+
+
+def oracle_strictness_rows(n, depths):
+    """strictness_report as it was before its scan shared prefixes: every
+    multiset refined from scratch and sized by quotient_size, none skipped."""
+    rows = []
+    for depth in depths:
+        P = build_ladder(LadderSpec(n, depth))
+        masks = upset_masks(P)
+        best, witness = 0, ()
+        for tup in upset_multisets(masks, n):
+            size = quotient_size(P, tup)
+            if size > best:
+                best, witness = size, tup
+        rows.append(
+            {
+                "depth": depth,
+                "k": n,
+                "algebra_size": len(masks),
+                "max_k_generated_size": best,
+                "witness": [sorted(iter_bits(m)) for m in witness],
+                "canonical_generates_full": (
+                    quotient_size(P, canonical_colouring(P, n).masks) == len(masks)
+                ),
+            }
+        )
+    return rows
 
 
 def test_subalgebra_closure_chain(chain2):
@@ -147,3 +178,36 @@ def test_strictness_maximum_matches_table_closure(n, depths):
         best, witness = max_k_generated_size(A, n)
         assert row["max_k_generated_size"] == best
         assert row["witness"] == [list(A.elements[i]) for i in witness]
+
+
+@pytest.mark.parametrize(
+    "n, depths", [(0, [1, 2, 3, 4, 5, 6]), (1, [1, 2, 3, 4, 5, 6]), (2, [1, 2, 3, 4])]
+)
+def test_strictness_rows_match_the_per_multiset_oracle(n, depths):
+    # the prefix walk and the 2**classes bound leave every row as it was,
+    # the witness (the first multiset reaching the maximum) included
+    assert strictness_report(n, depths) == oracle_strictness_rows(n, depths)
+
+
+def test_strictness_counts_only_quotients_that_could_beat_the_best(monkeypatch):
+    # c classes have at most 2**c upsets, so a quotient is counted exactly
+    # when 2**c exceeds the largest size so far. On the ladders the skipped
+    # quotients never change a row, so the counts themselves are compared.
+    counted = []
+    count = heylab.variety.quotient_upset_count
+
+    def recording(blocks, downs, budget):
+        counted.append(len(blocks))
+        return count(blocks, downs, budget)
+
+    monkeypatch.setattr(heylab.variety, "quotient_upset_count", recording)
+    strictness_report(2, [2])
+    P = build_ladder(LadderSpec(2, 2))
+    best, want = 0, []
+    for tup in upset_multisets(upset_masks(P), 2):
+        classes = omega_class_count(P, tup)
+        if 1 << classes > best:
+            want.append(classes)
+            best = max(best, quotient_size(P, tup))
+    assert 0 < len(want) < len(list(upset_multisets(upset_masks(P), 2)))
+    assert counted == want
