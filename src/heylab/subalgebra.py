@@ -18,6 +18,7 @@ from .colouring import (
     _initial_blocks,
     _omega_block_of,
     _refine_block_of,
+    _split,
     omega_class_count,
 )
 from .poset import (
@@ -92,12 +93,17 @@ class RankedAlgebra:
         return value[mask]
 
 
-def _lattice_close(seeds, witnesses: dict, cap: int, old=frozenset()) -> set:
-    """The meet/join closure of seeds. old, when given, is a lattice-closed
-    subset of them: a pair of its elements gives nothing new, so an element
-    of old is paired only with the fresh elements before it."""
-    elems = sorted(set(seeds))
-    seen = set(elems)
+def _lattice_close(seeds, witnesses: dict, cap: int, consts, old=frozenset()) -> set:
+    """The meet/join closure of seeds, which hold the constants consts. A
+    pair with a constant gives nothing new (0 & a = 0, 0 | a = a, 1 & a =
+    a, 1 | a = 1), so the constants are paired with nothing. old, when
+    given, is a lattice-closed subset of seeds: a pair of its elements gives
+    nothing new, so an element of old is paired only with the fresh
+    elements before it."""
+    seen = set(seeds)
+    if len(seen) > cap:
+        raise over_budget(len(seen), cap, "upsets")
+    elems = sorted(seen - consts)
     fresh = []
     for i, a in enumerate(elems):
         if a in old:
@@ -129,28 +135,31 @@ def generate(P: Poset, G: Iterable, budget: Optional[int] = None) -> RankedAlgeb
     witnesses = {0: ("0",), P.full_mask: ("1",)}
     for i, m in enumerate(gmasks):
         witnesses.setdefault(m, ("g", i))
-    seeds = set(gmasks) | {0, P.full_mask}
-    cur = _lattice_close(seeds, witnesses, cap)
+    consts = {0, P.full_mask}
+    cur = _lattice_close(set(gmasks) | consts, witnesses, cap, consts)
     strata = [frozenset(cur)]
     ranks = {m: 0 for m in sorted(cur)}
     # semi-naive rounds: a pair of elements of the previous stratum was
-    # formed in the previous round, and its implication is already in cur
+    # formed in the previous round, and its implication is already in cur.
+    # 0 -> b, a -> 1 and 1 -> b give 1, 1 and b, so 0 and 1 are left out of
+    # the pairs, except 0 on the right: a -> 0 is the complement of a.
     prev: set = set()
     # imp_mask inlined: a -> b is the complement of the down-closure of a \ b
     close, full = down_closure_of(P), P.full_mask
     while True:
         cand = set(cur)
-        cur_sorted = sorted(cur)
-        new_sorted = sorted(cur - prev)
+        cur_sorted = sorted(cur - consts)
+        new_sorted = sorted(cur - prev - {full})
+        all_sorted = sorted(cur - {full})
         for a in cur_sorted:
-            for b in new_sorted if a in prev else cur_sorted:
+            for b in new_sorted if a in prev else all_sorted:
                 m = full & ~close(a & ~b)
                 if m not in cand:
                     cand.add(m)
                     witnesses.setdefault(m, ("imp", a, b))
-        nxt = _lattice_close(cand, witnesses, cap, cur)
-        if nxt == cur:
+        if len(cand) == len(cur):  # cur is lattice-closed already
             return RankedAlgebra(P, tuple(strata), ranks, witnesses)
+        nxt = _lattice_close(cand, witnesses, cap, consts, cur)
         strata.append(frozenset(nxt))
         for m in sorted(nxt - cur):
             ranks[m] = len(strata) - 1
@@ -198,9 +207,12 @@ def rank_type_mismatches(
     last comparison, so the walk stops there."""
     gmasks = list(G)
     ra = generate(P, gmasks, budget)
-    rank_blocks = [
-        set(_initial_blocks(P, s)) for s in ra.strata[: max_stage + 1]
-    ]
+    # each stratum holds the one before, so its partition is the one before
+    # split by its new elements
+    rank_blocks, part, before = [], [P.full_mask], frozenset()
+    for s in ra.strata[: max_stage + 1]:
+        part, before = _split(part, s - before), s
+        rank_blocks.append(set(part))
     bad = []
     blocks = _initial_blocks(P, gmasks)
     stable = False

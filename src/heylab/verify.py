@@ -101,15 +101,21 @@ def _sampled_lemma(
     **fields,
 ) -> dict:
     """Run check(P, G) on each seeded generator set G of each poset P; a
-    check returns the details of a failure, or None."""
+    check returns the details of a failure, or None. A check depends only
+    on (P, G), so a set drawn again for the same poset reuses its result:
+    the memo holds one poset's draws at a time. Every draw still counts,
+    and fails, as often as it is drawn."""
     failures = []
     runs = 0
     rng = random.Random(seed)
     for P in corpus:
         masks = upset_masks(P, budget_upsets)
+        memo: dict = {}
         for G in _sample_generator_sets(masks, gens_per_poset, rng):
             runs += 1
-            details = check(P, G)
+            if G not in memo:
+                memo[G] = check(P, G)
+            details = memo[G]
             if details is not None:
                 failure = {"poset": poset_to_json(P), "generators": _upset_lists(G)}
                 failures.append({**failure, **details})

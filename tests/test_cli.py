@@ -452,6 +452,11 @@ def _antichain(n):
     return lambda write: write(poset_to_json(validate([f"a{i}" for i in range(n)], [])))
 
 
+def _ladder(n, depth):
+    P = ladder_mod.build_ladder(ladder_mod.LadderSpec(n, depth))
+    return lambda write: write(poset_to_json(P))
+
+
 def _directory(write):
     # the directory that the input files are written to
     return str(Path(write({})).parent)
@@ -468,6 +473,9 @@ MALFORMED = [
     pytest.param(["--budget-upsets", "1000", "upsets", _chain], 2, id="chain1200"),
     pytest.param(["--budget-upsets", "4", "generate", _fork, "--gen", "x"], 2,
                  id="generate-upset-budget"),
+    # no --gen: the constants 0 and 1 alone exceed the cap
+    pytest.param(["--budget-upsets", "1", "generate", _ladder(1, 2)], 2,
+                 id="generate-constants-budget"),
     pytest.param(["--budget-upsets", "5", "ladder", "--n", "2", "--depth", "8"], 2,
                  id="ladder-point-budget"),
     # 32,771 points, but 268,484,611 rule pairs under the default budget

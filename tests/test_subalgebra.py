@@ -3,9 +3,11 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 from conftest import posets_with_generators
 from hypothesis import given
+from hypothesis import strategies as st
 
 from heylab import generate, subalgebra
 from heylab.algebra import imp_mask
+from heylab.colouring import _initial_blocks, _refine_block_of
 from heylab.corpus import DEFAULT_SEED, all_posets_up_to_iso, corpus_from_spec
 from heylab.errors import BudgetExceeded
 from heylab.ladder import LadderSpec, build_ladder, canonical_colouring
@@ -170,15 +172,22 @@ def test_generate_matches_naive_closure_on_canonical_colourings(n, depths):
 
 
 def test_budget_parity_with_naive_closure(fork):
-    cases = [(fork, [0b010])]
+    # the constants 0 and 1 are paired with nothing, so the cap is checked
+    # on the seeded set too: with G = () or G of constants only, nothing else
+    # would check it; G may name a constant or repeat a mask
+    cases = [(fork, [0b010]), (fork, []), (fork, [0]), (fork, [fork.full_mask])]
+    cases += [(fork, [0b010, 0b010]), (fork, [fork.full_mask, 0b110, 0, 0b110])]
     for n, d in ((1, 6), (2, 3)):
         P = build_ladder(LadderSpec(n, d))
-        cases.append((P, canonical_colouring(P, n).masks))
+        masks = canonical_colouring(P, n).masks
+        cases += [(P, masks), (P, ()), (P, (masks[0], 0, masks[0]))]
     for P, gens in cases:
+        assert_same_as_naive(P, gens)
         size = len(generate(P, gens).elements)
         for closure in (generate, naive_generate):
-            with pytest.raises(BudgetExceeded):
-                closure(P, gens, size - 1)
+            for budget in {0, 1, size - 1}:  # all below size, as 0 != 1 in P
+                with pytest.raises(BudgetExceeded):
+                    closure(P, gens, budget)
             assert len(closure(P, gens, size).elements) == size
 
 
@@ -269,6 +278,35 @@ def test_rank_type_stops_refining_at_the_fixpoint(fork, monkeypatch):
     # and so do all stages past the last stratum: the walk stops at stage 2
     assert rank_type_mismatches(fork, [0b010], 10**9) == []
     assert len(passes) == 4
+
+
+def oracle_rank_type_mismatches(P, G, max_stage, budget=None):
+    """rank_type_mismatches with each stratum's partition built from the
+    whole stratum, by _initial_blocks."""
+    gmasks = list(G)
+    ra = generate(P, gmasks, budget)
+    rank_blocks = [set(_initial_blocks(P, s)) for s in ra.strata[: max_stage + 1]]
+    bad = []
+    blocks = _initial_blocks(P, gmasks)
+    stable = False
+    for n in range(max_stage + 1):
+        if n > 0 and not stable:
+            blocks, before = _refine_block_of(P, blocks), blocks
+            stable = len(blocks) == len(before)
+        if rank_blocks[min(n, len(rank_blocks) - 1)] != set(blocks):
+            bad.append(n)
+        if stable and n >= len(rank_blocks) - 1:
+            if bad[-1:] == [n]:
+                bad.extend(range(n + 1, max_stage + 1))
+            break
+    return bad
+
+
+@given(posets_with_generators(), st.integers(0, 6))
+def test_rank_type_matches_whole_stratum_partitions(case, max_stage):
+    P, gens = case
+    expected = oracle_rank_type_mismatches(P, gens, max_stage)
+    assert rank_type_mismatches(P, gens, max_stage) == expected
 
 
 def test_quotient_size_on_every_ladder_pair():

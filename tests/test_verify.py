@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+import random
 
 import pytest
 
@@ -16,7 +17,9 @@ from heylab.poset import (
 )
 from heylab.verify import (
     _report,
+    _sample_generator_sets,
     _sampled_lemma,
+    _upset_lists,
     run_verification,
     verify_canonical_range,
     verify_collapse,
@@ -152,25 +155,58 @@ def test_run_verification_drops_none_kwargs():
     assert r["passed"] and r["mode"] == "exhaustive"
 
 
+def oracle_sampled_lemma(
+    lemma, corpus, gens_per_poset, seed, budget_upsets, check, checks_per_run=1,
+    **fields,
+) -> dict:
+    """_sampled_lemma without its memo: check(P, G) runs on every draw."""
+    failures = []
+    runs = 0
+    rng = random.Random(seed)
+    for P in corpus:
+        masks = upset_masks(P, budget_upsets)
+        for G in _sample_generator_sets(masks, gens_per_poset, rng):
+            runs += 1
+            details = check(P, G)
+            if details is not None:
+                failure = {"poset": poset_to_json(P), "generators": _upset_lists(G)}
+                failures.append({**failure, **details})
+    return _report(
+        lemma, failures, seed=seed, posets=len(corpus), gens_per_poset=gens_per_poset,
+        checks=runs * checks_per_run, **fields,
+    )
+
+
+def _draws(corpus, gens_per_poset, seed):
+    """Every (poset index, G) that the sampled lemmas check, in order."""
+    draws = []
+
+    def record(P, G):
+        draws.append((corpus.index(P), G))
+
+    oracle_sampled_lemma("draws", corpus, gens_per_poset, seed, None, record)
+    return draws
+
+
 def test_sampled_lemma_failure_replays(tiny_corpus):
-    chosen = []
+    # a check that fails on one (P, G) drawn more than once fails, and
+    # replays, on every draw of it
+    draws = _draws(tiny_corpus, 5, 1)
+    chosen = next(d for d in draws if d[1] and draws.count(d) > 1)
 
     def check(P, G):
-        # fails on the first nonempty generator set only
-        if G and not chosen:
-            chosen.append((P, G))
-            return {"why": "chosen"}
-        return None
+        return {"why": "chosen"} if (tiny_corpus.index(P), G) == chosen else None
 
     r = _sampled_lemma("probe", tiny_corpus, 5, 1, None, check)
     assert not r["passed"] and r["checks"] == 120
-    (f,) = r["failures"]
-    P, G = chosen[0]
-    assert f["why"] == "chosen"
-    Q = poset_from_json(f["poset"])
-    assert Q == P
-    masks = [sum(1 << i for i in g) for g in f["generators"]]
-    assert masks == list(G) and all(is_upset_mask(Q, m) for m in masks)
+    assert len(r["failures"]) == draws.count(chosen)
+    P, G = tiny_corpus[chosen[0]], chosen[1]
+    for f in r["failures"]:
+        assert f["why"] == "chosen"
+        Q = poset_from_json(f["poset"])
+        assert Q == P
+        masks = [sum(1 << i for i in g) for g in f["generators"]]
+        assert masks == list(G) and all(is_upset_mask(Q, m) for m in masks)
 
 
 # (what to break, how, the lemma run, the keys of each failure payload)
@@ -216,13 +252,63 @@ FAILURE_PATHS = [
 ]
 
 
+def _break(monkeypatch, target, broken):
+    module, name = target.rsplit(".", 1)
+    orig = getattr(importlib.import_module(module), name)
+    monkeypatch.setattr(target, broken(orig))
+
+
 @pytest.mark.parametrize("target, broken, run, keys", FAILURE_PATHS)
 def test_failure_paths_record_their_failures(
     tiny_corpus, monkeypatch, target, broken, run, keys
 ):
-    module, name = target.rsplit(".", 1)
-    orig = getattr(importlib.import_module(module), name)
-    monkeypatch.setattr(target, broken(orig))
+    _break(monkeypatch, target, broken)
     r = run(tiny_corpus)
     assert not r["passed"] and r["failures"]
     assert all(set(f) == keys for f in r["failures"])
+
+
+# the sampled lemmas, and two FAILURE_PATHS faults that make some of them fail
+SAMPLED = {
+    "rank-type": lambda corpus, seed: verify_rank_type(
+        corpus, gens_per_poset=20, max_stage=3, seed=seed
+    ),
+    "duality": lambda corpus, seed: verify_duality(
+        corpus, gens_per_poset=20, seed=seed
+    ),
+    "oracle": lambda corpus, seed: verify_oracle_equivalence(
+        corpus, gens_per_poset=20, seed=seed
+    ),
+}
+FAULTS = {p.id: p.values[:2] for p in FAILURE_PATHS if p.id in ("rank-type", "duality")}
+
+
+@pytest.mark.parametrize("fault", [None, *FAULTS])
+@pytest.mark.parametrize("seed", [1, 7, 2718])
+@pytest.mark.parametrize("lemma", list(SAMPLED))
+def test_sampled_lemmas_match_per_draw_oracle(tiny_corpus, monkeypatch, lemma, seed,
+                                              fault):
+    # 20 draws a poset from posets of at most 4 points repeat many sets
+    draws = _draws(tiny_corpus, 20, seed)
+    assert len(set(draws)) < len(draws) * 0.8
+    if fault is not None:
+        _break(monkeypatch, *FAULTS[fault])
+    got = SAMPLED[lemma](tiny_corpus, seed)
+    monkeypatch.setattr("heylab.verify._sampled_lemma", oracle_sampled_lemma)
+    expected = SAMPLED[lemma](tiny_corpus, seed)
+    assert json.dumps(got) == json.dumps(expected)
+    if fault == lemma:  # repeated failing draws keep their count
+        failed = [json.dumps([f["poset"], f["generators"]]) for f in got["failures"]]
+        assert len(set(failed)) < len(failed)
+
+
+def test_sampled_lemma_checks_each_distinct_draw_once(tiny_corpus):
+    draws = _draws(tiny_corpus, 20, 7)
+    seen = []
+
+    def check(P, G):
+        seen.append((tiny_corpus.index(P), G))
+
+    r = _sampled_lemma("probe", tiny_corpus, 20, 7, None, check)
+    assert r["checks"] == len(draws) and r["passed"]
+    assert sorted(seen) == sorted(set(draws))
