@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from math import factorial, prod
-from typing import Optional
+from typing import Iterator, Optional
 
 from .colouring import (
     Colouring,
@@ -26,6 +26,7 @@ from .poset import (
     DEFAULT_UPSET_BUDGET,
     EXACT_COUNT_BITS,
     Poset,
+    check_tuple_budget,
     iter_bits,
     over_budget,
     upset_masks,
@@ -258,12 +259,12 @@ def next_level_bound_check(spec: LadderSpec, c: Colouring) -> bool:
     return True
 
 
-def random_tuples(pool, k: int, count: int, seed: Optional[int]) -> list:
-    """count seeded random k-tuples drawn from pool with replacement."""
+def random_tuples(pool, k: int, count: int, seed: Optional[int]) -> Iterator[tuple]:
+    """Yield count seeded random k-tuples drawn from pool with replacement,
+    each only when it is asked for."""
     rng = random.Random(seed)
-    return [
-        tuple(pool[rng.randrange(len(pool))] for _ in range(k)) for _ in range(count)
-    ]
+    for _ in range(count):
+        yield tuple(pool[rng.randrange(len(pool))] for _ in range(k))
 
 
 def non_colourability_scan(
@@ -278,11 +279,14 @@ def non_colourability_scan(
     """Scan k-colourings of the bottomed truncation for isolated points.
 
     Exhaustive over all k-tuples of upsets when samples is None, otherwise
-    a seeded random sample; the seed is recorded in sampled mode only.
+    a seeded random sample of that many tuples, capped by budget_tuples
+    before the ladder is built; the seed is recorded in sampled mode only.
     Reports how many colourings isolate every point and the largest class
     count seen. The exhaustive scan walks multisets, each weighted by its
     k!/prod(c_i!) orderings, so it counts ordered tuples.
     """
+    if samples is not None:
+        check_tuple_budget(samples, budget_tuples)
     spec = LadderSpec(n, depth)
     P = build_ladder(spec, budget_upsets)
     k = n if k is None else k

@@ -351,11 +351,14 @@ def cover_walk(P: Poset) -> tuple:
     return P._cover_walk
 
 
-def check_tuple_budget(count: int, budget: Optional[int] = None) -> None:
-    """Raise BudgetExceeded when a scan of count tuples exceeds the budget."""
+def check_tuple_budget(
+    count: int, budget: Optional[int] = None, what: str = "tuples"
+) -> None:
+    """Raise BudgetExceeded when a scan of count tuples (or count of what)
+    exceeds the budget."""
     cap = DEFAULT_TUPLE_BUDGET if budget is None else budget
     if count > cap:
-        raise over_budget(count, cap, "tuples", "--budget-tuples")
+        raise over_budget(count, cap, what, "--budget-tuples")
 
 
 def check_multiset_budget(n: int, k: int, budget: Optional[int] = None) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import inspect
 import random
+from itertools import chain
 from typing import Optional, Sequence
 
 from .algebra import algebra_of, imp_mask
@@ -30,6 +31,7 @@ from .ladder import (
 from .poset import (
     EXACT_COUNT_BITS,
     Poset,
+    check_tuple_budget,
     iter_bits,
     poset_to_json,
     union_lookup,
@@ -43,13 +45,13 @@ COLLAPSE_SUPPORT_LEVELS = 3
 
 
 def _sample_generator_sets(masks, count: int, rng: random.Random):
-    """Seeded sample of one- and two-upset generator sets after the empty set."""
-    sets_ = [()]
+    """Yield a seeded sample of one- and two-upset generator sets after the
+    empty set, count in all; each is drawn only when it is asked for."""
+    yield ()
     pool = list(masks)
-    while len(sets_) < count:
+    for _ in range(count - 1):
         size = rng.randint(1, min(2, len(pool)))
-        sets_.append(tuple(sorted(rng.sample(pool, size))))
-    return sets_
+        yield tuple(sorted(rng.sample(pool, size)))
 
 
 def _upset_lists(masks) -> list:
@@ -98,13 +100,17 @@ def verify_residuation(
 
 def _sampled_lemma(
     lemma, corpus, gens_per_poset, seed, budget_upsets, check, checks_per_run=1,
-    **fields,
+    budget_tuples=None, **fields,
 ) -> dict:
     """Run check(P, G) on each seeded generator set G of each poset P; a
-    check returns the details of a failure, or None. A check depends only
-    on (P, G), so a set drawn again for the same poset reuses its result:
-    the memo holds one poset's draws at a time. Every draw still counts,
-    and fails, as often as it is drawn."""
+    check returns the details of a failure, or None. The report's checks,
+    posets x gens_per_poset x checks_per_run, are capped by budget_tuples
+    before any set is drawn. A check depends only on (P, G), so a set drawn
+    again for the same poset reuses its result: the memo holds one poset's
+    draws at a time. Every draw still counts, and fails, as often as it is
+    drawn."""
+    checks = len(corpus) * gens_per_poset * checks_per_run
+    check_tuple_budget(checks, budget_tuples, "checks")
     failures = []
     runs = 0
     rng = random.Random(seed)
@@ -131,6 +137,7 @@ def verify_rank_type(
     max_stage: int = 5,
     seed: int = DEFAULT_SEED,
     budget_upsets: Optional[int] = None,
+    budget_tuples: Optional[int] = None,
 ) -> dict:
     """Stage-n types against rank-<=n membership, all stages up to max_stage."""
 
@@ -140,7 +147,7 @@ def verify_rank_type(
 
     return _sampled_lemma(
         "rank-type", corpus, gens_per_poset, seed, budget_upsets, check,
-        checks_per_run=max_stage + 1, max_stage=max_stage,
+        checks_per_run=max_stage + 1, budget_tuples=budget_tuples, max_stage=max_stage,
     )
 
 
@@ -149,6 +156,7 @@ def verify_duality(
     gens_per_poset: int = 20,
     seed: int = DEFAULT_SEED,
     budget_upsets: Optional[int] = None,
+    budget_tuples: Optional[int] = None,
 ) -> dict:
     """The generation/colouring biconditional over a sampled corpus."""
 
@@ -158,7 +166,10 @@ def verify_duality(
             return {"generates_all": generates_all, "coloured": coloured}
         return None
 
-    return _sampled_lemma("duality", corpus, gens_per_poset, seed, budget_upsets, check)
+    return _sampled_lemma(
+        "duality", corpus, gens_per_poset, seed, budget_upsets, check,
+        budget_tuples=budget_tuples,
+    )
 
 
 def verify_canonical_range(
@@ -185,9 +196,12 @@ def verify_collapse(
     seed: int = DEFAULT_SEED,
     depth: Optional[int] = None,
     budget_upsets: Optional[int] = None,
+    budget_tuples: Optional[int] = None,
 ) -> dict:
     """Collapse bound for seeded random n-colourings supported near the top,
-    on 2**n + 6 levels unless depth is given."""
+    on 2**n + 6 levels unless depth is given. The samples are capped by
+    budget_tuples before the ladder is built."""
+    check_tuple_budget(samples, budget_tuples)
     if depth is None:
         if n >= EXACT_COUNT_BITS:  # the gate sees n before 2**n is formed
             check_ladder_budget(LadderSpec(n, 1), budget_upsets)
@@ -236,14 +250,19 @@ def verify_next_level(
     seed: int = DEFAULT_SEED,
     k: Optional[int] = None,
     budget_upsets: Optional[int] = None,
+    budget_tuples: Optional[int] = None,
 ) -> dict:
     """Next-level class bound for seeded random colourings plus the
-    canonical colouring."""
+    canonical colouring. The samples are capped by budget_tuples before the
+    ladder is built."""
+    check_tuple_budget(samples, budget_tuples)
     spec = LadderSpec(n, depth)
     P = build_ladder(spec, budget_upsets)
     k = n if k is None else k
-    trials = [canonical_colouring(P, n).masks]
-    trials += random_tuples(upset_masks(P, budget_upsets), k, samples, seed)
+    trials = chain(
+        [canonical_colouring(P, n).masks],
+        random_tuples(upset_masks(P, budget_upsets), k, samples, seed),
+    )
     failures = []
     for masks in trials:
         if not next_level_bound_check(spec, Colouring.from_masks(P, masks)):
@@ -293,6 +312,7 @@ def verify_oracle_equivalence(
     gens_per_poset: int = 20,
     seed: int = DEFAULT_SEED,
     budget_upsets: Optional[int] = None,
+    budget_tuples: Optional[int] = None,
 ) -> dict:
     """Table-based closure size against the rank-stratified closure size,
     on the same sampled instances as the rank-type check."""
@@ -311,7 +331,8 @@ def verify_oracle_equivalence(
         return None
 
     return _sampled_lemma(
-        "oracle-equivalence", corpus, gens_per_poset, seed, budget_upsets, check
+        "oracle-equivalence", corpus, gens_per_poset, seed, budget_upsets, check,
+        budget_tuples=budget_tuples,
     )
 
 

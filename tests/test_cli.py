@@ -398,6 +398,19 @@ def test_verify_report_digest(runner, args, digest):
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
 
 
+@pytest.mark.parametrize("cap, lemma", [(144, "rank-type"), (3, "collapse")])
+def test_sampled_run_at_its_tuple_cap(runner, cap, lemma):
+    # a run that reaches its cap exactly prints the same bytes; one below
+    # it exits 2 (rank-type: 8 posets x 3 draws x 6 stages; collapse: 3
+    # samples)
+    args, digest = next(p.values for p in VERIFY_DIGESTS if p.id == lemma)
+    res = runner.invoke(main, ["--budget-tuples", str(cap), "verify", *args])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+    res = runner.invoke(main, ["--budget-tuples", str(cap - 1), "verify", *args])
+    assert res.exit_code == 2 and "(--budget-tuples)" in res.stderr
+
+
 ONE_ELEMENT = {
     "size": 1,
     "elements": [[]],
@@ -485,6 +498,22 @@ MALFORMED = [
                  id="product-table-budget"),
     pytest.param(["--budget-upsets", "3", "verify", "collapse", "--n", "1",
                   "--samples", "5"], 2, id="collapse-upset-budget"),
+    # sampled runs are capped by --budget-tuples before anything is drawn:
+    # a lemma over a corpus by its posets x gens-per-poset x checks per draw
+    pytest.param(["--budget-tuples", "100", "verify", "duality", "--corpus",
+                  "exhaustive3", "--gens-per-poset", "13"], 2,
+                 id="gens-per-poset-tuple-budget"),
+    pytest.param(["--budget-tuples", "1048576", "verify", "rank-type", "--corpus",
+                  "exhaustive3", "--gens-per-poset", "1", "--max-stage",
+                  str(10**100)], 2, id="max-stage-tuple-budget"),
+    pytest.param(["--budget-tuples", "10", "verify", "collapse", "--n", "1",
+                  "--samples", "11"], 2, id="collapse-samples-tuple-budget"),
+    pytest.param(["--budget-tuples", "10", "verify", "next-level", "--n", "1",
+                  "--depth", "4", "--samples", "11"], 2,
+                 id="next-level-samples-tuple-budget"),
+    pytest.param(["--budget-tuples", "10", "verify", "non-colourable", "--n", "1",
+                  "--depth", "3", "--samples", "11"], 2,
+                 id="non-colourable-samples-tuple-budget"),
     pytest.param(["--budget-upsets", "3", "verify", "next-level", "--n", "1",
                   "--depth", "4", "--samples", "5"], 2, id="next-level-upset-budget"),
     # 2,048 upsets, so 4,194,304 entries per table

@@ -9,6 +9,7 @@ from conftest import posets
 from hypothesis import given
 from hypothesis import strategies as st
 
+from heylab import corpus
 from heylab.corpus import (
     MAX_EXHAUSTIVE_POINTS,
     _slots,
@@ -19,7 +20,7 @@ from heylab.corpus import (
     random_posets,
 )
 from heylab.errors import BudgetExceeded
-from heylab.poset import iter_bits, poset_to_json, validate
+from heylab.poset import iter_bits, poset_to_json, upsets_of, validate
 
 # sha256 of json.dumps([poset_to_json(P) for P in all_posets_up_to_iso(6)])
 # as emitted by the brute-force scan below: points, up-sets and order.
@@ -122,6 +123,37 @@ def _walk_all_posets(max_points: int) -> list:
     return out
 
 
+# -- unfiltered oracle: the search without the down-set test, so every
+# candidate is labelled, and every representative closed by validate
+
+
+def _candidates(up) -> list:
+    """Every child of the order with strict up-sets up: a new maximal point
+    above each of its down-sets."""
+    top = 1 << len(up)
+    reflexive = [u | 1 << i for i, u in enumerate(up)]
+    downs = [(top - 1) ^ upset for upset in upsets_of(reflexive, top)]
+    return [
+        [u | top if down >> i & 1 else u for i, u in enumerate(up)] + [0]
+        for down in downs
+    ]
+
+
+def _unfiltered_all_posets(max_points: int) -> list:
+    out = []
+    classes = {least_bits(()): ()}
+    for n in range(1, max_points + 1):
+        parents, classes = classes.values(), {}
+        for up in parents:
+            for child in _candidates(up):
+                classes.setdefault(least_bits(child), child)
+        slots = _slots(n)
+        points = [f"p{i}" for i in range(n)]
+        for bits in sorted(classes):
+            out.append(validate(points, [slots[b] for b in iter_bits(bits)]))
+    return out
+
+
 def _bits_of_pairs(pairs, n: int) -> int:
     return sum(1 << b for b, pair in enumerate(_slots(n)) if pair in pairs)
 
@@ -173,6 +205,41 @@ def test_exhaustive_order_and_representatives(exhaustive6, exhaustive7):
 
 def test_exhaustive_matches_brute_force_scan():
     assert all_posets_up_to_iso(5) == _brute_all_posets(5)
+
+
+def test_exhaustive_matches_unfiltered_search(exhaustive7):
+    # the down-set test drops candidates, never a class, and a
+    # representative built from its key is the one validate closes
+    assert [(P.points, P.up, P.down) for P in exhaustive7] == [
+        (P.points, P.up, P.down) for P in _unfiltered_all_posets(7)
+    ]
+
+
+def _passes_downset_test(child: list) -> bool:
+    """No maximal point of child has a larger down-set than its last point,
+    the new one; child[i] is point i's strict up-set mask."""
+    n = len(child)
+    below = [sum(u >> j & 1 for u in child) for j in range(n)]
+    return all(below[j] <= below[n - 1] for j in range(n) if child[j] == 0)
+
+
+def test_exhaustive_labels_exactly_the_candidates_that_pass(monkeypatch):
+    # from the classes the search keeps on n-1 points, every candidate on n
+    # points is labelled exactly when it passes the test read straight from
+    # its down-sets (462 of the 766 candidates on 6 points)
+    labelled = []
+    monkeypatch.setattr(
+        corpus, "least_bits", lambda up: labelled.append(list(up)) or least_bits(up)
+    )
+    all_posets_up_to_iso(6)
+    kept = {}
+    for up in labelled:
+        kept.setdefault(len(up), {}).setdefault(least_bits(up), up)
+    for n in range(1, 7):
+        candidates = [c for up in kept[n - 1].values() for c in _candidates(up)]
+        passing = [c for c in candidates if _passes_downset_test(c)]
+        assert [up for up in labelled if len(up) == n] == passing
+    assert (len(passing), len(candidates)) == (462, 766)
 
 
 def test_exhaustive_matches_labelled_order_walk(exhaustive6):

@@ -157,9 +157,10 @@ def test_run_verification_drops_none_kwargs():
 
 def oracle_sampled_lemma(
     lemma, corpus, gens_per_poset, seed, budget_upsets, check, checks_per_run=1,
-    **fields,
+    budget_tuples=None, **fields,
 ) -> dict:
-    """_sampled_lemma without its memo: check(P, G) runs on every draw."""
+    """_sampled_lemma without its memo or its cap: check(P, G) runs on every
+    draw."""
     failures = []
     runs = 0
     rng = random.Random(seed)
