@@ -5,19 +5,12 @@ experiments."""
 from .algebra import (
     FiniteHeytingAlgebra,
     algebra_of,
-    implies,
-    join,
-    meet,
-    neg,
 )
 from .colouring import (
     Colouring,
     TypePartition,
     find_k_colouring,
-    initial_partition,
-    min_colours,
     omega_types,
-    refine_once,
     stage_types,
 )
 from .errors import (
@@ -42,15 +35,9 @@ from .ladder import (
 )
 from .poset import (
     Poset,
-    Upset,
-    down_closure,
-    enumerate_upsets,
-    maximal_points,
-    minimal_points,
     poset_from_json,
     poset_to_dot,
     poset_to_json,
-    up_closure,
     validate,
 )
 from .subalgebra import (

@@ -1,8 +1,9 @@
 """The Heyting algebra of upsets of a finite poset.
 
-Meet and join are intersection and union; implication U -> V is computed as
-the complement of the down-closure of U \\ V, read by one table lookup per
-8-point slice from the poset's cached kernel (poset.down_closure_of).
+Upsets are point masks: meet and join are & and |, and imp_mask computes
+the implication u -> v as the complement of the down-closure of u \\ v, read
+by one table lookup per 8-point slice from the poset's cached kernel
+(poset.down_closure_of).
 Operation-table form (FiniteHeytingAlgebra) lets products and abstract
 closures work without the poset.
 """
@@ -16,8 +17,6 @@ from .errors import InvalidAlgebra
 from .poset import (
     DEFAULT_UPSET_BUDGET,
     Poset,
-    Upset,
-    _check_same_parent,
     check_tuple_budget,
     down_closure_mask,
     iter_bits,
@@ -30,34 +29,6 @@ def imp_mask(P: Poset, u: int, v: int) -> int:
     """Heyting implication on masks: the complement of the down-closure of
     u \\ v, one table lookup per 8-point slice of u \\ v (no point loop)."""
     return P.full_mask & ~down_closure_mask(P, u & ~v)
-
-
-def meet(U: Upset, V: Upset) -> Upset:
-    _check_same_parent(U, V)
-    return Upset(U.parent, U.mask & V.mask)
-
-
-def join(U: Upset, V: Upset) -> Upset:
-    _check_same_parent(U, V)
-    return Upset(U.parent, U.mask | V.mask)
-
-
-def implies(U: Upset, V: Upset) -> Upset:
-    """The largest upset W with W meet U below V."""
-    _check_same_parent(U, V)
-    return Upset(U.parent, imp_mask(U.parent, U.mask, V.mask))
-
-
-def neg(U: Upset) -> Upset:
-    return Upset(U.parent, imp_mask(U.parent, U.mask, 0))
-
-
-def top(P: Poset) -> Upset:
-    return Upset(P, P.full_mask)
-
-
-def bottom(P: Poset) -> Upset:
-    return Upset(P, 0)
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,12 @@ from .ladder import LadderSpec, build_ladder
 from .poset import (
     DEFAULT_TUPLE_BUDGET,
     DEFAULT_UPSET_BUDGET,
-    enumerate_upsets,
     is_upset_mask,
     iter_bits,
     poset_from_json,
     poset_to_dot,
     poset_to_json,
+    upset_masks,
 )
 from .subalgebra import generate
 from .variety import algebra_product
@@ -183,11 +183,11 @@ def ladder(cfg: RunConfig, n, depth):
 def upsets(cfg: RunConfig, poset_file):
     """List every upset of a poset in canonical order."""
     P = _load(poset_file, poset_from_json, "poset")
-    us = enumerate_upsets(P, cfg.budget_upsets)
+    us = upset_masks(P, cfg.budget_upsets)
     payload = {
         "seed": cfg.seed,
         "count": len(us),
-        "upsets": [sorted(u.members) for u in us],
+        "upsets": [sorted(iter_bits(m)) for m in us],
     }
     _emit(cfg, payload)
 
@@ -239,7 +239,7 @@ def colour_search(cfg: RunConfig, poset_file, k):
             "seed": cfg.seed,
             "k": k,
             "found": True,
-            "colours": [sorted(u.members) for u in c.colours],
+            "colours": [sorted(iter_bits(m)) for m in c.masks],
         },
     )
 

@@ -1,6 +1,6 @@
 """Stage-indexed type partitions, colourings, and colouring search.
 
-A colouring is an ordered list of upsets. Stage 0 groups points by their
+A colouring is an ordered tuple of upset masks. Stage 0 groups points by their
 membership vector across the colours; each refinement stage re-groups points
 by the set of previous-stage blocks met by their up-set. The fixpoint of the
 chain is the omega-type partition, held as a list of point masks, one per block.
@@ -11,36 +11,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import PosetMismatch
-from .poset import (Poset, Upset, down_closure_mask, down_closure_of, is_upset_mask,
+from .errors import ForeignPoint, PosetMismatch
+from .poset import (Poset, down_closure_mask, down_closure_of, is_upset_mask,
                     upset_masks, upset_multisets)
 
 
 @dataclass(frozen=True)
 class Colouring:
-    """An ordered list of k upsets over one poset; k = 0 is allowed."""
+    """An ordered k-tuple of upsets over one poset, as point masks; k = 0 is
+    allowed."""
 
     parent: Poset
-    colours: tuple
+    masks: tuple
 
     def __post_init__(self):
-        for c in self.colours:
-            if c.parent != self.parent:
-                raise PosetMismatch("colour over a different poset")
-            if not is_upset_mask(self.parent, c.mask):
+        for m in self.masks:
+            if not 0 <= m <= self.parent.full_mask:
+                raise ForeignPoint(f"colour {m!r} holds points outside the poset")
+            if not is_upset_mask(self.parent, m):
                 raise ValueError("colour is not up-closed")
 
     @classmethod
     def from_masks(cls, parent: Poset, masks: Iterable[int]) -> "Colouring":
-        return cls(parent, tuple(Upset(parent, m) for m in masks))
-
-    @property
-    def masks(self) -> tuple:
-        return tuple(c.mask for c in self.colours)
+        return cls(parent, tuple(masks))
 
     @property
     def k(self) -> int:
-        return len(self.colours)
+        return len(self.masks)
 
 
 @dataclass(frozen=True)
@@ -60,18 +57,10 @@ class TypePartition:
 
     @property
     def blocks(self) -> tuple:
-        out = [[] for _ in range(self.n_blocks)]
+        out = [[] for _ in range(max(self.block_of, default=-1) + 1)]
         for i, b in enumerate(self.block_of):
             out[b].append(i)
         return tuple(tuple(b) for b in out)
-
-    @property
-    def n_blocks(self) -> int:
-        return max(self.block_of) + 1 if self.block_of else 0
-
-    @property
-    def is_discrete(self) -> bool:
-        return self.n_blocks == len(self.block_of)
 
     def to_json(self) -> dict:
         return {
@@ -104,6 +93,18 @@ def _initial_blocks(P: Poset, masks: Iterable[int]) -> list:
 def _refine_block_of(P: Poset, blocks: list) -> list:
     """One stage: points whose up-sets meet the same blocks stay together."""
     return _split(blocks, [down_closure_mask(P, c) for c in blocks])
+
+
+def _stages(P: Poset, masks: Iterable[int]):
+    """Yield the block masks of stage 0, 1, ..., up to and including the
+    first stage that refines to itself: the omega fixpoint."""
+    blocks = _initial_blocks(P, masks)
+    while True:
+        yield blocks
+        nxt = _refine_block_of(P, blocks)
+        if len(nxt) == len(blocks):
+            return
+        blocks = nxt
 
 
 def _stabilise(P: Poset, blocks: list, downs: dict):
@@ -172,33 +173,16 @@ def _check_parent(P: Poset, c: Colouring) -> None:
         raise PosetMismatch("colouring over a different poset")
 
 
-def initial_partition(P: Poset, c: Colouring) -> TypePartition:
-    """Stage-0 partition: group points by membership across the colours."""
-    _check_parent(P, c)
-    return TypePartition(P, 0, _block_of(P, _initial_blocks(P, c.masks)))
-
-
-def refine_once(t: TypePartition) -> TypePartition:
-    """One refinement step; requires a finite-stage partition."""
-    if t.stage is None:
-        raise ValueError("cannot refine an omega partition")
-    P, blocks = t.parent, [sum(1 << i for i in b) for b in t.blocks]
-    return TypePartition(P, t.stage + 1, _block_of(P, _refine_block_of(P, blocks)))
-
-
 def stage_types(P: Poset, c: Colouring, stage: int) -> TypePartition:
-    """The stage-n partition for n = stage. A round that changes nothing has
-    reached the omega fixpoint, which every later stage repeats, so the
-    refinement stops there."""
+    """The stage-n partition for n = stage; past the omega fixpoint every
+    stage repeats it."""
     if stage < 0:
         raise ValueError("stage must be >= 0")
-    t = initial_partition(P, c)
-    while t.stage < stage:
-        nxt = refine_once(t)
-        if nxt.block_of == t.block_of:
-            return TypePartition(P, stage, t.block_of)
-        t = nxt
-    return t
+    _check_parent(P, c)
+    for n, blocks in enumerate(_stages(P, c.masks)):
+        if n == stage:
+            break
+    return TypePartition(P, stage, _block_of(P, blocks))
 
 
 def omega_types(P: Poset, c: Colouring) -> TypePartition:
@@ -221,15 +205,3 @@ def find_k_colouring(
         if len(blocks) == P.n:
             return Colouring.from_masks(P, tup)
     return None
-
-
-def min_colours(
-    P: Poset,
-    budget_upsets: Optional[int] = None,
-    budget_tuples: Optional[int] = None,
-) -> int:
-    """Least k admitting a k-colouring; at most |P| (principal upsets)."""
-    for k in range(P.n + 1):
-        if find_k_colouring(P, k, budget_upsets, budget_tuples) is not None:
-            return k
-    raise AssertionError("all principal upsets must colour the poset")

@@ -18,7 +18,7 @@ class ForeignPoint(HeylabError):
 
 
 class PosetMismatch(HeylabError):
-    """Raised when upsets over different posets are combined."""
+    """Raised when a colouring is used with a different poset."""
 
 
 class BudgetExceeded(HeylabError):

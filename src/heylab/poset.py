@@ -104,71 +104,6 @@ class Poset:
         return f"Poset({len(self.points)} points)"
 
 
-class Upset:
-    """An up-closed subset of a poset, stored as a bitmask.
-
-    The raw constructor trusts mask to be up-closed; use from_members() for
-    checked construction. Comparing upsets over different posets raises
-    PosetMismatch rather than silently returning False.
-    """
-
-    __slots__ = ("parent", "mask")
-
-    def __init__(self, parent: Poset, mask: int):
-        self.parent = parent
-        self.mask = mask
-
-    @classmethod
-    def from_members(cls, parent: Poset, members: Iterable[int]) -> "Upset":
-        mask = _mask_of(parent, members)
-        if not is_upset_mask(parent, mask):
-            raise ValueError("member set is not up-closed")
-        return cls(parent, mask)
-
-    @property
-    def members(self) -> frozenset:
-        return frozenset(iter_bits(self.mask))
-
-    @property
-    def names(self) -> tuple:
-        return tuple(self.parent.points[i] for i in iter_bits(self.mask))
-
-    def __contains__(self, i: int) -> bool:
-        return bool(self.mask >> i & 1)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Upset):
-            return NotImplemented
-        _check_same_parent(self, other)
-        return self.mask == other.mask
-
-    def __le__(self, other: "Upset") -> bool:
-        _check_same_parent(self, other)
-        return self.mask & ~other.mask == 0
-
-    def __hash__(self) -> int:
-        return hash((self.parent, self.mask))
-
-    def __repr__(self) -> str:
-        return "Upset{" + ",".join(self.names) + "}"
-
-
-def _check_same_parent(u: Upset, v: Upset) -> None:
-    from .errors import PosetMismatch
-
-    if u.parent != v.parent:
-        raise PosetMismatch("upsets belong to different posets")
-
-
-def _mask_of(P: Poset, S: Iterable[int]) -> int:
-    m = 0
-    for i in S:
-        if not isinstance(i, int) or i < 0 or i >= P.n:
-            raise ForeignPoint(f"point index {i!r} not in poset")
-        m |= 1 << i
-    return m
-
-
 def validate(
     points: Iterable[str],
     raw_leq: Iterable,
@@ -227,19 +162,6 @@ def validate(
         for j in iter_bits(succ[i]):
             down[j] |= down[i]
     return Poset(pts, up, down, level_tags)
-
-
-def up_closure(P: Poset, S: Iterable[int]) -> Upset:
-    """Smallest up-closed superset of S."""
-    m = 0
-    for i in iter_bits(_mask_of(P, S)):
-        m |= P.up[i]
-    return Upset(P, m)
-
-
-def down_closure(P: Poset, S: Iterable[int]) -> frozenset:
-    """Smallest down-closed superset of S, as a set of point indices."""
-    return frozenset(iter_bits(down_closure_mask(P, _mask_of(P, S))))
 
 
 def union_lookup(vectors: Sequence[int]) -> Callable[[int], int]:
@@ -384,19 +306,6 @@ def upset_multisets(items: Sequence, k: int, budget: Optional[int] = None):
     with a property is the first ordered tuple with it."""
     check_multiset_budget(len(items), k, budget)
     return combinations_with_replacement(items, k)
-
-
-def enumerate_upsets(P: Poset, budget: Optional[int] = None) -> list:
-    """All upsets of P in canonical order, as Upset objects."""
-    return [Upset(P, m) for m in upset_masks(P, budget)]
-
-
-def maximal_points(P: Poset) -> frozenset:
-    return frozenset(i for i in range(P.n) if P.up[i] == 1 << i)
-
-
-def minimal_points(P: Poset) -> frozenset:
-    return frozenset(i for i in range(P.n) if P.down[i] == 1 << i)
 
 
 def covers(P: Poset) -> list:

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .algebra import imp_mask
-from .colouring import (
-    _initial_blocks,
-    _omega_block_of,
-    _refine_block_of,
-    _split,
-    omega_class_count,
-)
+from .colouring import _omega_block_of, _split, _stages, omega_class_count
 from .poset import (
     DEFAULT_UPSET_BUDGET,
     Poset,
@@ -46,10 +40,6 @@ class RankedAlgebra:
     @property
     def elements(self) -> frozenset:
         return self.strata[-1]
-
-    def rank_of(self, mask: int) -> Optional[int]:
-        """Minimal implication rank of mask; None when it is not generated."""
-        return self.ranks.get(mask)
 
     def witness_text(self, mask: int) -> str:
         """Prefix-notation witness term evaluating to mask over the generators."""
@@ -204,7 +194,7 @@ def rank_type_mismatches(
     the partition induced by membership in rank-<=n generated upsets. A
     refinement that changes nothing is the fixpoint, which every later
     stage repeats; past it and the last stratum, every stage repeats the
-    last comparison, so the walk stops there."""
+    comparison before, so the walk stops there."""
     gmasks = list(G)
     ra = generate(P, gmasks, budget)
     # each stratum holds the one before, so its partition is the one before
@@ -213,19 +203,17 @@ def rank_type_mismatches(
     for s in ra.strata[: max_stage + 1]:
         part, before = _split(part, s - before), s
         rank_blocks.append(set(part))
-    bad = []
-    blocks = _initial_blocks(P, gmasks)
-    stable = False
+    bad, last, stages = [], len(rank_blocks) - 1, _stages(P, gmasks)
     for n in range(max_stage + 1):
-        if n > 0 and not stable:
-            blocks, before = _refine_block_of(P, blocks), blocks
-            stable = len(blocks) == len(before)
-        if rank_blocks[min(n, len(rank_blocks) - 1)] != set(blocks):
-            bad.append(n)
-        if stable and n >= len(rank_blocks) - 1:
-            if bad[-1:] == [n]:
-                bad.extend(range(n + 1, max_stage + 1))
+        nxt = next(stages, None)
+        if nxt is not None:
+            blocks = nxt
+        elif n > last:
+            if bad[-1:] == [n - 1]:
+                bad.extend(range(n, max_stage + 1))
             break
+        if rank_blocks[min(n, last)] != set(blocks):
+            bad.append(n)
     return bad
 
 

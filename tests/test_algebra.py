@@ -2,17 +2,8 @@ import pytest
 from conftest import posets
 from hypothesis import given
 
-from heylab import (
-    FiniteHeytingAlgebra,
-    PosetMismatch,
-    Upset,
-    algebra_of,
-    implies,
-    join,
-    meet,
-    neg,
-)
-from heylab.algebra import algebra_from_json, bottom, imp_mask, top
+from heylab import FiniteHeytingAlgebra, algebra_of
+from heylab.algebra import algebra_from_json, imp_mask
 from heylab.corpus import all_posets_up_to_iso
 from heylab.errors import BudgetExceeded, InvalidAlgebra
 from heylab.poset import upset_masks, validate
@@ -36,26 +27,22 @@ def test_implication_against_adjunction_oracle(small_corpus):
 
 
 def test_basic_operations(fork):
-    x = Upset(fork, 0b010)
-    y = Upset(fork, 0b100)
-    assert meet(x, y).mask == 0
-    assert join(x, y).mask == 0b110
+    x, y = 0b010, 0b100
+    assert x & y == 0
+    assert x | y == 0b110
     # x -> y removes everything at or below a point of x \ y
-    assert implies(x, y).mask == 0b100
-    assert neg(x).mask == 0b100
-    assert top(fork).mask == fork.full_mask
-    assert bottom(fork).mask == 0
+    assert imp_mask(fork, x, y) == 0b100
+    # the negation of x is x -> 0
+    assert imp_mask(fork, x, 0) == 0b100
+    # top is 0 -> 0, and bottom the negation of top
+    assert imp_mask(fork, 0, 0) == fork.full_mask
+    assert imp_mask(fork, fork.full_mask, 0) == 0
 
 
 def test_neg_on_chain(chain2):
-    t = Upset(chain2, 0b10)
-    assert neg(t).mask == 0
-    assert neg(neg(t)).mask == chain2.full_mask
-
-
-def test_parent_mismatch(fork, chain2):
-    with pytest.raises(PosetMismatch):
-        meet(Upset(fork, 0), Upset(chain2, 0))
+    t = 0b10
+    assert imp_mask(chain2, t, 0) == 0
+    assert imp_mask(chain2, imp_mask(chain2, t, 0), 0) == chain2.full_mask
 
 
 def test_algebra_of_fork(fork):

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from heylab import (
     Colouring,
+    ForeignPoint,
     PosetMismatch,
+    TypePartition,
     find_k_colouring,
-    initial_partition,
-    min_colours,
     omega_types,
-    refine_once,
     stage_types,
 )
 import heylab.colouring
@@ -121,38 +120,38 @@ def test_colouring_validation(fork, chain2):
     assert c.k == 1 and c.masks == (0b010,)
     with pytest.raises(ValueError):
         Colouring.from_masks(fork, [0b001])  # not up-closed
+    for foreign in (0b1000, -1):  # a point past the poset, and a negative int
+        with pytest.raises(ForeignPoint):
+            Colouring.from_masks(fork, [foreign])
     with pytest.raises(PosetMismatch):
-        Colouring(fork, Colouring.from_masks(chain2, [0b10]).colours)
+        omega_types(fork, Colouring.from_masks(chain2, [0b10]))
+    with pytest.raises(PosetMismatch):
+        stage_types(fork, Colouring.from_masks(chain2, [0b10]), 0)
 
 
 def test_fork_single_colour_stages(fork):
     # colour {x}: stage 0 separates x; stage 1 separates b from y
     c = Colouring.from_masks(fork, [0b010])
-    t0 = initial_partition(fork, c)
+    t0 = stage_types(fork, c, 0)
     assert t0.stage == 0
     assert t0.blocks == ((0, 2), (1,))
-    t1 = refine_once(t0)
+    stage1 = _refine_block_of(fork, _initial_blocks(fork, c.masks))
+    assert len(stage1) == fork.n
+    t1 = stage_types(fork, c, 1)
     assert t1.stage == 1
-    assert t1.is_discrete
+    assert t1.block_of == _block_of(fork, stage1)
     w = omega_types(fork, c)
     assert w.stage is None
     assert w.stabilized_at == 1
-    assert w.is_discrete
+    assert len(w.blocks) == fork.n
     assert w.to_json()["stage"] == "omega"
-
-
-def test_refine_omega_rejected(fork):
-    c = Colouring.from_masks(fork, [0b010])
-    with pytest.raises(ValueError):
-        refine_once(omega_types(fork, c))
 
 
 def test_empty_colouring(chain2, point):
     # no colours: the chain never splits, the single point is trivially done
     c = Colouring.from_masks(chain2, [])
-    assert omega_types(chain2, c).n_blocks == 1
-    assert not omega_types(chain2, c).is_discrete
-    assert omega_types(point, Colouring.from_masks(point, [])).is_discrete
+    assert len(omega_types(chain2, c).blocks) == 1 < chain2.n
+    assert len(omega_types(point, Colouring.from_masks(point, [])).blocks) == point.n
 
 
 def test_isolated(fork):
@@ -169,20 +168,21 @@ def test_omega_is_a_fixpoint(small_corpus):
         masks = upset_masks(P)
         c = Colouring.from_masks(P, [rng.choice(masks)])
         w = omega_types(P, c)
-        t = initial_partition(P, c)
+        blocks = _initial_blocks(P, c.masks)
         for _ in range(w.stabilized_at):
-            t = refine_once(t)
-        assert t.block_of == w.block_of
-        assert refine_once(t).block_of == w.block_of
+            blocks = _refine_block_of(P, blocks)
+        assert _block_of(P, blocks) == w.block_of
+        assert _block_of(P, _refine_block_of(P, blocks)) == w.block_of
 
 
 def test_find_k_colouring(fork, chain2, point):
+    # the least k with a k-colouring: 1 for the fork and the chain, 0 for a point
     assert find_k_colouring(fork, 0) is None
     c = find_k_colouring(fork, 1)
-    assert c is not None and omega_types(fork, c).is_discrete
-    assert min_colours(fork) == 1
-    assert min_colours(chain2) == 1
-    assert min_colours(point) == 0
+    assert c is not None and len(omega_types(fork, c).blocks) == fork.n
+    assert find_k_colouring(chain2, 0) is None
+    assert find_k_colouring(chain2, 1) is not None
+    assert find_k_colouring(point, 0) is not None
 
 
 def test_find_k_colouring_budget(fork):
@@ -198,7 +198,7 @@ def test_colour_search_is_canonical(fork):
     for m in masks:
         if m == found:
             break
-        assert not omega_types(fork, Colouring.from_masks(fork, [m])).is_discrete
+        assert len(omega_types(fork, Colouring.from_masks(fork, [m])).blocks) < fork.n
 
 
 def test_refinement_matches_frozenset_oracle_at_every_stage():
@@ -232,9 +232,24 @@ def test_stage_types_past_the_fixpoint(fork):
     for stage in (w.stabilized_at, w.stabilized_at + 1, 10**8):
         t = stage_types(fork, c, stage)
         assert (t.stage, t.block_of, t.stabilized_at) == (stage, w.block_of, None)
-    assert stage_types(fork, c, 0) == initial_partition(fork, c)
+    stage0 = _block_of(fork, _initial_blocks(fork, c.masks))
+    assert stage_types(fork, c, 0) == TypePartition(fork, 0, stage0)
     with pytest.raises(ValueError):
         stage_types(fork, c, -1)
+
+
+@given(posets_with_generators())
+def test_stage_types_match_the_oracle_up_to_and_past_the_fixpoint(case):
+    P, gens = case
+    c = Colouring.from_masks(P, gens)
+    w = omega_types(P, c)
+    block_of = _initial_block_of(P, gens)
+    for stage in range(w.stabilized_at + 2):
+        t = stage_types(P, c, stage)
+        assert (t.stage, t.block_of) == (stage, block_of)
+        if stage >= w.stabilized_at:
+            assert t.block_of == w.block_of
+        block_of = oracle_refine_block_of(P, block_of)
 
 
 def test_colour_search_matches_ordered_tuple_oracle():

@@ -11,10 +11,9 @@ from heylab import (
     build_ladder,
     canonical_colouring,
     collapse_check,
-    down_closure,
-    initial_partition,
     next_level_bound_check,
     omega_types,
+    stage_types,
     verify_canonical,
 )
 from heylab.colouring import Colouring, omega_class_count
@@ -28,7 +27,13 @@ from heylab.ladder import (
     point_name,
     random_tuples,
 )
-from heylab.poset import upset_masks, upset_multisets
+from heylab.poset import (
+    down_closure_mask,
+    is_upset_mask,
+    iter_bits,
+    upset_masks,
+    upset_multisets,
+)
 
 
 def test_spec_validation():
@@ -74,8 +79,11 @@ def test_order_rules():
 
 def test_down_closure_of_column_point():
     P = build_ladder(LadderSpec(1, 2))
-    got = {P.points[i] for i in down_closure(P, [P.index("x1_0")])}
+    down = down_closure_mask(P, 1 << P.index("x1_0"))
+    got = {P.points[i] for i in iter_bits(down)}
     assert got == {"x1_0", "x1_1", "x2_1", BOTTOM_NAME}
+    # a down-set's complement is an upset
+    assert is_upset_mask(P, P.full_mask & ~down)
 
 
 def test_level_points():
@@ -105,7 +113,7 @@ def test_canonical_colouring_masks():
 def test_canonical_colours_everything():
     for n, depth in ((0, 5), (1, 4), (2, 3)):
         P = build_ladder(LadderSpec(n, depth))
-        assert omega_types(P, canonical_colouring(P, n)).is_discrete
+        assert len(omega_types(P, canonical_colouring(P, n)).blocks) == P.n
     assert all(verify_canonical(0, d) for d in range(1, 9))
     assert verify_canonical(1, 6)
     assert verify_canonical(2, 4)
@@ -216,7 +224,7 @@ def test_level_stats_match_the_type_partitions():
     rng = random.Random(5)
     for _ in range(40):
         c = Colouring.from_masks(P, rng.sample(upset_masks(P), 2))
-        omega, stage0 = omega_types(P, c).block_of, initial_partition(P, c).block_of
+        omega, stage0 = omega_types(P, c).block_of, stage_types(P, c, 0).block_of
         classes, uniform0 = _level_stats(P, c.masks, spec.depth)
         for j in range(spec.depth):
             assert classes[j] == len({omega[i] for i in levels[j]})

@@ -11,16 +11,9 @@ from heylab import (
     CycleError,
     EmptyPoset,
     ForeignPoint,
-    PosetMismatch,
-    Upset,
-    down_closure,
-    enumerate_upsets,
-    maximal_points,
-    minimal_points,
     poset_from_json,
     poset_to_dot,
     poset_to_json,
-    up_closure,
     validate,
 )
 from heylab.algebra import imp_mask
@@ -149,10 +142,11 @@ def test_index_and_names(fork):
 
 
 def test_closures(fork):
-    assert up_closure(fork, [0]).members == {0, 1, 2}
-    assert up_closure(fork, [1]).members == {1}
-    assert down_closure(fork, [1]) == {0, 1}
-    assert down_closure(fork, []) == frozenset()
+    # the up-closure of a point is its up-set
+    assert fork.up[0] == 0b111 and is_upset_mask(fork, fork.up[0])
+    assert fork.up[1] == 0b010 and is_upset_mask(fork, fork.up[1])
+    assert down_closure_mask(fork, 0b010) == 0b011
+    assert down_closure_mask(fork, 0) == 0
 
 
 def oracle_down_closure_mask(P, mask):
@@ -248,28 +242,15 @@ def test_upset_masks_on_long_chain():
 
 
 def test_enumerate_upsets(fork):
-    us = enumerate_upsets(fork)
-    assert [u.mask for u in us] == list(upset_masks(fork))
-    assert us[-1].names == ("b", "x", "y")
-
-
-def test_upset_objects(fork, chain2):
-    u = Upset.from_members(fork, [1, 2])
-    assert 1 in u and 0 not in u
-    with pytest.raises(ValueError):
-        Upset.from_members(fork, [0])  # not up-closed
-    with pytest.raises(ForeignPoint):
-        Upset.from_members(fork, [9])
-    v = Upset.from_members(chain2, [1])
-    with pytest.raises(PosetMismatch):
-        u == v
-    assert Upset(fork, 0b010) <= u
+    us = upset_masks(fork)
+    assert us == (0, 0b010, 0b100, 0b110, 0b111)
+    assert [fork.points[i] for i in iter_bits(us[-1])] == ["b", "x", "y"]
 
 
 def test_extrema_and_covers():
     P = validate(["a", "b", "c"], [(0, 1), (1, 2)])
-    assert maximal_points(P) == {2}
-    assert minimal_points(P) == {0}
+    assert [i for i in range(P.n) if P.up[i] == 1 << i] == [2]  # maximal
+    assert [i for i in range(P.n) if P.down[i] == 1 << i] == [0]  # minimal
     assert covers(P) == [(0, 1), (1, 2)]
 
 

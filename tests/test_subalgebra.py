@@ -5,7 +5,7 @@ from conftest import posets_with_generators
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heylab import generate, subalgebra
+from heylab import colouring, generate
 from heylab.algebra import imp_mask
 from heylab.colouring import _initial_blocks, _refine_block_of
 from heylab.corpus import DEFAULT_SEED, all_posets_up_to_iso, corpus_from_spec
@@ -205,10 +205,10 @@ def test_generate_fork(fork):
     # the last stratum is closed under implication
     elems = ra.elements
     assert {imp_mask(fork, a, b) for a in elems for b in elems} <= elems
-    assert ra.rank_of(0b010) == 0
-    assert ra.rank_of(0b100) == 1
-    assert ra.rank_of(0) == 0
-    assert ra.rank_of(0b001) is None  # not an upset, never generated
+    assert ra.ranks.get(0b010) == 0
+    assert ra.ranks.get(0b100) == 1
+    assert ra.ranks.get(0) == 0
+    assert ra.ranks.get(0b001) is None  # not an upset, never generated
     assert ra.witness_text(0b100) == "(-> g0 0)"
     assert ra.witness_text(0) == "0"
     assert ra.witness_text(fork.full_mask) == "1"
@@ -268,9 +268,9 @@ def test_rank_type_and_duality_on_fork(fork):
 
 def test_rank_type_stops_refining_at_the_fixpoint(fork, monkeypatch):
     passes = []
-    refine = subalgebra._refine_block_of
+    refine = colouring._refine_block_of
     monkeypatch.setattr(
-        subalgebra, "_refine_block_of", lambda P, b: passes.append(b) or refine(P, b)
+        colouring, "_refine_block_of", lambda P, b: passes.append(b) or refine(P, b)
     )
     # stage 1 splits b from y, stage 2 changes nothing: stages 3-5 repeat it
     assert rank_type_mismatches(fork, [0b010], 5) == []
@@ -280,25 +280,26 @@ def test_rank_type_stops_refining_at_the_fixpoint(fork, monkeypatch):
     assert len(passes) == 4
 
 
+def test_rank_type_repeats_a_mismatch_past_the_fixpoint(fork, monkeypatch):
+    # a refinement that splits nothing makes stage 0 the fixpoint, so every
+    # later stage misses rank 1's split of b from y
+    monkeypatch.setattr(colouring, "_refine_block_of", lambda P, b: list(b))
+    assert rank_type_mismatches(fork, [0b010], 5) == [1, 2, 3, 4, 5]
+
+
 def oracle_rank_type_mismatches(P, G, max_stage, budget=None):
     """rank_type_mismatches with each stratum's partition built from the
-    whole stratum, by _initial_blocks."""
+    whole stratum, by _initial_blocks, and every stage refined and compared."""
     gmasks = list(G)
     ra = generate(P, gmasks, budget)
     rank_blocks = [set(_initial_blocks(P, s)) for s in ra.strata[: max_stage + 1]]
     bad = []
     blocks = _initial_blocks(P, gmasks)
-    stable = False
     for n in range(max_stage + 1):
-        if n > 0 and not stable:
-            blocks, before = _refine_block_of(P, blocks), blocks
-            stable = len(blocks) == len(before)
+        if n > 0:
+            blocks = _refine_block_of(P, blocks)
         if rank_blocks[min(n, len(rank_blocks) - 1)] != set(blocks):
             bad.append(n)
-        if stable and n >= len(rank_blocks) - 1:
-            if bad[-1:] == [n]:
-                bad.extend(range(n + 1, max_stage + 1))
-            break
     return bad
 
 

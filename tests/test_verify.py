@@ -76,7 +76,7 @@ def test_residuation_failures_against_per_triple_oracle(monkeypatch):
     corpus = all_posets_up_to_iso(3)
     r = verify_residuation(corpus)
     assert len(r["failures"]) == 274
-    assert json.dumps(r) == json.dumps(oracle_residuation(corpus))
+    assert json.dumps(r, indent=1) == json.dumps(oracle_residuation(corpus), indent=1)
 
 
 def test_rank_type_report(tiny_corpus):
@@ -138,7 +138,9 @@ def test_oracle_report(tiny_corpus):
 def test_reports_are_deterministic(tiny_corpus):
     a = verify_rank_type(tiny_corpus, gens_per_poset=5, max_stage=2, seed=9)
     b = verify_rank_type(tiny_corpus, gens_per_poset=5, max_stage=2, seed=9)
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    assert json.dumps(a, sort_keys=True, indent=1) == json.dumps(
+        b, sort_keys=True, indent=1
+    )
 
 
 def test_run_verification_dispatch():
@@ -218,7 +220,7 @@ FAILURE_PATHS = [
         id="residuation",
     ),
     pytest.param(
-        "heylab.subalgebra._refine_block_of", lambda orig: lambda P, b: tuple(b),
+        "heylab.colouring._refine_block_of", lambda orig: lambda P, b: tuple(b),
         lambda corpus: verify_rank_type(corpus, gens_per_poset=5, max_stage=3, seed=1),
         {"poset", "generators", "stages"}, id="rank-type",
     ),
@@ -297,7 +299,7 @@ def test_sampled_lemmas_match_per_draw_oracle(tiny_corpus, monkeypatch, lemma, s
     got = SAMPLED[lemma](tiny_corpus, seed)
     monkeypatch.setattr("heylab.verify._sampled_lemma", oracle_sampled_lemma)
     expected = SAMPLED[lemma](tiny_corpus, seed)
-    assert json.dumps(got) == json.dumps(expected)
+    assert json.dumps(got, indent=1) == json.dumps(expected, indent=1)
     if fault == lemma:  # repeated failing draws keep their count
         failed = [json.dumps([f["poset"], f["generators"]]) for f in got["failures"]]
         assert len(set(failed)) < len(failed)
