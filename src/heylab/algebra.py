@@ -18,7 +18,7 @@ from .poset import (
     DEFAULT_UPSET_BUDGET,
     Poset,
     check_tuple_budget,
-    down_closure_mask,
+    down_closure_of,
     iter_bits,
     over_budget,
     upset_masks,
@@ -28,7 +28,7 @@ from .poset import (
 def imp_mask(P: Poset, u: int, v: int) -> int:
     """Heyting implication on masks: the complement of the down-closure of
     u \\ v, one table lookup per 8-point slice of u \\ v (no point loop)."""
-    return P.full_mask & ~down_closure_mask(P, u & ~v)
+    return P.full_mask & ~down_closure_of(P)(u & ~v)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import ForeignPoint, PosetMismatch
-from .poset import (Poset, down_closure_mask, down_closure_of, is_upset_mask,
-                    upset_masks, upset_multisets)
+from .poset import (Poset, down_closure_of, is_upset_mask, upset_masks,
+                    upset_multisets)
 
 
 @dataclass(frozen=True)
@@ -90,44 +90,35 @@ def _initial_blocks(P: Poset, masks: Iterable[int]) -> list:
 
 
 # perfbench/tracing.py wraps _refine_block_of and _omega_block_of by these names
-def _refine_block_of(P: Poset, blocks: list) -> list:
-    """One stage: points whose up-sets meet the same blocks stay together."""
-    return _split(blocks, [down_closure_mask(P, c) for c in blocks])
+def _refine_block_of(P: Poset, blocks: list, downs: dict) -> list:
+    """One stage: blocks cut by the down-closures of those not yet in downs,
+    which gain them; the cuts already in downs split blocks already."""
+    close, cuts = down_closure_of(P), []
+    for b in blocks:
+        if b not in downs:
+            downs[b] = d = close(b)
+            cuts.append(d)
+    return _split(blocks, cuts)
 
 
-def _stages(P: Poset, masks: Iterable[int]):
-    """Yield the block masks of stage 0, 1, ..., up to and including the
-    first stage that refines to itself: the omega fixpoint."""
-    blocks = _initial_blocks(P, masks)
+def _stages(P: Poset, blocks: list, downs: dict):
+    """Yield blocks, which every cut in downs splits already, and its stages
+    up to and including the first that refines to itself, the omega
+    fixpoint; downs then holds the down-closure of every final block."""
     while True:
         yield blocks
-        nxt = _refine_block_of(P, blocks)
+        nxt = _refine_block_of(P, blocks, downs)
         if len(nxt) == len(blocks):
             return
         blocks = nxt
-
-
-def _stabilise(P: Poset, blocks: list, downs: dict):
-    """Refine blocks to the fixpoint: (blocks, stages taken). downs holds
-    the down-closure of every block the partition has already been cut by,
-    and gains those of the blocks cut by here. A stage is split already by
-    those cuts, so it splits by the down-closures of its new blocks only."""
-    close, stage = down_closure_of(P), 0
-    while True:
-        new = [b for b in blocks if b not in downs]
-        cuts = [close(c) for c in new]
-        downs.update(zip(new, cuts))
-        nxt = _split(blocks, cuts)
-        if len(nxt) == len(blocks):
-            return blocks, stage
-        blocks, stage = nxt, stage + 1
 
 
 def _omega_block_of(P: Poset, masks: Sequence[int]):
     """Refine to the fixpoint: (blocks, stabilized_at, downs), downs[b] the
     down-closure of block b."""
     downs: dict = {}
-    blocks, stage = _stabilise(P, _initial_blocks(P, masks), downs)
+    for stage, blocks in enumerate(_stages(P, _initial_blocks(P, masks), downs)):
+        pass
     return blocks, stage, downs
 
 
@@ -152,7 +143,9 @@ def omega_walk(P: Poset, tuples: Iterable[tuple]):
         for g in tup[shared:]:
             blocks, downs = stack[-1]
             downs = dict(downs)  # the parent's serves its later children too
-            stack.append((_stabilise(P, _split(blocks, (g,)), downs)[0], downs))
+            for blocks in _stages(P, _split(blocks, (g,)), downs):
+                pass
+            stack.append((blocks, downs))
         last = tup
         yield (tup, *stack[-1])
 
@@ -179,7 +172,7 @@ def stage_types(P: Poset, c: Colouring, stage: int) -> TypePartition:
     if stage < 0:
         raise ValueError("stage must be >= 0")
     _check_parent(P, c)
-    for n, blocks in enumerate(_stages(P, c.masks)):
+    for n, blocks in enumerate(_stages(P, _initial_blocks(P, c.masks), {})):
         if n == stage:
             break
     return TypePartition(P, stage, _block_of(P, blocks))

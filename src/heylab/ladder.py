@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 from .colouring import (
     Colouring,
     _initial_blocks,
-    _omega_block_of,
+    _stages,
     omega_class_count,
     omega_walk,
 )
@@ -191,8 +191,8 @@ def supported_within(P: Poset, m: int, max_level: int) -> bool:
 
 
 def _level_stats(P: Poset, masks, depth: int):
-    blocks = _omega_block_of(P, masks)[0]
-    blocks0 = _initial_blocks(P, masks)
+    stages = list(_stages(P, _initial_blocks(P, masks), {}))
+    blocks0, blocks = stages[0], stages[-1]
     levels = level_points(P)
     classes = []
     uniform0 = []

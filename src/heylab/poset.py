@@ -202,11 +202,6 @@ def down_closure_of(P: Poset) -> Callable[[int], int]:
     return P._down_closure
 
 
-def down_closure_mask(P: Poset, mask: int) -> int:
-    """The points whose up-set meets mask."""
-    return (P._down_closure or down_closure_of(P))(mask)
-
-
 def is_upset_mask(P: Poset, mask: int) -> bool:
     for i in iter_bits(mask):
         if P.up[i] & ~mask:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .algebra import imp_mask
-from .colouring import _omega_block_of, _split, _stages, omega_class_count
+from .colouring import (_initial_blocks, _omega_block_of, _split, _stages,
+                        omega_class_count)
 from .poset import (
     DEFAULT_UPSET_BUDGET,
     Poset,
@@ -203,7 +204,8 @@ def rank_type_mismatches(
     for s in ra.strata[: max_stage + 1]:
         part, before = _split(part, s - before), s
         rank_blocks.append(set(part))
-    bad, last, stages = [], len(rank_blocks) - 1, _stages(P, gmasks)
+    bad, last = [], len(rank_blocks) - 1
+    stages = _stages(P, _initial_blocks(P, gmasks), {})
     for n in range(max_stage + 1):
         nxt = next(stages, None)
         if nxt is not None:

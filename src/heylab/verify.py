@@ -199,13 +199,18 @@ def verify_collapse(
     budget_tuples: Optional[int] = None,
 ) -> dict:
     """Collapse bound for seeded random n-colourings supported near the top,
-    on 2**n + 6 levels unless depth is given. The samples are capped by
-    budget_tuples before the ladder is built."""
+    on 2**n + 6 levels unless depth is given. A shallower depth leaves fewer
+    than 2**n + 3 colour-free levels below the colours and is refused. The
+    samples are capped by budget_tuples before the ladder is built."""
     check_tuple_budget(samples, budget_tuples)
+    # LadderSpec refuses n < 0, and the gate a huge n, before 2**n is formed
+    if not 0 <= n < EXACT_COUNT_BITS:
+        check_ladder_budget(LadderSpec(n, 1), budget_upsets)
+    least = 2 ** n + 3 + COLLAPSE_SUPPORT_LEVELS
     if depth is None:
-        if n >= EXACT_COUNT_BITS:  # the gate sees n before 2**n is formed
-            check_ladder_budget(LadderSpec(n, 1), budget_upsets)
-        depth = 2 ** n + 6
+        depth = least
+    elif depth < least:
+        raise ValueError(f"--depth must be >= {least} for collapse, got {depth}")
     spec = LadderSpec(n, depth)
     P = build_ladder(spec, budget_upsets)
     pool = [

@@ -3,12 +3,19 @@
 perfbench/tracing.py wraps the functions in its target tables, and the
 benchmark also patches a few names by hand, so renaming or removing any of
 them breaks `perfbench/run.py --trace 1` or `perfbench/probecheck.py`. The
-tables are read with ast, so nothing under perfbench/ is imported.
+tables are read with ast, so nothing under perfbench/ is imported. A
+wrapped name also counts only the calls made through it: the leaf
+colouring.refine sees the omega layer only while every omega path refines
+by looking up colouring._refine_block_of.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+from heylab import colouring
+from heylab.ladder import LadderSpec, build_ladder, collapse_check
+from heylab.subalgebra import rank_type_mismatches
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 TABLES = ("SPAN_TARGETS", "FRAME_TARGETS", "LEAF_TARGETS")
@@ -45,3 +52,27 @@ def test_benchmark_patched_names_resolve():
     assert sorted(tables) == sorted(TABLES) and all(tables.values())
     targets = [t for table in tables.values() for t in table] + PATCHED
     assert [t for t in targets if not _resolves(*t)] == []
+
+
+def test_every_omega_path_refines_through_the_traced_step(monkeypatch):
+    calls = []
+    step = colouring._refine_block_of
+    monkeypatch.setattr(
+        colouring, "_refine_block_of", lambda *args: calls.append(1) or step(*args)
+    )
+    spec = LadderSpec(1, 8)
+    P = build_ladder(spec)
+    c = colouring.Colouring.from_masks(P, [P.up[P.index("x1_0")]])
+    walk = colouring.omega_walk(P, [(), c.masks])
+    next(walk)  # the root, refined by _omega_block_of
+    paths = {
+        "_omega_block_of": lambda: colouring._omega_block_of(P, c.masks),
+        "omega_walk": lambda: next(walk),
+        "stage_types": lambda: colouring.stage_types(P, c, 2),
+        "rank_type_mismatches": lambda: rank_type_mismatches(P, c.masks, 2),
+        "collapse_check": lambda: collapse_check(spec, c),
+    }
+    for name, run in paths.items():
+        calls.clear()
+        run()
+        assert calls, name

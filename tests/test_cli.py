@@ -566,6 +566,9 @@ MALFORMED = [
                   "-1"], 1, id="gens-per-poset"),
     pytest.param(["verify", "collapse", "--n", "1", "--samples", "-1"], 1,
                  id="samples"),
+    # 2**n + 6 levels are the least that leave the colours 2**n + 3 free below
+    pytest.param(["verify", "collapse", "--n", "1", "--depth", "7"], 1,
+                 id="collapse-depth"),
     pytest.param(["verify", "non-colourable", "--n", "1", "--depth", "3", "--samples",
                   "-2"], 1, id="sampled-scan"),
     pytest.param(["verify", "next-level", "--n", "1", "--depth", "4", "--k", "-1"],

@@ -28,7 +28,7 @@ from heylab.ladder import (
     random_tuples,
 )
 from heylab.poset import (
-    down_closure_mask,
+    down_closure_of,
     is_upset_mask,
     iter_bits,
     upset_masks,
@@ -79,7 +79,7 @@ def test_order_rules():
 
 def test_down_closure_of_column_point():
     P = build_ladder(LadderSpec(1, 2))
-    down = down_closure_mask(P, 1 << P.index("x1_0"))
+    down = down_closure_of(P)(1 << P.index("x1_0"))
     got = {P.points[i] for i in iter_bits(down)}
     assert got == {"x1_0", "x1_1", "x2_1", BOTTOM_NAME}
     # a down-set's complement is an upset

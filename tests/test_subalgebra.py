@@ -270,7 +270,8 @@ def test_rank_type_stops_refining_at_the_fixpoint(fork, monkeypatch):
     passes = []
     refine = colouring._refine_block_of
     monkeypatch.setattr(
-        colouring, "_refine_block_of", lambda P, b: passes.append(b) or refine(P, b)
+        colouring, "_refine_block_of",
+        lambda P, b, d: passes.append(b) or refine(P, b, d),
     )
     # stage 1 splits b from y, stage 2 changes nothing: stages 3-5 repeat it
     assert rank_type_mismatches(fork, [0b010], 5) == []
@@ -283,7 +284,7 @@ def test_rank_type_stops_refining_at_the_fixpoint(fork, monkeypatch):
 def test_rank_type_repeats_a_mismatch_past_the_fixpoint(fork, monkeypatch):
     # a refinement that splits nothing makes stage 0 the fixpoint, so every
     # later stage misses rank 1's split of b from y
-    monkeypatch.setattr(colouring, "_refine_block_of", lambda P, b: list(b))
+    monkeypatch.setattr(colouring, "_refine_block_of", lambda P, b, d: list(b))
     assert rank_type_mismatches(fork, [0b010], 5) == [1, 2, 3, 4, 5]
 
 
@@ -297,7 +298,7 @@ def oracle_rank_type_mismatches(P, G, max_stage, budget=None):
     blocks = _initial_blocks(P, gmasks)
     for n in range(max_stage + 1):
         if n > 0:
-            blocks = _refine_block_of(P, blocks)
+            blocks = _refine_block_of(P, blocks, {})
         if rank_blocks[min(n, len(rank_blocks) - 1)] != set(blocks):
             bad.append(n)
     return bad

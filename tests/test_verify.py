@@ -107,6 +107,15 @@ def test_collapse_report():
     assert r["passed"] and r["depth"] == 8
 
 
+def test_collapse_refuses_a_depth_too_shallow_for_its_colours():
+    # at depth 7 some seeds draw colours too deep for collapse_check, so a
+    # depth below 2**n + 6 is refused whatever the seed, before any draw
+    for seed in range(1, 17):
+        with pytest.raises(ValueError, match="^--depth must be >= 8 "):
+            verify_collapse(1, samples=1, seed=seed, depth=7)
+        assert verify_collapse(1, samples=1, seed=seed, depth=8)["passed"]
+
+
 def test_non_colourable_report():
     r = verify_non_colourable(1, 4)
     assert r["passed"]
@@ -220,7 +229,7 @@ FAILURE_PATHS = [
         id="residuation",
     ),
     pytest.param(
-        "heylab.colouring._refine_block_of", lambda orig: lambda P, b: tuple(b),
+        "heylab.colouring._refine_block_of", lambda orig: lambda P, b, d: tuple(b),
         lambda corpus: verify_rank_type(corpus, gens_per_poset=5, max_stage=3, seed=1),
         {"poset", "generators", "stages"}, id="rank-type",
     ),
