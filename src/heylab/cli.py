@@ -123,6 +123,8 @@ def _load(path: str, parse, what: str):
             return parse(json.load(fh))
     except BudgetExceeded:
         raise
+    except RecursionError:
+        raise ValueError(f"cannot read {what} file {path}: JSON nested too deeply") from None
     except (OSError, KeyError, TypeError, ValueError, HeylabError) as e:
         raise ValueError(f"cannot read {what} file {path}: {e}") from None
 

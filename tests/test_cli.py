@@ -156,7 +156,8 @@ def test_colour_search_not_found(runner, fork_file):
 
 # sha256 of stdout, and the exit code, of runs whose multiset scan draws only
 # the empty generator tuple (k = 0), pinned from the scans that refined each
-# multiset from scratch; "{fork}" and "{point}" name poset files
+# multiset from scratch, and of one k = 2 search that finds a colouring;
+# "{fork}", "{point}" and "{ladder}" (n = 1, depth 4) name poset files
 EMPTY_TUPLE_DIGESTS = [
     pytest.param(
         ["strictness", "--n", "0", "--depths", "1,2,3"], 0,
@@ -178,6 +179,11 @@ EMPTY_TUPLE_DIGESTS = [
         "24b1b3fcbfc6109c0c9240c87ee2281eeba8085a4d948999cdc931cd9c940330",
         id="colour-search-point-k0",
     ),
+    pytest.param(
+        ["colour-search", "{ladder}", "--k", "2"], 0,
+        "19a613bcb48aefa462909d02f913382d21cc5a2c84e5b19352f40eaf7dd89ea8",
+        id="colour-search-ladder-k2",
+    ),
 ]
 
 
@@ -185,7 +191,10 @@ EMPTY_TUPLE_DIGESTS = [
 def test_empty_generator_tuple_reports(runner, fork_file, tmp_path, args, code, digest):
     point_file = tmp_path / "point.json"
     point_file.write_text(json.dumps(poset_to_json(validate(["p"], []))))
-    argv = [a.format(fork=fork_file, point=point_file) for a in args]
+    ladder_file = tmp_path / "ladder.json"
+    ladder = ladder_mod.build_ladder(ladder_mod.LadderSpec(1, 4))
+    ladder_file.write_text(json.dumps(poset_to_json(ladder)))
+    argv = [a.format(fork=fork_file, point=point_file, ladder=ladder_file) for a in args]
     res = runner.invoke(main, argv)
     assert res.exit_code == code
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
@@ -470,6 +479,15 @@ def _ladder(n, depth):
     return lambda write: write(poset_to_json(P))
 
 
+def _raw(text):
+    # json.dumps recurses once per level of nesting, so deep files are text
+    return lambda write: write(text, raw=True)
+
+
+def _nested(depth):
+    return "[" * depth + "]" * depth
+
+
 def _directory(write):
     # the directory that the input files are written to
     return str(Path(write({})).parent)
@@ -557,6 +575,12 @@ MALFORMED = [
     pytest.param(["--budget-tuples", "7", "product", _chain2(), _chain2()], 2,
                  id="laws-budget"),
     pytest.param(["upsets", _cycle_with_line_breaks], 1, id="cycle-names-line-break"),
+    # deeper than json.load recurses, and an element label deeper than
+    # algebra_from_json recurses (json.load reads it)
+    pytest.param(["upsets", _raw(_nested(100_000))], 1, id="json-nested-100000"),
+    pytest.param(["product", _raw(json.dumps(ONE_ELEMENT).replace(
+        '"elements": [[]]', f'"elements": [{_nested(600)}]')), _algebra()], 1,
+        id="algebra-label-nested-600"),
     pytest.param(["--format", "dot", "upsets", _fork], 1, id="format-dot-upsets"),
     pytest.param(["--format", "text", "verify", "canonical", "--n", "1", "--depth",
                   "2"], 1, id="format-text-verify"),
@@ -602,9 +626,9 @@ MALFORMED = [
 def test_malformed_input_exits_with_one_line(runner, tmp_path, argv, code):
     written = []
 
-    def write(data):
+    def write(data, raw=False):
         path = tmp_path / f"input{len(written)}.json"
-        path.write_text(json.dumps(data))
+        path.write_text(data if raw else json.dumps(data))
         written.append(path)
         return str(path)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import json
 import random
@@ -105,6 +106,20 @@ def test_canonical_range_checks_every_case_before_building(monkeypatch):
 def test_collapse_report():
     r = verify_collapse(1, samples=10, seed=3)
     assert r["passed"] and r["depth"] == 8
+
+
+def test_collapse_failure_payload(monkeypatch):
+    # every failure carries its colours and its full collapse report
+    orig = verify_mod.collapse_check
+    monkeypatch.setattr(
+        "heylab.verify.collapse_check",
+        lambda spec, c: dataclasses.replace(orig(spec, c), bound_satisfied=False),
+    )
+    r = verify_collapse(1, samples=3, seed=3)
+    payload = json.dumps(r, sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "424f39df8b41c9de95a52ad1d942f8716aa9e0ea62a0eed3dc7341f9a10e03e2"
+    )
 
 
 def test_collapse_refuses_a_depth_too_shallow_for_its_colours():
