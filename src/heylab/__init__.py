@@ -6,13 +6,7 @@ from .algebra import (
     FiniteHeytingAlgebra,
     algebra_of,
 )
-from .colouring import (
-    Colouring,
-    TypePartition,
-    find_k_colouring,
-    omega_types,
-    stage_types,
-)
+from .colouring import find_k_colouring, stage_types
 from .errors import (
     BudgetExceeded,
     CycleError,
@@ -25,7 +19,6 @@ from .errors import (
     SupportTooDeep,
 )
 from .ladder import (
-    CollapseReport,
     LadderSpec,
     build_ladder,
     canonical_colouring,

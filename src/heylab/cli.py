@@ -17,7 +17,7 @@ import click
 
 from . import verify as verify_mod
 from .algebra import algebra_from_json, algebra_of
-from .colouring import Colouring, find_k_colouring, omega_types, stage_types
+from .colouring import _omega_block_of, find_k_colouring, stage_types
 from .corpus import DEFAULT_SEED
 from .errors import BudgetExceeded, HeylabError
 from .ladder import LadderSpec, build_ladder
@@ -123,10 +123,9 @@ def _load(path: str, parse, what: str):
             return parse(json.load(fh))
     except BudgetExceeded:
         raise
-    except RecursionError:
-        raise ValueError(f"cannot read {what} file {path}: JSON nested too deeply") from None
-    except (OSError, KeyError, TypeError, ValueError, HeylabError) as e:
-        raise ValueError(f"cannot read {what} file {path}: {e}") from None
+    except (OSError, KeyError, TypeError, ValueError, HeylabError, RecursionError) as e:
+        reason = "JSON nested too deeply" if isinstance(e, RecursionError) else e
+        raise ValueError(f"cannot read {what} file {path}: {reason}") from None
 
 
 def _parse_upsets(P, specs) -> list:
@@ -215,10 +214,18 @@ def algebra(cfg: RunConfig, poset_file):
 def types(cfg: RunConfig, poset_file, colours, stage):
     """Type partition of a poset under a colouring."""
     P = _load(poset_file, poset_from_json, "poset")
-    c = Colouring.from_masks(P, _parse_upsets(P, colours))
-    t = omega_types(P, c) if stage is None else stage_types(P, c, stage)
-    payload = t.to_json()
-    payload["seed"] = cfg.seed
+    masks = _parse_upsets(P, colours)
+    if stage is None:
+        blocks, stabilized_at, _ = _omega_block_of(P, masks)
+    else:
+        blocks, stabilized_at = stage_types(P, masks, stage), None
+    payload = {
+        "seed": cfg.seed,
+        "stage": "omega" if stage is None else stage,
+        # disjoint blocks, so ordered by their lowest point
+        "blocks": sorted(list(iter_bits(b)) for b in blocks),
+        "stabilized_at": stabilized_at,
+    }
     _emit(cfg, payload)
 
 
@@ -231,8 +238,8 @@ def colour_search(cfg: RunConfig, poset_file, k):
     if k < 0:
         raise ValueError("k must be >= 0")
     P = _load(poset_file, poset_from_json, "poset")
-    c = find_k_colouring(P, k, cfg.budget_upsets, cfg.budget_tuples)
-    if c is None:
+    masks = find_k_colouring(P, k, cfg.budget_upsets, cfg.budget_tuples)
+    if masks is None:
         _emit(cfg, {"seed": cfg.seed, "k": k, "found": False})
         sys.exit(EXIT_FAILED)
     _emit(
@@ -241,7 +248,7 @@ def colour_search(cfg: RunConfig, poset_file, k):
             "seed": cfg.seed,
             "k": k,
             "found": True,
-            "colours": [sorted(iter_bits(m)) for m in c.masks],
+            "colours": [sorted(iter_bits(m)) for m in masks],
         },
     )
 

@@ -8,66 +8,9 @@ chain is the omega-type partition, held as a list of point masks, one per block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import ForeignPoint, PosetMismatch
-from .poset import (Poset, down_closure_of, is_upset_mask, upset_masks,
-                    upset_multisets)
-
-
-@dataclass(frozen=True)
-class Colouring:
-    """An ordered k-tuple of upsets over one poset, as point masks; k = 0 is
-    allowed."""
-
-    parent: Poset
-    masks: tuple
-
-    def __post_init__(self):
-        for m in self.masks:
-            if not 0 <= m <= self.parent.full_mask:
-                raise ForeignPoint(f"colour {m!r} holds points outside the poset")
-            if not is_upset_mask(self.parent, m):
-                raise ValueError("colour is not up-closed")
-
-    @classmethod
-    def from_masks(cls, parent: Poset, masks: Iterable[int]) -> "Colouring":
-        return cls(parent, tuple(masks))
-
-    @property
-    def k(self) -> int:
-        return len(self.masks)
-
-
-@dataclass(frozen=True)
-class TypePartition:
-    """A partition of the points at some refinement stage.
-
-    stage is the refinement stage, or None for the omega fixpoint;
-    stabilized_at (omega only) is the least stage whose refinement is itself.
-    block_of[i] is the block id of point i; ids are normalized by first
-    occurrence in point order.
-    """
-
-    parent: Poset
-    stage: Optional[int]
-    block_of: tuple
-    stabilized_at: Optional[int] = None
-
-    @property
-    def blocks(self) -> tuple:
-        out = [[] for _ in range(max(self.block_of, default=-1) + 1)]
-        for i, b in enumerate(self.block_of):
-            out[b].append(i)
-        return tuple(tuple(b) for b in out)
-
-    def to_json(self) -> dict:
-        return {
-            "stage": "omega" if self.stage is None else self.stage,
-            "blocks": [list(b) for b in self.blocks],
-            "stabilized_at": self.stabilized_at,
-        }
+from .poset import Poset, down_closure_of, upset_masks, upset_multisets
 
 
 def _split(blocks: list, cuts: Iterable[int]) -> list:
@@ -150,38 +93,20 @@ def omega_walk(P: Poset, tuples: Iterable[tuple]):
         yield (tup, *stack[-1])
 
 
-def _block_of(P: Poset, blocks: Iterable[int]) -> tuple:
-    """Block ids per point, the blocks numbered by their lowest point."""
-    ids = sorted(blocks, key=lambda b: b & -b)
-    return tuple(next(k for k, b in enumerate(ids) if b >> i & 1) for i in range(P.n))
-
-
 def omega_class_count(P: Poset, masks: Sequence[int]) -> int:
     """The number of omega-types; the masks colour P exactly when it is P.n."""
     return len(_omega_block_of(P, masks)[0])
 
 
-def _check_parent(P: Poset, c: Colouring) -> None:
-    if c.parent != P:
-        raise PosetMismatch("colouring over a different poset")
-
-
-def stage_types(P: Poset, c: Colouring, stage: int) -> TypePartition:
-    """The stage-n partition for n = stage; past the omega fixpoint every
-    stage repeats it."""
+def stage_types(P: Poset, masks: Sequence[int], stage: int) -> list:
+    """The blocks of the stage-n partition for n = stage; past the omega
+    fixpoint every stage repeats it."""
     if stage < 0:
         raise ValueError("stage must be >= 0")
-    _check_parent(P, c)
-    for n, blocks in enumerate(_stages(P, _initial_blocks(P, c.masks), {})):
+    for n, blocks in enumerate(_stages(P, _initial_blocks(P, masks), {})):
         if n == stage:
             break
-    return TypePartition(P, stage, _block_of(P, blocks))
-
-
-def omega_types(P: Poset, c: Colouring) -> TypePartition:
-    _check_parent(P, c)
-    blocks, stabilized, _ = _omega_block_of(P, c.masks)
-    return TypePartition(P, None, _block_of(P, blocks), stabilized_at=stabilized)
+    return blocks
 
 
 def find_k_colouring(
@@ -189,12 +114,12 @@ def find_k_colouring(
     k: int,
     budget_upsets: Optional[int] = None,
     budget_tuples: Optional[int] = None,
-) -> Optional[Colouring]:
+) -> Optional[tuple]:
     """First k-tuple of upsets (canonical order) whose omega-types are
     discrete, or None when no k-colouring exists. The types depend only on
     the set of colours, so the search walks multisets."""
     tuples = upset_multisets(upset_masks(P, budget_upsets), k, budget_tuples)
     for tup, blocks, _ in omega_walk(P, tuples):
         if len(blocks) == P.n:
-            return Colouring.from_masks(P, tup)
+            return tup
     return None

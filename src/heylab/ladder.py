@@ -10,17 +10,11 @@ infinity).
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import factorial, prod
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
-from .colouring import (
-    Colouring,
-    _initial_blocks,
-    _stages,
-    omega_class_count,
-    omega_walk,
-)
+from .colouring import _initial_blocks, _stages, omega_class_count, omega_walk
 from .errors import PosetMismatch, SupportTooDeep
 from .poset import (
     DEFAULT_UPSET_BUDGET,
@@ -124,7 +118,7 @@ def level_points(P: Poset) -> dict:
     return out
 
 
-def canonical_colouring(P: Poset, n: int) -> Colouring:
+def canonical_colouring(P: Poset, n: int) -> tuple:
     """The (n+1)-colouring of a parameter-n ladder: colour k holds the
     level-0 points whose column gets a subset containing k.
 
@@ -148,37 +142,13 @@ def canonical_colouring(P: Poset, n: int) -> Colouring:
             if e(l) >> k & 1:
                 m |= 1 << P.index(point_name(l, 0))
         masks.append(m)
-    return Colouring.from_masks(P, masks)
+    return tuple(masks)
 
 
 def verify_canonical(n: int, depth: int, budget_upsets: Optional[int] = None) -> bool:
     """Is the canonical colouring an actual colouring of the truncation?"""
     P = build_ladder(LadderSpec(n, depth), budget_upsets)
-    return omega_class_count(P, canonical_colouring(P, n).masks) == P.n
-
-
-@dataclass(frozen=True)
-class CollapseReport:
-    """Per-level omega-type statistics of a colouring on a ladder.
-
-    first_merge_level is the least level holding two points of the same
-    omega-type while all deeper levels agree on 0-types; collapse_level is
-    the least level from which every level has a single omega-type. Both
-    are None when no level qualifies. bound_satisfied records whether every
-    level at least 2**n + 1 below the first merge is a single class.
-    """
-
-    n: int
-    depth: int
-    first_merge_level: Optional[int]
-    collapse_level: Optional[int]
-    classes_per_level: tuple
-    bound_satisfied: bool
-
-    def to_json(self) -> dict:
-        d = asdict(self)
-        d["classes_per_level"] = list(self.classes_per_level)
-        return d
+    return omega_class_count(P, canonical_colouring(P, n)) == P.n
 
 
 def supported_within(P: Poset, m: int, max_level: int) -> bool:
@@ -203,21 +173,28 @@ def _level_stats(P: Poset, masks, depth: int):
     return classes, uniform0
 
 
-def collapse_check(spec: LadderSpec, c: Colouring) -> CollapseReport:
-    """Check the type-collapse bound on a truncation.
+def collapse_check(spec: LadderSpec, P: Poset, masks: Sequence[int]) -> dict:
+    """Check the type-collapse bound on a truncation: per-level omega-type
+    statistics of the colouring masks on the ladder P.
+
+    first_merge_level is the least level holding two points of the same
+    omega-type while all deeper levels agree on 0-types; collapse_level is
+    the least level from which every level has a single omega-type. Both
+    are None when no level qualifies. classes_per_level counts the
+    omega-types on each level, and bound_satisfied records whether every
+    level at least 2**n + 1 below the first merge is a single class.
 
     The colouring's support must stay in the top levels, leaving at least
     2**n + 3 colour-free levels below, so the truncation has room for the
     collapse to play out (supported_within).
     """
-    P = c.parent
     if P.n != spec.point_count:
         raise PosetMismatch("colouring is not over a ladder of this spec")
     tail = 2 ** spec.n + 3
     max_support = spec.depth - 1 - tail
-    if not all(supported_within(P, m, max_support) for m in c.masks):
+    if not all(supported_within(P, m, max_support) for m in masks):
         raise SupportTooDeep(f"colour support must stay within levels 0..{max_support}")
-    classes, uniform0 = _level_stats(P, c.masks, spec.depth)
+    classes, uniform0 = _level_stats(P, masks, spec.depth)
     width = spec.width
     first_merge = None
     for j in range(spec.depth):
@@ -234,23 +211,22 @@ def collapse_check(spec: LadderSpec, c: Colouring) -> CollapseReport:
     else:
         start = first_merge + 2 ** spec.n + 1
         bound = all(classes[t] == 1 for t in range(start, spec.depth))
-    return CollapseReport(
-        n=spec.n,
-        depth=spec.depth,
-        first_merge_level=first_merge,
-        collapse_level=collapse,
-        classes_per_level=tuple(classes),
-        bound_satisfied=bound,
-    )
+    return {
+        "n": spec.n,
+        "depth": spec.depth,
+        "first_merge_level": first_merge,
+        "collapse_level": collapse,
+        "classes_per_level": classes,
+        "bound_satisfied": bound,
+    }
 
 
-def next_level_bound_check(spec: LadderSpec, c: Colouring) -> bool:
+def next_level_bound_check(spec: LadderSpec, P: Poset, masks: Sequence[int]) -> bool:
     """Whenever a level has at most 2**n omega-classes and the level below
     is 0-type-uniform, the level below has no more omega-classes."""
-    P = c.parent
     if P.n != spec.point_count:
         raise PosetMismatch("colouring is not over a ladder of this spec")
-    classes, uniform0 = _level_stats(P, c.masks, spec.depth)
+    classes, uniform0 = _level_stats(P, masks, spec.depth)
     bound = 2 ** spec.n
     for i in range(spec.depth - 1):
         if classes[i] <= bound and uniform0[i + 1]:

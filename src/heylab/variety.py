@@ -122,8 +122,7 @@ def strictness_report(
             size = quotient_upset_count(blocks, downs, budget_upsets)
             if size > best:
                 best, witness = size, tup
-        canonical = canonical_colouring(P, n)
-        canonical_size = quotient_size(P, canonical.masks, budget_upsets)
+        canonical_size = quotient_size(P, canonical_colouring(P, n), budget_upsets)
         rows.append(
             {
                 "depth": spec.depth,

@@ -14,7 +14,6 @@ from itertools import chain
 from typing import Optional, Sequence
 
 from .algebra import algebra_of, imp_mask
-from .colouring import Colouring
 from .corpus import DEFAULT_SEED, corpus_from_spec
 from .ladder import (
     LadderSpec,
@@ -219,11 +218,9 @@ def verify_collapse(
     ]
     failures = []
     for masks in random_tuples(pool, n, samples, seed):
-        report = collapse_check(spec, Colouring.from_masks(P, masks))
-        if not report.bound_satisfied:
-            failures.append(
-                {"colours": _upset_lists(masks), "report": report.to_json()}
-            )
+        report = collapse_check(spec, P, masks)
+        if not report["bound_satisfied"]:
+            failures.append({"colours": _upset_lists(masks), "report": report})
     return _report(
         "collapse", failures, n=n, depth=depth, samples=samples, seed=seed,
         support_levels=COLLAPSE_SUPPORT_LEVELS,
@@ -265,12 +262,12 @@ def verify_next_level(
     P = build_ladder(spec, budget_upsets)
     k = n if k is None else k
     trials = chain(
-        [canonical_colouring(P, n).masks],
+        [canonical_colouring(P, n)],
         random_tuples(upset_masks(P, budget_upsets), k, samples, seed),
     )
     failures = []
     for masks in trials:
-        if not next_level_bound_check(spec, Colouring.from_masks(P, masks)):
+        if not next_level_bound_check(spec, P, masks):
             failures.append({"colours": _upset_lists(masks)})
     return _report(
         "next-level", failures, n=n, depth=depth, k=k, samples=samples, seed=seed

@@ -62,15 +62,15 @@ def test_every_omega_path_refines_through_the_traced_step(monkeypatch):
     )
     spec = LadderSpec(1, 8)
     P = build_ladder(spec)
-    c = colouring.Colouring.from_masks(P, [P.up[P.index("x1_0")]])
-    walk = colouring.omega_walk(P, [(), c.masks])
+    masks = (P.up[P.index("x1_0")],)
+    walk = colouring.omega_walk(P, [(), masks])
     next(walk)  # the root, refined by _omega_block_of
     paths = {
-        "_omega_block_of": lambda: colouring._omega_block_of(P, c.masks),
+        "_omega_block_of": lambda: colouring._omega_block_of(P, masks),
         "omega_walk": lambda: next(walk),
-        "stage_types": lambda: colouring.stage_types(P, c, 2),
-        "rank_type_mismatches": lambda: rank_type_mismatches(P, c.masks, 2),
-        "collapse_check": lambda: collapse_check(spec, c),
+        "stage_types": lambda: colouring.stage_types(P, masks, 2),
+        "rank_type_mismatches": lambda: rank_type_mismatches(P, masks, 2),
+        "collapse_check": lambda: collapse_check(spec, P, masks),
     }
     for name, run in paths.items():
         calls.clear()

@@ -6,18 +6,9 @@ from conftest import posets_with_generators
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heylab import (
-    Colouring,
-    ForeignPoint,
-    PosetMismatch,
-    TypePartition,
-    find_k_colouring,
-    omega_types,
-    stage_types,
-)
+from heylab import find_k_colouring, stage_types
 import heylab.colouring
 from heylab.colouring import (
-    _block_of,
     _initial_blocks,
     _omega_block_of,
     _refine_block_of,
@@ -44,6 +35,13 @@ def _normalize(sigs):
             ids[s] = len(ids)
         out.append(ids[s])
     return tuple(out)
+
+
+def _block_of(P, blocks):
+    """The per-point normal form of a list of block masks: block ids per
+    point, the blocks numbered by their lowest point."""
+    ids = sorted(blocks, key=lambda b: b & -b)
+    return tuple(next(k for k, b in enumerate(ids) if b >> i & 1) for i in range(P.n))
 
 
 def _initial_block_of(P, masks):
@@ -116,50 +114,27 @@ def assert_matches_oracle(P, gens):
     assert_omega_matches_oracle(P, gens)
 
 
-def test_colouring_validation(fork, chain2):
-    c = Colouring.from_masks(fork, [0b010])
-    assert c.k == 1 and c.masks == (0b010,)
-    with pytest.raises(ValueError):
-        Colouring.from_masks(fork, [0b001])  # not up-closed
-    for foreign in (0b1000, -1):  # a point past the poset, and a negative int
-        with pytest.raises(ForeignPoint):
-            Colouring.from_masks(fork, [foreign])
-    with pytest.raises(PosetMismatch):
-        omega_types(fork, Colouring.from_masks(chain2, [0b10]))
-    with pytest.raises(PosetMismatch):
-        stage_types(fork, Colouring.from_masks(chain2, [0b10]), 0)
-
-
 def test_fork_single_colour_stages(fork):
     # colour {x}: stage 0 separates x; stage 1 separates b from y
-    c = Colouring.from_masks(fork, [0b010])
-    t0 = stage_types(fork, c, 0)
-    assert t0.stage == 0
-    assert t0.blocks == ((0, 2), (1,))
-    stage1 = _refine_block_of(fork, _initial_blocks(fork, c.masks), {})
+    masks = (0b010,)
+    assert _block_of(fork, stage_types(fork, masks, 0)) == (0, 1, 0)
+    stage1 = _refine_block_of(fork, _initial_blocks(fork, masks), {})
     assert len(stage1) == fork.n
-    t1 = stage_types(fork, c, 1)
-    assert t1.stage == 1
-    assert t1.block_of == _block_of(fork, stage1)
-    w = omega_types(fork, c)
-    assert w.stage is None
-    assert w.stabilized_at == 1
-    assert len(w.blocks) == fork.n
-    assert w.to_json()["stage"] == "omega"
+    assert _block_of(fork, stage_types(fork, masks, 1)) == _block_of(fork, stage1)
+    blocks, stabilized_at, _ = _omega_block_of(fork, masks)
+    assert stabilized_at == 1
+    assert len(blocks) == fork.n
 
 
 def test_empty_colouring(chain2, point):
     # no colours: the chain never splits, the single point is trivially done
-    c = Colouring.from_masks(chain2, [])
-    assert len(omega_types(chain2, c).blocks) == 1 < chain2.n
-    assert len(omega_types(point, Colouring.from_masks(point, [])).blocks) == point.n
+    assert omega_class_count(chain2, ()) == 1 < chain2.n
+    assert omega_class_count(point, ()) == point.n
 
 
 def test_isolated(fork):
-    c = Colouring.from_masks(fork, [0b010])
-    assert omega_types(fork, c).blocks == ((0,), (1,), (2,))
-    empty = Colouring.from_masks(fork, [])
-    assert omega_types(fork, empty).blocks == ((0, 1, 2),)
+    assert _block_of(fork, _omega_block_of(fork, (0b010,))[0]) == (0, 1, 2)
+    assert _block_of(fork, _omega_block_of(fork, ())[0]) == (0, 0, 0)
 
 
 def test_omega_is_a_fixpoint(small_corpus):
@@ -167,20 +142,20 @@ def test_omega_is_a_fixpoint(small_corpus):
     rng = random.Random(7)
     for P in small_corpus[:40]:
         masks = upset_masks(P)
-        c = Colouring.from_masks(P, [rng.choice(masks)])
-        w = omega_types(P, c)
-        blocks = _initial_blocks(P, c.masks)
-        for _ in range(w.stabilized_at):
+        gens = [rng.choice(masks)]
+        omega, stabilized_at, _ = _omega_block_of(P, gens)
+        blocks = _initial_blocks(P, gens)
+        for _ in range(stabilized_at):
             blocks = _refine_block_of(P, blocks, {})
-        assert _block_of(P, blocks) == w.block_of
-        assert _block_of(P, _refine_block_of(P, blocks, {})) == w.block_of
+        assert _block_of(P, blocks) == _block_of(P, omega)
+        assert _block_of(P, _refine_block_of(P, blocks, {})) == _block_of(P, omega)
 
 
 def test_find_k_colouring(fork, chain2, point):
     # the least k with a k-colouring: 1 for the fork and the chain, 0 for a point
     assert find_k_colouring(fork, 0) is None
     c = find_k_colouring(fork, 1)
-    assert c is not None and len(omega_types(fork, c).blocks) == fork.n
+    assert c is not None and omega_class_count(fork, c) == fork.n
     assert find_k_colouring(chain2, 0) is None
     assert find_k_colouring(chain2, 1) is not None
     assert find_k_colouring(point, 0) is not None
@@ -195,11 +170,11 @@ def test_colour_search_is_canonical(fork):
     # first hit in canonical (ascending-mask) tuple order
     c = find_k_colouring(fork, 1)
     masks = upset_masks(fork)
-    found = c.masks[0]
+    found = c[0]
     for m in masks:
         if m == found:
             break
-        assert len(omega_types(fork, Colouring.from_masks(fork, [m])).blocks) < fork.n
+        assert omega_class_count(fork, [m]) < fork.n
 
 
 def test_refinement_matches_frozenset_oracle_at_every_stage():
@@ -230,28 +205,26 @@ def test_block_masks_match_the_oracle_on_every_small_ladder_multiset():
 
 
 def test_stage_types_past_the_fixpoint(fork):
-    c = Colouring.from_masks(fork, [0b010])
-    w = omega_types(fork, c)
-    for stage in (w.stabilized_at, w.stabilized_at + 1, 10**8):
-        t = stage_types(fork, c, stage)
-        assert (t.stage, t.block_of, t.stabilized_at) == (stage, w.block_of, None)
-    stage0 = _block_of(fork, _initial_blocks(fork, c.masks))
-    assert stage_types(fork, c, 0) == TypePartition(fork, 0, stage0)
+    masks = (0b010,)
+    omega, stabilized_at, _ = _omega_block_of(fork, masks)
+    for stage in (stabilized_at, stabilized_at + 1, 10**8):
+        assert _block_of(fork, stage_types(fork, masks, stage)) == _block_of(fork, omega)
+    stage0 = _block_of(fork, _initial_blocks(fork, masks))
+    assert _block_of(fork, stage_types(fork, masks, 0)) == stage0
     with pytest.raises(ValueError):
-        stage_types(fork, c, -1)
+        stage_types(fork, masks, -1)
 
 
 @given(posets_with_generators())
 def test_stage_types_match_the_oracle_up_to_and_past_the_fixpoint(case):
     P, gens = case
-    c = Colouring.from_masks(P, gens)
-    w = omega_types(P, c)
+    omega, stabilized_at, _ = _omega_block_of(P, gens)
     block_of = _initial_block_of(P, gens)
-    for stage in range(w.stabilized_at + 2):
-        t = stage_types(P, c, stage)
-        assert (t.stage, t.block_of) == (stage, block_of)
-        if stage >= w.stabilized_at:
-            assert t.block_of == w.block_of
+    for stage in range(stabilized_at + 2):
+        t = _block_of(P, stage_types(P, gens, stage))
+        assert t == block_of
+        if stage >= stabilized_at:
+            assert t == _block_of(P, omega)
         block_of = oracle_refine_block_of(P, block_of)
 
 
@@ -263,8 +236,7 @@ def test_colour_search_matches_ordered_tuple_oracle():
         for k in range(3):
             tuples = product(masks, repeat=k)
             first = next((t for t in tuples if omega_class_count(P, t) == P.n), None)
-            c = find_k_colouring(P, k)
-            assert (None if c is None else c.masks) == first
+            assert find_k_colouring(P, k) == first
 
 
 @given(posets_with_generators(), st.data())
@@ -302,7 +274,7 @@ def test_refining_omega_returns_it(case):
 def oracle_find_k_colouring(P, k):
     for tup in upset_multisets(upset_masks(P), k):
         if omega_class_count(P, tup) == P.n:
-            return Colouring.from_masks(P, tup)
+            return tup
     return None
 
 
@@ -370,5 +342,4 @@ def test_walk_refines_each_prefix_once_from_its_parent(monkeypatch):
 def test_colour_search_matches_the_multiset_oracle():
     for P in all_posets_up_to_iso(5):
         for k in range(4):
-            c, want = find_k_colouring(P, k), oracle_find_k_colouring(P, k)
-            assert (None if c is None else c.masks) == (None if want is None else want.masks)
+            assert find_k_colouring(P, k) == oracle_find_k_colouring(P, k)

@@ -5,18 +5,16 @@ from math import factorial, prod
 import pytest
 
 from heylab import (
-    CollapseReport,
     LadderSpec,
     PosetMismatch,
     build_ladder,
     canonical_colouring,
     collapse_check,
     next_level_bound_check,
-    omega_types,
     stage_types,
     verify_canonical,
 )
-from heylab.colouring import Colouring, omega_class_count
+from heylab.colouring import _omega_block_of, omega_class_count
 from heylab.errors import BudgetExceeded, SupportTooDeep
 from heylab.ladder import (
     BOTTOM_NAME,
@@ -100,20 +98,16 @@ def test_level_points_requires_tags(fork):
 
 def test_canonical_colouring_masks():
     P0 = build_ladder(LadderSpec(0, 3))
-    c0 = canonical_colouring(P0, 0)
-    assert c0.k == 1
-    assert c0.masks == (1 << P0.index("x0_0"),)
+    assert canonical_colouring(P0, 0) == (1 << P0.index("x0_0"),)
     P1 = build_ladder(LadderSpec(1, 3))
     c1 = canonical_colouring(P1, 1)
-    assert c1.k == 2
-    assert c1.masks[0] == 1 << P1.index("x1_0")
-    assert c1.masks[1] == 1 << P1.index("x2_0")
+    assert c1 == (1 << P1.index("x1_0"), 1 << P1.index("x2_0"))
 
 
 def test_canonical_colours_everything():
     for n, depth in ((0, 5), (1, 4), (2, 3)):
         P = build_ladder(LadderSpec(n, depth))
-        assert len(omega_types(P, canonical_colouring(P, n)).blocks) == P.n
+        assert omega_class_count(P, canonical_colouring(P, n)) == P.n
     assert all(verify_canonical(0, d) for d in range(1, 9))
     assert verify_canonical(1, 6)
     assert verify_canonical(2, 4)
@@ -122,26 +116,23 @@ def test_canonical_colours_everything():
 def test_collapse_check_support_guard():
     spec = LadderSpec(1, 8)
     P = build_ladder(spec)
-    deep = Colouring.from_masks(P, [P.up[P.index("x0_7")]])
     with pytest.raises(SupportTooDeep):
-        collapse_check(spec, deep)
+        collapse_check(spec, P, [P.up[P.index("x0_7")]])
     # the full upset carries no information and is exempt
-    trivial = Colouring.from_masks(P, [P.full_mask])
-    report = collapse_check(spec, trivial)
-    assert isinstance(report, CollapseReport)
-    assert report.bound_satisfied
+    report = collapse_check(spec, P, [P.full_mask])
+    assert set(report) == {"n", "depth", "first_merge_level", "collapse_level",
+                           "classes_per_level", "bound_satisfied"}
+    assert report["bound_satisfied"]
 
 
 def test_collapse_check_canonical():
     spec = LadderSpec(1, 8)
     P = build_ladder(spec)
-    report = collapse_check(spec, canonical_colouring(P, 1))
-    assert report.bound_satisfied
+    report = collapse_check(spec, P, canonical_colouring(P, 1))
+    assert report["bound_satisfied"]
     # canonical colouring never merges, so every level keeps full width
-    assert report.first_merge_level is None
-    assert report.classes_per_level == (3,) * 8
-    j = report.to_json()
-    assert j["n"] == 1 and j["classes_per_level"] == [3] * 8
+    assert report["first_merge_level"] is None
+    assert report["n"] == 1 and report["classes_per_level"] == [3] * 8
 
 
 def test_collapse_single_colour_merge():
@@ -149,26 +140,25 @@ def test_collapse_single_colour_merge():
     # single class three levels down
     spec = LadderSpec(1, 8)
     P = build_ladder(spec)
-    c = Colouring.from_masks(P, [1 << P.index("x0_0")])
-    report = collapse_check(spec, c)
-    assert report.first_merge_level == 0
-    assert report.bound_satisfied
-    assert all(x == 1 for x in report.classes_per_level[3:])
+    report = collapse_check(spec, P, [1 << P.index("x0_0")])
+    assert report["first_merge_level"] == 0
+    assert report["bound_satisfied"]
+    assert all(x == 1 for x in report["classes_per_level"][3:])
 
 
 def test_collapse_parent_guard(fork):
     spec = LadderSpec(1, 8)
     with pytest.raises(PosetMismatch):
-        collapse_check(spec, Colouring.from_masks(fork, []))
+        collapse_check(spec, fork, [])
     with pytest.raises(PosetMismatch):
-        next_level_bound_check(spec, Colouring.from_masks(fork, []))
+        next_level_bound_check(spec, fork, [])
 
 
 def test_next_level_bound():
     spec = LadderSpec(1, 6)
     P = build_ladder(spec)
-    assert next_level_bound_check(spec, canonical_colouring(P, 1))
-    assert next_level_bound_check(spec, Colouring.from_masks(P, [0]))
+    assert next_level_bound_check(spec, P, canonical_colouring(P, 1))
+    assert next_level_bound_check(spec, P, [0])
 
 
 def test_non_colourability_scan_exhaustive():
@@ -223,9 +213,11 @@ def test_level_stats_match_the_type_partitions():
     levels = level_points(P)
     rng = random.Random(5)
     for _ in range(40):
-        c = Colouring.from_masks(P, rng.sample(upset_masks(P), 2))
-        omega, stage0 = omega_types(P, c).block_of, stage_types(P, c, 0).block_of
-        classes, uniform0 = _level_stats(P, c.masks, spec.depth)
+        masks = rng.sample(upset_masks(P), 2)
+        # each point's block, as the block's mask
+        omega, stage0 = ({i: b for b in blocks for i in iter_bits(b)} for blocks in
+                         (_omega_block_of(P, masks)[0], stage_types(P, masks, 0)))
+        classes, uniform0 = _level_stats(P, masks, spec.depth)
         for j in range(spec.depth):
             assert classes[j] == len({omega[i] for i in levels[j]})
             assert uniform0[j] == (len({stage0[i] for i in levels[j]}) <= 1)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import importlib
 import json
@@ -113,7 +112,7 @@ def test_collapse_failure_payload(monkeypatch):
     orig = verify_mod.collapse_check
     monkeypatch.setattr(
         "heylab.verify.collapse_check",
-        lambda spec, c: dataclasses.replace(orig(spec, c), bound_satisfied=False),
+        lambda spec, P, masks: {**orig(spec, P, masks), "bound_satisfied": False},
     )
     r = verify_collapse(1, samples=3, seed=3)
     payload = json.dumps(r, sort_keys=True).encode()
@@ -265,14 +264,14 @@ FAILURE_PATHS = [
     ),
     pytest.param(
         "heylab.verify.collapse_check",
-        lambda orig: lambda spec, c: dataclasses.replace(
-            orig(spec, c), bound_satisfied=False
-        ),
+        lambda orig: lambda spec, P, masks: {
+            **orig(spec, P, masks), "bound_satisfied": False
+        },
         lambda corpus: verify_collapse(1, samples=3, seed=3), {"colours", "report"},
         id="collapse",
     ),
     pytest.param(
-        "heylab.verify.next_level_bound_check", lambda orig: lambda spec, c: False,
+        "heylab.verify.next_level_bound_check", lambda orig: lambda spec, P, masks: False,
         lambda corpus: verify_next_level(1, 4, samples=3, seed=3), {"colours"},
         id="next-level",
     ),
