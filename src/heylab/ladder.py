@@ -1,10 +1,11 @@
 """Finite truncations of the ladder spaces and their verifiers.
 
-A ladder of parameter n has levels of width 2**n + 1; level 0 is the top.
-Each point of level i+1 is below every point of level i except the one with
-the next colour index, below all of levels i-1 and above, and a bottom point
-sits below everything (the truncation's stand-in for the point at
-infinity).
+A ladder of parameter n has levels of width w = 2**n + 1; level 0 is the
+top. Each point of level i+1 is below every point of level i except the one
+with the next colour index, below all of levels i-1 and above, and a bottom
+point sits below everything (the truncation's stand-in for the point at
+infinity). Point (l, i), column l of level i, is index i*w + l, so level i
+is the bit slice ((1 << w) - 1) << i*w, and the bottom is the last index.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .poset import (
     over_budget,
     upset_masks,
     upset_multisets,
-    validate,
 )
 
 BOTTOM_NAME = "bot"
@@ -52,35 +52,16 @@ class LadderSpec:
 
     @property
     def pair_count(self) -> int:
-        """len(ladder_rule_pairs(self)), without building them."""
+        """The number of order pairs the construction rules name: each point
+        of level i >= 1 with w - 1 points of level i-1 and all of levels
+        0..i-2, and the bottom with every other point. The up-sets hold
+        about this many bits, so it caps the build."""
         w, d = self.width, self.depth
         return (d - 1) * (w * w - w + 1) + w * w * (d - 1) * (d - 2) // 2 + w * d
 
 
 def point_name(l: int, i: int) -> str:
     return f"x{l}_{i}"
-
-
-def ladder_rule_pairs(spec: LadderSpec) -> list:
-    """The raw order pairs of the three construction rules, as index pairs."""
-    w = spec.width
-
-    def pid(l: int, i: int) -> int:
-        return i * w + l
-
-    pairs = []
-    for i in range(1, spec.depth):
-        for l in range(w):
-            for lp in range(w):
-                if lp != l + 1:
-                    pairs.append((pid(l, i), pid(lp, i - 1)))
-        for t in range(2, i + 1):
-            for l in range(w):
-                for lp in range(w):
-                    pairs.append((pid(l, i), pid(lp, i - t)))
-    b = w * spec.depth
-    pairs.extend((b, p) for p in range(b))
-    return pairs
 
 
 def check_ladder_budget(spec: LadderSpec, budget: Optional[int] = None) -> None:
@@ -99,28 +80,33 @@ def check_ladder_budget(spec: LadderSpec, budget: Optional[int] = None) -> None:
 
 def build_ladder(spec: LadderSpec, budget: Optional[int] = None) -> Poset:
     """Build the truncated ladder poset, levels tagged, bottom untagged,
-    once check_ladder_budget admits it."""
+    once check_ladder_budget admits it. The rule gives the up-sets already
+    transitively closed: (l, i) lies below levels 0..i-2 and below level
+    i-1 except column l+1."""
     check_ladder_budget(spec, budget)
-    w = spec.width
-    names = [point_name(l, i) for i in range(spec.depth) for l in range(w)]
+    w, d = spec.width, spec.depth
+    level = (1 << w) - 1
+    names = [point_name(l, i) for i in range(d) for l in range(w)]
     names.append(BOTTOM_NAME)
-    tags = {i * w + l: i for i in range(spec.depth) for l in range(w)}
-    return validate(names, ladder_rule_pairs(spec), tags)
+    up = [1 << l for l in range(w)]
+    for i in range(1, d):
+        above = (1 << (i - 1) * w) - 1
+        up.extend(
+            1 << (i * w + l) | above | (level & ~(2 << l)) << (i - 1) * w
+            for l in range(w)
+        )
+    up.append((1 << (w * d + 1)) - 1)
+    down = [0] * len(up)
+    for i, u in enumerate(up):
+        for j in iter_bits(u):
+            down[j] |= 1 << i
+    tags = {i * w + l: i for i in range(d) for l in range(w)}
+    return Poset(names, up, down, tags)
 
 
-def level_points(P: Poset) -> dict:
-    """Map level -> sorted point indices, from the poset's level tags."""
-    if P.level_tags is None:
-        raise ValueError("poset has no level tags")
-    out: dict = {}
-    for i, lvl in sorted(P.level_tags.items()):
-        out.setdefault(lvl, []).append(i)
-    return out
-
-
-def canonical_colouring(P: Poset, n: int) -> tuple:
+def canonical_colouring(n: int) -> tuple:
     """The (n+1)-colouring of a parameter-n ladder: colour k holds the
-    level-0 points whose column gets a subset containing k.
+    level-0 points (bits 0..2**n) whose column gets a subset containing k.
 
     Columns are mapped injectively into colour subsets by binary expansion
     of the column index (injective since every index is below 2**(n+1)).
@@ -128,46 +114,35 @@ def canonical_colouring(P: Poset, n: int) -> tuple:
     namely the column-0 point above it, so that column must carry the
     nonempty subset; for n = 0 the injection is therefore flipped.
     """
-    width = 2 ** n + 1
-
-    def e(l: int) -> int:
-        if n == 0:
-            return 1 - l
-        return l
-
-    masks = []
-    for k in range(n + 1):
-        m = 0
-        for l in range(width):
-            if e(l) >> k & 1:
-                m |= 1 << P.index(point_name(l, 0))
-        masks.append(m)
-    return tuple(masks)
+    subsets = [1 - l if n == 0 else l for l in range(2 ** n + 1)]
+    return tuple(
+        sum(1 << l for l, s in enumerate(subsets) if s >> k & 1) for k in range(n + 1)
+    )
 
 
 def verify_canonical(n: int, depth: int, budget_upsets: Optional[int] = None) -> bool:
     """Is the canonical colouring an actual colouring of the truncation?"""
     P = build_ladder(LadderSpec(n, depth), budget_upsets)
-    return omega_class_count(P, canonical_colouring(P, n)) == P.n
+    return omega_class_count(P, canonical_colouring(n)) == P.n
 
 
-def supported_within(P: Poset, m: int, max_level: int) -> bool:
+def supported_within(spec: LadderSpec, m: int, max_level: int) -> bool:
     """Is colour m the empty or the full upset, which carry no information,
-    or does it have all its points within levels 0..max_level?"""
-    tags = P.level_tags or {}
-    return m in (0, P.full_mask) or all(
-        i in tags and tags[i] <= max_level for i in iter_bits(m)
-    )
+    or does it have all its points within levels 0..max_level? No other
+    upset holds the bottom, which lies past every level."""
+    if m in (0, (1 << spec.point_count) - 1):
+        return True
+    return max_level >= 0 and not m >> spec.width * (max_level + 1)
 
 
-def _level_stats(P: Poset, masks, depth: int):
+def _level_stats(spec: LadderSpec, P: Poset, masks):
     stages = list(_stages(P, _initial_blocks(P, masks), {}))
     blocks0, blocks = stages[0], stages[-1]
-    levels = level_points(P)
+    w = spec.width
     classes = []
     uniform0 = []
-    for j in range(depth):
-        level = sum(1 << i for i in levels[j])
+    for j in range(spec.depth):
+        level = ((1 << w) - 1) << j * w
         classes.append(sum(1 for b in blocks if b & level))
         uniform0.append(sum(1 for b in blocks0 if b & level) <= 1)
     return classes, uniform0
@@ -192,9 +167,9 @@ def collapse_check(spec: LadderSpec, P: Poset, masks: Sequence[int]) -> dict:
         raise PosetMismatch("colouring is not over a ladder of this spec")
     tail = 2 ** spec.n + 3
     max_support = spec.depth - 1 - tail
-    if not all(supported_within(P, m, max_support) for m in masks):
+    if not all(supported_within(spec, m, max_support) for m in masks):
         raise SupportTooDeep(f"colour support must stay within levels 0..{max_support}")
-    classes, uniform0 = _level_stats(P, masks, spec.depth)
+    classes, uniform0 = _level_stats(spec, P, masks)
     width = spec.width
     first_merge = None
     for j in range(spec.depth):
@@ -226,7 +201,7 @@ def next_level_bound_check(spec: LadderSpec, P: Poset, masks: Sequence[int]) -> 
     is 0-type-uniform, the level below has no more omega-classes."""
     if P.n != spec.point_count:
         raise PosetMismatch("colouring is not over a ladder of this spec")
-    classes, uniform0 = _level_stats(P, masks, spec.depth)
+    classes, uniform0 = _level_stats(spec, P, masks)
     bound = 2 ** spec.n
     for i in range(spec.depth - 1):
         if classes[i] <= bound and uniform0[i + 1]:

@@ -122,7 +122,7 @@ def strictness_report(
             size = quotient_upset_count(blocks, downs, budget_upsets)
             if size > best:
                 best, witness = size, tup
-        canonical_size = quotient_size(P, canonical_colouring(P, n), budget_upsets)
+        canonical_size = quotient_size(P, canonical_colouring(n), budget_upsets)
         rows.append(
             {
                 "depth": spec.depth,

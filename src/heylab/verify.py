@@ -214,7 +214,7 @@ def verify_collapse(
     P = build_ladder(spec, budget_upsets)
     pool = [
         m for m in upset_masks(P, budget_upsets)
-        if supported_within(P, m, COLLAPSE_SUPPORT_LEVELS - 1)
+        if supported_within(spec, m, COLLAPSE_SUPPORT_LEVELS - 1)
     ]
     failures = []
     for masks in random_tuples(pool, n, samples, seed):
@@ -262,7 +262,7 @@ def verify_next_level(
     P = build_ladder(spec, budget_upsets)
     k = n if k is None else k
     trials = chain(
-        [canonical_colouring(P, n)],
+        [canonical_colouring(n)],
         random_tuples(upset_masks(P, budget_upsets), k, samples, seed),
     )
     failures = []

@@ -42,6 +42,29 @@ def test_ladder_dot(runner):
     assert res.output.startswith("digraph poset {")
 
 
+# sha256 of `ladder` stdout, pinned from the ladder built by closing its
+# raw rule pairs: building the up-sets from the level rule changes no byte
+LADDER_DIGESTS = [
+    pytest.param(
+        ["ladder", "--n", "2", "--depth", "3"],
+        "cc2dd4f8d860f0a811aac8682f55b057f3ab721f96571ce8142a90032c9c22b3",
+        id="json-n2-d3",
+    ),
+    pytest.param(
+        ["--format", "dot", "ladder", "--n", "1", "--depth", "3"],
+        "15564d845aaadc6c39f3e8fcad0d27d9ac3929b5e5623e7c16b7abb5e1a24d68",
+        id="dot-n1-d3",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, digest", LADDER_DIGESTS)
+def test_ladder_output_digest(runner, args, digest):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
+
 def test_ladder_invalid(runner):
     res = runner.invoke(main, ["ladder", "--n", "-1", "--depth", "2"])
     assert res.exit_code == 1

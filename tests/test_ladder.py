@@ -19,11 +19,10 @@ from heylab.errors import BudgetExceeded, SupportTooDeep
 from heylab.ladder import (
     BOTTOM_NAME,
     _level_stats,
-    ladder_rule_pairs,
-    level_points,
     non_colourability_scan,
     point_name,
     random_tuples,
+    supported_within,
 )
 from heylab.poset import (
     down_closure_of,
@@ -31,7 +30,31 @@ from heylab.poset import (
     iter_bits,
     upset_masks,
     upset_multisets,
+    validate,
 )
+
+
+def ladder_rule_pairs(spec: LadderSpec) -> list:
+    """The raw order pairs of the three construction rules, as index pairs:
+    the closure oracle for build_ladder's up-sets."""
+    w = spec.width
+
+    def pid(l: int, i: int) -> int:
+        return i * w + l
+
+    pairs = []
+    for i in range(1, spec.depth):
+        for l in range(w):
+            for lp in range(w):
+                if lp != l + 1:
+                    pairs.append((pid(l, i), pid(lp, i - 1)))
+        for t in range(2, i + 1):
+            for l in range(w):
+                for lp in range(w):
+                    pairs.append((pid(l, i), pid(lp, i - t)))
+    b = w * spec.depth
+    pairs.extend((b, p) for p in range(b))
+    return pairs
 
 
 def test_spec_validation():
@@ -59,6 +82,18 @@ def test_pair_count_is_the_rule_pair_count():
         assert spec.pair_count == len(ladder_rule_pairs(spec))
 
 
+def test_build_ladder_equals_the_closed_rule_pairs():
+    # the level rule is already transitively closed: closing the raw rule
+    # pairs gives the same points, up-sets, down-sets and level tags
+    for n, depth in product(range(4), range(1, 9)):
+        spec = LadderSpec(n, depth)
+        P = build_ladder(spec)
+        Q = validate(P.points, ladder_rule_pairs(spec), P.level_tags)
+        assert (P.points, P.up, P.down, P.level_tags) == (
+            Q.points, Q.up, Q.down, Q.level_tags
+        ), spec
+
+
 def test_order_rules():
     P = build_ladder(LadderSpec(1, 3))
     idx = P.index
@@ -84,30 +119,18 @@ def test_down_closure_of_column_point():
     assert is_upset_mask(P, P.full_mask & ~down)
 
 
-def test_level_points():
-    P = build_ladder(LadderSpec(1, 2))
-    lp = level_points(P)
-    assert sorted(lp) == [0, 1]
-    assert [P.points[i] for i in lp[0]] == ["x0_0", "x1_0", "x2_0"]
-
-
-def test_level_points_requires_tags(fork):
-    with pytest.raises(ValueError):
-        level_points(fork)
-
-
 def test_canonical_colouring_masks():
     P0 = build_ladder(LadderSpec(0, 3))
-    assert canonical_colouring(P0, 0) == (1 << P0.index("x0_0"),)
+    assert canonical_colouring(0) == (1 << P0.index("x0_0"),)
     P1 = build_ladder(LadderSpec(1, 3))
-    c1 = canonical_colouring(P1, 1)
+    c1 = canonical_colouring(1)
     assert c1 == (1 << P1.index("x1_0"), 1 << P1.index("x2_0"))
 
 
 def test_canonical_colours_everything():
     for n, depth in ((0, 5), (1, 4), (2, 3)):
         P = build_ladder(LadderSpec(n, depth))
-        assert omega_class_count(P, canonical_colouring(P, n)) == P.n
+        assert omega_class_count(P, canonical_colouring(n)) == P.n
     assert all(verify_canonical(0, d) for d in range(1, 9))
     assert verify_canonical(1, 6)
     assert verify_canonical(2, 4)
@@ -125,10 +148,36 @@ def test_collapse_check_support_guard():
     assert report["bound_satisfied"]
 
 
+@pytest.mark.parametrize("depth", [3, 4])
+def test_collapse_check_refuses_a_shallow_ladder(depth):
+    # fewer than 2**n + 4 levels leave no level for colour support (the
+    # deepest allowed level is -3 and -2), so any colour other than the
+    # empty or full upset is refused, and no shift count goes negative
+    spec = LadderSpec(1, depth)
+    P = build_ladder(spec)
+    with pytest.raises(SupportTooDeep):
+        collapse_check(spec, P, [P.up[P.index("x0_0")]])
+
+
+def test_supported_within_matches_the_level_tags():
+    # every point of m tagged at most max_level; the bottom is untagged,
+    # and the empty and full upsets are exempt
+    for n, depth in product(range(2), range(1, 6)):
+        spec = LadderSpec(n, depth)
+        P = build_ladder(spec)
+        for m, max_level in product(upset_masks(P), range(-3, depth + 1)):
+            tagged = all(
+                i in P.level_tags and P.level_tags[i] <= max_level
+                for i in iter_bits(m)
+            )
+            expected = m in (0, P.full_mask) or tagged
+            assert supported_within(spec, m, max_level) == expected
+
+
 def test_collapse_check_canonical():
     spec = LadderSpec(1, 8)
     P = build_ladder(spec)
-    report = collapse_check(spec, P, canonical_colouring(P, 1))
+    report = collapse_check(spec, P, canonical_colouring(1))
     assert report["bound_satisfied"]
     # canonical colouring never merges, so every level keeps full width
     assert report["first_merge_level"] is None
@@ -157,7 +206,7 @@ def test_collapse_parent_guard(fork):
 def test_next_level_bound():
     spec = LadderSpec(1, 6)
     P = build_ladder(spec)
-    assert next_level_bound_check(spec, P, canonical_colouring(P, 1))
+    assert next_level_bound_check(spec, P, canonical_colouring(1))
     assert next_level_bound_check(spec, P, [0])
 
 
@@ -210,14 +259,15 @@ def test_level_stats_match_the_type_partitions():
     # omega-classes per level, and whether stage 0 is uniform on each level
     spec = LadderSpec(1, 6)
     P = build_ladder(spec)
-    levels = level_points(P)
+    levels = {j: [i for i, lvl in P.level_tags.items() if lvl == j]
+              for j in range(spec.depth)}
     rng = random.Random(5)
     for _ in range(40):
         masks = rng.sample(upset_masks(P), 2)
         # each point's block, as the block's mask
         omega, stage0 = ({i: b for b in blocks for i in iter_bits(b)} for blocks in
                          (_omega_block_of(P, masks)[0], stage_types(P, masks, 0)))
-        classes, uniform0 = _level_stats(P, masks, spec.depth)
+        classes, uniform0 = _level_stats(spec, P, masks)
         for j in range(spec.depth):
             assert classes[j] == len({omega[i] for i in levels[j]})
             assert uniform0[j] == (len({stage0[i] for i in levels[j]}) <= 1)

@@ -168,7 +168,7 @@ def test_generate_matches_naive_closure_on_canonical_colourings(n, depths):
     for d in depths:
         P = build_ladder(LadderSpec(n, d))
         # the witness texts grow about 3x per level: 84k characters at n=1 d=8
-        assert_same_as_naive(P, canonical_colouring(P, n), texts=d <= 4)
+        assert_same_as_naive(P, canonical_colouring(n), texts=d <= 4)
 
 
 def test_budget_parity_with_naive_closure(fork):
@@ -179,7 +179,7 @@ def test_budget_parity_with_naive_closure(fork):
     cases += [(fork, [0b010, 0b010]), (fork, [fork.full_mask, 0b110, 0, 0b110])]
     for n, d in ((1, 6), (2, 3)):
         P = build_ladder(LadderSpec(n, d))
-        masks = canonical_colouring(P, n)
+        masks = canonical_colouring(n)
         cases += [(P, masks), (P, ()), (P, (masks[0], 0, masks[0]))]
     for P, gens in cases:
         assert_same_as_naive(P, gens)
@@ -239,7 +239,7 @@ def test_witness_soundness_on_deep_ladder():
     # the witness terms of the canonical n=1 colouring share subterms: as
     # trees, evaluating them all takes 0.6 s at depth 10, about 3x per level
     P = build_ladder(LadderSpec(1, 14))
-    ra = generate(P, canonical_colouring(P, 1))
+    ra = generate(P, canonical_colouring(1))
     assert len(ra.strata) == 21
     for m in ra.elements:
         assert ra.eval_witness(m) == m

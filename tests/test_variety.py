@@ -46,7 +46,7 @@ def oracle_strictness_rows(n, depths):
                 "max_k_generated_size": best,
                 "witness": [sorted(iter_bits(m)) for m in witness],
                 "canonical_generates_full": (
-                    quotient_size(P, canonical_colouring(P, n)) == len(masks)
+                    quotient_size(P, canonical_colouring(n)) == len(masks)
                 ),
             }
         )
