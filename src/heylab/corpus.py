@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import re
+from functools import partial
 from typing import Sequence
 
 from .errors import BudgetExceeded
@@ -16,6 +17,10 @@ DEFAULT_SEED = 2718
 # candidates on 8 points pass the down-set test and are labelled, in about
 # 2.5 s in all; 9 points (183,231 classes, A000112) take about 40 s.
 MAX_EXHAUSTIVE_POINTS = 8
+
+# POSET_COUNTS[K]: the posets on K points up to isomorphism (OEIS A000112),
+# K = 0..MAX_EXHAUSTIVE_POINTS
+POSET_COUNTS = (1, 1, 2, 5, 16, 63, 318, 2045, 16999)
 
 
 def _slots(n: int) -> list:
@@ -163,16 +168,11 @@ def _positive(item: str, text: str, what: str) -> int:
     return int(text)
 
 
-def corpus_from_spec(text: str) -> list:
-    """Parse a corpus specifier into a poset list.
-
-    Comma-separated items: 'exhaustiveK' enumerates all posets on <= K
-    points up to isomorphism, 1 <= K <= MAX_EXHAUSTIVE_POINTS; 'randomN' or
-    'randomN:S' draws N >= 1 random posets on <= 7 points (seed S, else
-    DEFAULT_SEED). A malformed item raises ValueError and a K
-    above the limit raises BudgetExceeded, each naming the item.
-    """
-    posets = []
+def _corpus_items(text: str) -> list:
+    """Parse and check a corpus specifier (see corpus_from_spec) into one
+    (poset count, build) pair per item, build() giving the item's posets;
+    no poset is built."""
+    items = []
     for item in text.split(","):
         item = item.strip()
         if item.startswith("exhaustive"):
@@ -182,7 +182,8 @@ def corpus_from_spec(text: str) -> list:
                     f"corpus item {item!r}: exhaustive corpora are limited to "
                     f"{MAX_EXHAUSTIVE_POINTS} points"
                 )
-            posets.extend(all_posets_up_to_iso(k))
+            count = sum(POSET_COUNTS[1 : k + 1])
+            items.append((count, partial(all_posets_up_to_iso, k)))
         elif item.startswith("random"):
             count_s, sep, seed_s = item[len("random"):].partition(":")
             count = _positive(item, count_s, "the count")
@@ -190,7 +191,37 @@ def corpus_from_spec(text: str) -> list:
                 raise ValueError(
                     f"corpus item {item!r}: the seed must be an integer, got {seed_s!r}"
                 )
-            posets.extend(random_posets(count, int(seed_s) if sep else DEFAULT_SEED))
+            seed = int(seed_s) if sep else DEFAULT_SEED
+            items.append((count, partial(random_posets, count, seed)))
         else:
             raise ValueError(f"unknown corpus item {item!r}")
-    return posets
+    return items
+
+
+def corpus_from_spec(text: str) -> list:
+    """Parse a corpus specifier into a poset list.
+
+    Comma-separated items: 'exhaustiveK' enumerates all posets on <= K
+    points up to isomorphism, 1 <= K <= MAX_EXHAUSTIVE_POINTS; 'randomN' or
+    'randomN:S' draws N >= 1 random posets on <= 7 points (seed S, else
+    DEFAULT_SEED). A malformed item raises ValueError and a K
+    above the limit raises BudgetExceeded, each naming the item, before
+    any poset is built.
+    """
+    return [P for _, build in _corpus_items(text) for P in build()]
+
+
+class SpecCorpus:
+    """The posets of a corpus specifier, which is parsed, checked and
+    counted when this is made; they are built each time it is iterated,
+    so a caller can cap its work by len() before any poset is built."""
+
+    def __init__(self, spec: str):
+        self.spec = spec
+        self.size = sum(count for count, _ in _corpus_items(spec))
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        return iter(corpus_from_spec(self.spec))

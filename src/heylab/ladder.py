@@ -11,6 +11,7 @@ is the bit slice ((1 << w) - 1) << i*w, and the bottom is the last index.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from math import factorial, prod
 from typing import Iterator, Optional, Sequence
@@ -213,9 +214,9 @@ def next_level_bound_check(spec: LadderSpec, P: Poset, masks: Sequence[int]) -> 
 def random_tuples(pool, k: int, count: int, seed: Optional[int]) -> Iterator[tuple]:
     """Yield count seeded random k-tuples drawn from pool with replacement,
     each only when it is asked for."""
-    rng = random.Random(seed)
+    randrange, n = random.Random(seed).randrange, len(pool)
     for _ in range(count):
-        yield tuple(pool[rng.randrange(len(pool))] for _ in range(k))
+        yield tuple([pool[randrange(n)] for _ in range(k)])
 
 
 def non_colourability_scan(
@@ -233,8 +234,12 @@ def non_colourability_scan(
     a seeded random sample of that many tuples, capped by budget_tuples
     before the ladder is built; the seed is recorded in sampled mode only.
     Reports how many colourings isolate every point and the largest class
-    count seen. The exhaustive scan walks multisets, each weighted by its
-    k!/prod(c_i!) orderings, so it counts ordered tuples.
+    count seen. Both modes walk sets of colours through omega_walk, each
+    weighted by the tuples it stands for, so the counts are of ordered
+    tuples: the exhaustive scan walks multisets, each weighted by its
+    k!/prod(c_i!) orderings, and the sampled scan walks the sorted sets of
+    its draws, each weighted by the number of draws of it, since the
+    omega-types depend only on the set of colours.
     """
     if samples is not None:
         check_tuple_budget(samples, budget_tuples)
@@ -243,29 +248,22 @@ def non_colourability_scan(
     k = n if k is None else k
     masks = upset_masks(P, budget_upsets)
     if samples is None:
-        walk = omega_walk(P, upset_multisets(masks, k, budget_tuples))
-        scan = ((tup, len(blocks)) for tup, blocks, _ in walk)
+        tuples = upset_multisets(masks, k, budget_tuples)
+
+        def weight(tup: tuple) -> int:
+            return factorial(k) // prod(factorial(tup.count(m)) for m in set(tup))
     else:
-        # omega depends only on the generator set: count each set once
-        memo: dict = {}
-
-        def class_count(tup: tuple) -> int:
-            key = frozenset(tup)
-            if key not in memo:
-                memo[key] = omega_class_count(P, tup)
-            return memo[key]
-
-        tuples = random_tuples(masks, k, samples, seed)
-        scan = ((tup, class_count(tup)) for tup in tuples)
+        draws = Counter(
+            tuple(sorted(set(tup))) for tup in random_tuples(masks, k, samples, seed)
+        )
+        tuples, weight = sorted(draws), draws.__getitem__
     checked = max_classes = coloured_found = 0
-    weight = 1
-    for tup, classes in scan:
-        if samples is None:
-            weight = factorial(k) // prod(factorial(tup.count(m)) for m in set(tup))
-        checked += weight
-        max_classes = max(max_classes, classes)
-        if classes == P.n:
-            coloured_found += weight
+    for tup, blocks, _ in omega_walk(P, tuples):
+        w = weight(tup)
+        checked += w
+        max_classes = max(max_classes, len(blocks))
+        if len(blocks) == P.n:
+            coloured_found += w
     return {
         "n": n,
         "depth": depth,

@@ -90,7 +90,7 @@ def _lattice_close(seeds, witnesses: dict, cap: int, consts, old=frozenset()) ->
     a, 1 | a = 1), so the constants are paired with nothing. old, when
     given, is a lattice-closed subset of seeds: a pair of its elements gives
     nothing new, so an element of old is paired only with the fresh
-    elements before it."""
+    elements before it, and a fresh one with every element before it."""
     seen = set(seeds)
     if len(seen) > cap:
         raise over_budget(len(seen), cap, "upsets")
@@ -101,7 +101,7 @@ def _lattice_close(seeds, witnesses: dict, cap: int, consts, old=frozenset()) ->
             partners = fresh
         else:
             fresh.append(a)
-            partners = elems[: i + 1]
+            partners = elems[:i]
         for b in partners:
             m = a & b
             if m not in seen:
@@ -129,21 +129,29 @@ def generate(P: Poset, G: Iterable, budget: Optional[int] = None) -> RankedAlgeb
     consts = {0, P.full_mask}
     cur = _lattice_close(set(gmasks) | consts, witnesses, cap, consts)
     strata = [frozenset(cur)]
-    ranks = {m: 0 for m in sorted(cur)}
+    ranks = dict.fromkeys(sorted(cur), 0)
     # semi-naive rounds: a pair of elements of the previous stratum was
     # formed in the previous round, and its implication is already in cur.
     # 0 -> b, a -> 1 and 1 -> b give 1, 1 and b, so 0 and 1 are left out of
     # the pairs, except 0 on the right: a -> 0 is the complement of a.
+    # Only b a proper submask of a is paired with a: a -> b = a -> (a & b),
+    # and a & b is in cur and at most b as an int, so the ascending loop
+    # reaches it first and adds whatever a -> b would (a & b = a gives 1;
+    # when a and a & b are both old, a -> (a & b) is in cur already).
     prev: set = set()
     # imp_mask inlined: a -> b is the complement of the down-closure of a \ b
     close, full = down_closure_of(P), P.full_mask
     while True:
         cand = set(cur)
-        cur_sorted = sorted(cur - consts)
-        new_sorted = sorted(cur - prev - {full})
-        all_sorted = sorted(cur - {full})
-        for a in cur_sorted:
+        all_sorted = sorted(cur)
+        del all_sorted[-1]  # 1, the largest mask
+        new_sorted = [b for b in all_sorted if b not in prev]
+        for a in all_sorted:  # a = 0 breaks at once
             for b in new_sorted if a in prev else all_sorted:
+                if b >= a:
+                    break
+                if b & ~a:
+                    continue
                 m = full & ~close(a & ~b)
                 if m not in cand:
                     cand.add(m)

@@ -14,7 +14,7 @@ from itertools import chain
 from typing import Optional, Sequence
 
 from .algebra import algebra_of, imp_mask
-from .corpus import DEFAULT_SEED, corpus_from_spec
+from .corpus import DEFAULT_SEED, SpecCorpus
 from .ladder import (
     LadderSpec,
     build_ladder,
@@ -45,12 +45,32 @@ COLLAPSE_SUPPORT_LEVELS = 3
 
 def _sample_generator_sets(masks, count: int, rng: random.Random):
     """Yield a seeded sample of one- and two-upset generator sets after the
-    empty set, count in all; each is drawn only when it is asked for."""
+    empty set, count in all; each is drawn only when it is asked for.
+
+    The sets and the stream are those of sorted(rng.sample(pool,
+    rng.randint(1, min(2, n)))), drawn by rng.randrange without sample's
+    copy of the pool: randint(1, m) is 1 + randrange(m), and sample draws j
+    below n, then k below n - 1 (n - 1 standing in for j) when n <= 21,
+    else k below n until k != j."""
     yield ()
     pool = list(masks)
+    n = len(pool)
+    sizes, randrange = min(2, n), rng.randrange
     for _ in range(count - 1):
-        size = rng.randint(1, min(2, len(pool)))
-        yield tuple(sorted(rng.sample(pool, size)))
+        if not randrange(sizes):
+            yield (pool[randrange(n)],)
+            continue
+        j = randrange(n)
+        if n <= 21:
+            k = randrange(n - 1)
+            if k == j:
+                k = n - 1
+        else:
+            k = randrange(n)
+            while k == j:
+                k = randrange(n)
+        a, b = pool[j], pool[k]
+        yield (a, b) if a < b else (b, a)
 
 
 def _upset_lists(masks) -> list:
@@ -387,8 +407,9 @@ def run_verification(
 ) -> dict:
     """Dispatch a verification by its CLI name.
 
-    A lemma that takes a corpus gets corpus_from_spec(corpus), the default
-    corpus when corpus is None; seed and the budgets go to every lemma that
+    A lemma that takes a corpus gets the posets of corpus, the default
+    corpus when corpus is None, built only once the lemma has checked its
+    budget against their number; seed and the budgets go to every lemma that
     takes them. An option left None is not given. A ValueError names the
     flag of an option the lemma does not take, lacks or gets out of range.
     """
@@ -406,7 +427,7 @@ def run_verification(
             least = _OPTION_MINIMUM[key]
             raise ValueError(f"{_flag(key)} must be >= {least}, got {value}")
     if "corpus" in params:
-        kwargs["corpus"] = corpus_from_spec(corpus or DEFAULT_CORPUS)
+        kwargs["corpus"] = SpecCorpus(corpus or DEFAULT_CORPUS)
     given = dict(seed=seed, budget_upsets=budget_upsets, budget_tuples=budget_tuples)
     kwargs.update((k, v) for k, v in given.items() if v is not None and k in params)
     for key, param in params.items():

@@ -14,7 +14,12 @@ import importlib
 from pathlib import Path
 
 from heylab import colouring
-from heylab.ladder import LadderSpec, build_ladder, collapse_check
+from heylab.ladder import (
+    LadderSpec,
+    build_ladder,
+    collapse_check,
+    non_colourability_scan,
+)
 from heylab.subalgebra import rank_type_mismatches
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -76,3 +81,10 @@ def test_every_omega_path_refines_through_the_traced_step(monkeypatch):
         calls.clear()
         run()
         assert calls, name
+    # the sampled scan refines its drawn sets past the walk's root
+    calls.clear()
+    colouring._omega_block_of(build_ladder(LadderSpec(1, 3)), ())
+    root = len(calls)
+    calls.clear()
+    non_colourability_scan(1, 3, k=1, samples=3, seed=1)
+    assert len(calls) > root

@@ -9,6 +9,7 @@ from conftest import posets
 from hypothesis import given
 from hypothesis import strategies as st
 
+from heylab import corpus as corpus_mod
 from heylab import ladder as ladder_mod
 from heylab.algebra import algebra_of
 from heylab.cli import main
@@ -441,6 +442,18 @@ def test_sampled_run_at_its_tuple_cap(runner, cap, lemma):
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
     res = runner.invoke(main, ["--budget-tuples", str(cap - 1), "verify", *args])
     assert res.exit_code == 2 and "(--budget-tuples)" in res.stderr
+
+
+def test_corpus_over_the_tuple_cap_exits_before_building(runner, monkeypatch):
+    def refuse(max_points):
+        raise AssertionError("the corpus was built")
+
+    monkeypatch.setattr(corpus_mod, "all_posets_up_to_iso", refuse)
+    res = runner.invoke(main, ["verify", "rank-type", "--corpus", "exhaustive8"])
+    assert res.exit_code == 2
+    assert res.stderr == (
+        "error: 2333880 checks exceed the budget of 1048576 (--budget-tuples)\n"
+    )
 
 
 ONE_ELEMENT = {

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import permutations
 from typing import Iterator
 
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from heylab import corpus
 from heylab.corpus import (
     MAX_EXHAUSTIVE_POINTS,
+    POSET_COUNTS,
+    SpecCorpus,
     _slots,
     all_posets_up_to_iso,
     corpus_from_spec,
@@ -331,6 +334,26 @@ def test_corpus_from_spec():
 def test_corpus_from_spec_rejects_malformed_items(item):
     with pytest.raises(ValueError, match=repr(item)):
         corpus_from_spec(f"exhaustive2,{item}")
+
+
+@pytest.mark.parametrize("item", ["exhaustive0", "random5:x", "bogus7", ""])
+def test_spec_corpus_raises_what_corpus_from_spec_raises(item):
+    with pytest.raises(ValueError, match=repr(item)):
+        SpecCorpus(f"exhaustive2,{item}")
+    with pytest.raises(BudgetExceeded, match="'exhaustive9'"):
+        SpecCorpus(f"exhaustive9,{item}")
+
+
+def test_spec_corpus_counts_each_item(exhaustive7):
+    # POSET_COUNTS against the enumeration; 8 points are counted only
+    assert len(POSET_COUNTS) == MAX_EXHAUSTIVE_POINTS + 1
+    by_size = Counter(P.n for P in exhaustive7)
+    assert [by_size[k] for k in range(1, 8)] == list(POSET_COUNTS[1:8])
+    assert POSET_COUNTS[8] == 16999 and len(SpecCorpus("exhaustive8")) == 19449
+    for spec in ("exhaustive6", "exhaustive1,random7:3", "random4, exhaustive3"):
+        corpus = SpecCorpus(spec)
+        assert len(corpus) == len(list(corpus))
+        assert list(corpus) == corpus_from_spec(spec)
 
 
 def test_corpus_from_spec_exhaustive_limit():

@@ -315,12 +315,40 @@ def oracle_non_colourability_scan(n, depth, k, samples=None, seed=None):
         (1, 3, 3, None, None),
         (2, 2, 2, None, None),
         (1, 2, 0, 40, 1),
+        (1, 3, 1, 500, 3),
         (1, 2, 2, 2000, 5),
+        (1, 2, 3, 1500, 11),
         (2, 3, 2, 3000, 2718),
     ],
 )
 def test_scan_matches_the_per_tuple_oracle(n, depth, k, samples, seed):
-    # exhaustive scans walk the multisets' prefixes, sampled scans count
-    # each generator set once; neither may change a report
+    # both modes walk sets of colours through omega_walk, weighted by the
+    # tuples each stands for; neither may change a report
     got = non_colourability_scan(n, depth, k=k, samples=samples, seed=seed)
     assert got == oracle_non_colourability_scan(n, depth, k, samples, seed)
+
+
+def old_random_tuples(pool, k, count, seed):
+    """random_tuples as first written: the stream its draws must keep."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield tuple(pool[rng.randrange(len(pool))] for _ in range(k))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 21, 22, 40])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_random_tuples_keep_their_stream(monkeypatch, size, k):
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(random, "Random", Recorded)
+    pool = [(i * 40503) % 65521 for i in range(1, size + 1)]
+    for seed in (0, 1, 7, 2718):
+        made.clear()
+        got = list(random_tuples(pool, k, 200, seed))
+        assert got == list(old_random_tuples(pool, k, 200, seed))
+        assert made[0].getstate() == made[1].getstate()

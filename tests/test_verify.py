@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from heylab import corpus as corpus_mod
 from heylab import verify as verify_mod
 from heylab.corpus import all_posets_up_to_iso
 from heylab.errors import BudgetExceeded
@@ -338,3 +339,42 @@ def test_sampled_lemma_checks_each_distinct_draw_once(tiny_corpus):
     r = _sampled_lemma("probe", tiny_corpus, 20, 7, None, check)
     assert r["checks"] == len(draws) and r["passed"]
     assert sorted(seen) == sorted(set(draws))
+
+
+def old_sample_generator_sets(masks, count, rng):
+    """_sample_generator_sets as first written, through randint and sample:
+    the stream its draws must keep."""
+    yield ()
+    pool = list(masks)
+    for _ in range(count - 1):
+        size = rng.randint(1, min(2, len(pool)))
+        yield tuple(sorted(rng.sample(pool, size)))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 21, 22, 40])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2718])
+def test_generator_set_draws_keep_their_stream(size, seed):
+    # sample draws from a copy of the pool up to 21 items and by rejection
+    # past them; the pool's order is not its sorted order
+    pool = [(i * 40503) % 65521 for i in range(1, size + 1)]
+    rng, old_rng = random.Random(seed), random.Random(seed)
+    got = list(_sample_generator_sets(pool, 400, rng))
+    assert got == list(old_sample_generator_sets(pool, 400, old_rng))
+    assert rng.getstate() == old_rng.getstate()
+
+
+def test_corpus_cap_is_checked_before_any_poset_is_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a poset was built")
+
+    monkeypatch.setattr(corpus_mod, "all_posets_up_to_iso", refuse)
+    monkeypatch.setattr(corpus_mod, "random_posets", refuse)
+    # 19,449 posets x 20 draws x 6 stages
+    message = "2333880 checks exceed the budget of 1048576 (--budget-tuples)"
+    with pytest.raises(BudgetExceeded) as caught:
+        run_verification("rank-type", corpus="exhaustive8")
+    assert str(caught.value) == message
+    with pytest.raises(BudgetExceeded, match="limited to 8 points"):
+        run_verification("rank-type", corpus="random3,exhaustive9")
+    with pytest.raises(ValueError, match="unknown corpus item 'bogus'"):
+        run_verification("duality", corpus="exhaustive8,bogus")
