@@ -8,7 +8,10 @@ chain is the omega-type partition, held as a list of point masks, one per block.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+import random
+from collections import Counter
+from math import factorial, prod
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .poset import Poset, down_closure_of, upset_masks, upset_multisets
 
@@ -109,6 +112,36 @@ def stage_types(P: Poset, masks: Sequence[int], stage: int) -> list:
     return blocks
 
 
+def random_tuples(pool, k: int, count: int, seed: Optional[int]) -> Iterator[tuple]:
+    """Yield count seeded random k-tuples drawn from pool with replacement,
+    each only when it is asked for."""
+    randrange, n = random.Random(seed).randrange, len(pool)
+    for _ in range(count):
+        yield tuple([pool[randrange(n)] for _ in range(k)])
+
+
+def colour_scan(P: Poset, pool, k: int, samples: Optional[int] = None,
+                seed: Optional[int] = None, budget: Optional[int] = None):
+    """Yield (colours, weight, blocks, downs) along omega_walk for sets of k
+    colours from pool, each weighted by the k-tuples it stands for, since the
+    omega-types depend only on the set of colours. When samples is None the
+    sets are every ascending multiset, capped by budget, each weighted by its
+    k!/prod(c_i!) orderings; otherwise they are the ascending sorted sets of
+    samples seeded draws, each weighted by the number of draws of it."""
+    if samples is None:
+        sets = upset_multisets(pool, k, budget)
+
+        def weight(tup: tuple) -> int:
+            return factorial(k) // prod(map(factorial, map(tup.count, set(tup))))
+    else:
+        draws = Counter(
+            tuple(sorted(set(tup))) for tup in random_tuples(pool, k, samples, seed)
+        )
+        sets, weight = sorted(draws), draws.__getitem__
+    for tup, blocks, downs in omega_walk(P, sets):
+        yield tup, weight(tup), blocks, downs
+
+
 def find_k_colouring(
     P: Poset,
     k: int,
@@ -116,10 +149,10 @@ def find_k_colouring(
     budget_tuples: Optional[int] = None,
 ) -> Optional[tuple]:
     """First k-tuple of upsets (canonical order) whose omega-types are
-    discrete, or None when no k-colouring exists. The types depend only on
-    the set of colours, so the search walks multisets."""
-    tuples = upset_multisets(upset_masks(P, budget_upsets), k, budget_tuples)
-    for tup, blocks, _ in omega_walk(P, tuples):
+    discrete, or None when no k-colouring exists; colour_scan walks the
+    multisets."""
+    pool = upset_masks(P, budget_upsets)
+    for tup, _, blocks, _ in colour_scan(P, pool, k, budget=budget_tuples):
         if len(blocks) == P.n:
             return tup
     return None

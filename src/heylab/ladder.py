@@ -10,13 +10,10 @@ is the bit slice ((1 << w) - 1) << i*w, and the bottom is the last index.
 
 from __future__ import annotations
 
-import random
-from collections import Counter
 from dataclasses import dataclass
-from math import factorial, prod
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-from .colouring import _initial_blocks, _stages, omega_class_count, omega_walk
+from .colouring import _omega_block_of, colour_scan, omega_class_count
 from .errors import PosetMismatch, SupportTooDeep
 from .poset import (
     DEFAULT_UPSET_BUDGET,
@@ -26,7 +23,6 @@ from .poset import (
     iter_bits,
     over_budget,
     upset_masks,
-    upset_multisets,
 )
 
 BOTTOM_NAME = "bot"
@@ -137,16 +133,14 @@ def supported_within(spec: LadderSpec, m: int, max_level: int) -> bool:
 
 
 def _level_stats(spec: LadderSpec, P: Poset, masks):
-    stages = list(_stages(P, _initial_blocks(P, masks), {}))
-    blocks0, blocks = stages[0], stages[-1]
-    w = spec.width
-    classes = []
-    uniform0 = []
-    for j in range(spec.depth):
-        level = ((1 << w) - 1) << j * w
-        classes.append(sum(1 for b in blocks if b & level))
-        uniform0.append(sum(1 for b in blocks0 if b & level) <= 1)
-    return classes, uniform0
+    """Per level, its number of omega-types and whether it lies in one
+    stage-0 block, i.e. every colour holds all of it or none of it."""
+    if P.n != spec.point_count:
+        raise PosetMismatch("colouring is not over a ladder of this spec")
+    blocks = _omega_block_of(P, masks)[0]
+    levels = [((1 << spec.width) - 1) << j * spec.width for j in range(spec.depth)]
+    classes = [sum(1 for b in blocks if b & level) for level in levels]
+    return classes, [all((m & level) in (0, level) for m in masks) for level in levels]
 
 
 def collapse_check(spec: LadderSpec, P: Poset, masks: Sequence[int]) -> dict:
@@ -164,13 +158,10 @@ def collapse_check(spec: LadderSpec, P: Poset, masks: Sequence[int]) -> dict:
     2**n + 3 colour-free levels below, so the truncation has room for the
     collapse to play out (supported_within).
     """
-    if P.n != spec.point_count:
-        raise PosetMismatch("colouring is not over a ladder of this spec")
-    tail = 2 ** spec.n + 3
-    max_support = spec.depth - 1 - tail
+    classes, uniform0 = _level_stats(spec, P, masks)
+    max_support = spec.depth - 1 - (2 ** spec.n + 3)
     if not all(supported_within(spec, m, max_support) for m in masks):
         raise SupportTooDeep(f"colour support must stay within levels 0..{max_support}")
-    classes, uniform0 = _level_stats(spec, P, masks)
     width = spec.width
     first_merge = None
     for j in range(spec.depth):
@@ -200,8 +191,6 @@ def collapse_check(spec: LadderSpec, P: Poset, masks: Sequence[int]) -> dict:
 def next_level_bound_check(spec: LadderSpec, P: Poset, masks: Sequence[int]) -> bool:
     """Whenever a level has at most 2**n omega-classes and the level below
     is 0-type-uniform, the level below has no more omega-classes."""
-    if P.n != spec.point_count:
-        raise PosetMismatch("colouring is not over a ladder of this spec")
     classes, uniform0 = _level_stats(spec, P, masks)
     bound = 2 ** spec.n
     for i in range(spec.depth - 1):
@@ -209,14 +198,6 @@ def next_level_bound_check(spec: LadderSpec, P: Poset, masks: Sequence[int]) -> 
             if classes[i + 1] > classes[i]:
                 return False
     return True
-
-
-def random_tuples(pool, k: int, count: int, seed: Optional[int]) -> Iterator[tuple]:
-    """Yield count seeded random k-tuples drawn from pool with replacement,
-    each only when it is asked for."""
-    randrange, n = random.Random(seed).randrange, len(pool)
-    for _ in range(count):
-        yield tuple([pool[randrange(n)] for _ in range(k)])
 
 
 def non_colourability_scan(
@@ -234,32 +215,15 @@ def non_colourability_scan(
     a seeded random sample of that many tuples, capped by budget_tuples
     before the ladder is built; the seed is recorded in sampled mode only.
     Reports how many colourings isolate every point and the largest class
-    count seen. Both modes walk sets of colours through omega_walk, each
-    weighted by the tuples it stands for, so the counts are of ordered
-    tuples: the exhaustive scan walks multisets, each weighted by its
-    k!/prod(c_i!) orderings, and the sampled scan walks the sorted sets of
-    its draws, each weighted by the number of draws of it, since the
-    omega-types depend only on the set of colours.
+    count seen; the counts are of ordered tuples, by colour_scan's weights.
     """
     if samples is not None:
         check_tuple_budget(samples, budget_tuples)
-    spec = LadderSpec(n, depth)
-    P = build_ladder(spec, budget_upsets)
+    P = build_ladder(LadderSpec(n, depth), budget_upsets)
     k = n if k is None else k
     masks = upset_masks(P, budget_upsets)
-    if samples is None:
-        tuples = upset_multisets(masks, k, budget_tuples)
-
-        def weight(tup: tuple) -> int:
-            return factorial(k) // prod(factorial(tup.count(m)) for m in set(tup))
-    else:
-        draws = Counter(
-            tuple(sorted(set(tup))) for tup in random_tuples(masks, k, samples, seed)
-        )
-        tuples, weight = sorted(draws), draws.__getitem__
     checked = max_classes = coloured_found = 0
-    for tup, blocks, _ in omega_walk(P, tuples):
-        w = weight(tup)
+    for _, w, blocks, _ in colour_scan(P, masks, k, samples, seed, budget_tuples):
         checked += w
         max_classes = max(max_classes, len(blocks))
         if len(blocks) == P.n:

@@ -320,8 +320,8 @@ def poset_to_json(P: Poset) -> dict:
 
 
 def poset_from_json(data: dict) -> Poset:
-    """Read a poset file; ValueError unless points is a list of names and
-    leq a list of [i, j] index pairs."""
+    """Read a poset file; ValueError unless points is a list of names, leq
+    a list of [i, j] index pairs and levels maps point names to integers."""
     points, leq = data["points"], data["leq"]
     if type(points) is not list or any(type(p) is not str for p in points):
         raise ValueError("points must be a list of point names")
@@ -336,8 +336,13 @@ def poset_from_json(data: dict) -> Poset:
     if "levels" in data:
         if not isinstance(data["levels"], dict):
             raise ValueError("levels must map point names to levels")
-        name_to_idx = {name: i for i, name in enumerate(points)}
-        tags = {name_to_idx[name]: lvl for name, lvl in data["levels"].items()}
+        name_to_idx, tags = {name: i for i, name in enumerate(points)}, {}
+        for name, lvl in data["levels"].items():
+            if name not in name_to_idx:
+                raise ValueError(f"levels names {name!r}, which is not a point")
+            if type(lvl) is not int:
+                raise ValueError(f"level of point {name!r} must be an integer")
+            tags[name_to_idx[name]] = lvl
     return validate(points, pairs, tags)
 
 

@@ -14,6 +14,7 @@ from itertools import chain
 from typing import Optional, Sequence
 
 from .algebra import algebra_of, imp_mask
+from .colouring import random_tuples
 from .corpus import DEFAULT_SEED, SpecCorpus
 from .ladder import (
     LadderSpec,
@@ -23,7 +24,6 @@ from .ladder import (
     collapse_check,
     next_level_bound_check,
     non_colourability_scan,
-    random_tuples,
     supported_within,
     verify_canonical,
 )

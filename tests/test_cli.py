@@ -595,6 +595,13 @@ MALFORMED = [
                  id="points-string"),
     pytest.param(["upsets", _file({"points": ["a", "b"], "leq": [[True, False]]})],
                  1, id="leq-bool"),
+    pytest.param(["upsets", _file({"points": ["a", "b"], "leq": [],
+                                   "levels": {"a": 1.5, "b": "top"}})], 1,
+                 id="levels-type"),
+    pytest.param(["upsets", _file({"points": ["a"], "leq": [], "levels": {"a": True}})],
+                 1, id="levels-bool"),
+    pytest.param(["upsets", _file({"points": ["a"], "leq": [], "levels": {"zz": 0}})],
+                 1, id="levels-unknown-point"),
     pytest.param(["product", _chain2(size=9), _chain2()], 1, id="algebra-size"),
     pytest.param(["product", _algebra(meet=[[5]]), _algebra()], 1, id="entry-range"),
     pytest.param(["product", _algebra(), _algebra(join="x")], 1, id="table-type"),

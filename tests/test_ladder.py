@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 from math import factorial, prod
 
@@ -14,14 +15,18 @@ from heylab import (
     stage_types,
     verify_canonical,
 )
-from heylab.colouring import _omega_block_of, omega_class_count
+from heylab.colouring import (
+    _omega_block_of,
+    colour_scan,
+    omega_class_count,
+    random_tuples,
+)
 from heylab.errors import BudgetExceeded, SupportTooDeep
 from heylab.ladder import (
     BOTTOM_NAME,
     _level_stats,
     non_colourability_scan,
     point_name,
-    random_tuples,
     supported_within,
 )
 from heylab.poset import (
@@ -256,21 +261,24 @@ def test_exhaustive_scan_matches_ordered_tuple_oracle(n, depth, k):
 
 
 def test_level_stats_match_the_type_partitions():
-    # omega-classes per level, and whether stage 0 is uniform on each level
-    spec = LadderSpec(1, 6)
-    P = build_ladder(spec)
-    levels = {j: [i for i, lvl in P.level_tags.items() if lvl == j]
-              for j in range(spec.depth)}
+    # omega-classes per level, and whether stage 0 is uniform on each level,
+    # for the canonical colouring and random ones of one to three colours
     rng = random.Random(5)
-    for _ in range(40):
-        masks = rng.sample(upset_masks(P), 2)
-        # each point's block, as the block's mask
-        omega, stage0 = ({i: b for b in blocks for i in iter_bits(b)} for blocks in
-                         (_omega_block_of(P, masks)[0], stage_types(P, masks, 0)))
-        classes, uniform0 = _level_stats(spec, P, masks)
-        for j in range(spec.depth):
-            assert classes[j] == len({omega[i] for i in levels[j]})
-            assert uniform0[j] == (len({stage0[i] for i in levels[j]}) <= 1)
+    for spec in (LadderSpec(0, 5), LadderSpec(1, 6), LadderSpec(2, 3)):
+        P = build_ladder(spec)
+        levels = {j: [i for i, lvl in P.level_tags.items() if lvl == j]
+                  for j in range(spec.depth)}
+        pool = upset_masks(P)
+        colourings = [canonical_colouring(spec.n)]
+        colourings += [rng.sample(pool, k) for k in (1, 2, 3) for _ in range(20)]
+        for masks in colourings:
+            # each point's block, as the block's mask
+            omega, stage0 = ({i: b for b in blocks for i in iter_bits(b)} for blocks in
+                             (_omega_block_of(P, masks)[0], stage_types(P, masks, 0)))
+            classes, uniform0 = _level_stats(spec, P, masks)
+            for j in range(spec.depth):
+                assert classes[j] == len({omega[i] for i in levels[j]})
+                assert uniform0[j] == (len({stage0[i] for i in levels[j]}) <= 1)
 
 
 def oracle_non_colourability_scan(n, depth, k, samples=None, seed=None):
@@ -306,18 +314,34 @@ def oracle_non_colourability_scan(n, depth, k, samples=None, seed=None):
     }
 
 
+def oracle_set_weights(masks, k, samples=None, seed=None):
+    """Every ordered k-tuple, or every draw, grouped by its multiset, or by
+    its set for draws: colour_scan's (colours, weight) list. In product
+    order each multiset appears sorted first, so the groups keep the order
+    of the ascending multisets."""
+    if samples is None:
+        rank = {m: i for i, m in enumerate(masks)}
+        tuples = product(masks, repeat=k)
+        return list(Counter(tuple(sorted(t, key=rank.get)) for t in tuples).items())
+    tuples = random_tuples(masks, k, samples, seed)
+    return sorted(Counter(tuple(sorted(set(t))) for t in tuples).items())
+
+
 @pytest.mark.parametrize(
     "n, depth, k, samples, seed",
     [
         (0, 3, 0, None, None),
         (0, 4, 3, None, None),
         (1, 2, 0, None, None),
+        (1, 3, 2, None, None),
         (1, 3, 3, None, None),
         (2, 2, 2, None, None),
         (1, 2, 0, 40, 1),
         (1, 3, 1, 500, 3),
         (1, 2, 2, 2000, 5),
         (1, 2, 3, 1500, 11),
+        (1, 3, 2, 800, 7),
+        (2, 2, 2, 1000, 9),
         (2, 3, 2, 3000, 2718),
     ],
 )
@@ -326,6 +350,10 @@ def test_scan_matches_the_per_tuple_oracle(n, depth, k, samples, seed):
     # tuples each stands for; neither may change a report
     got = non_colourability_scan(n, depth, k=k, samples=samples, seed=seed)
     assert got == oracle_non_colourability_scan(n, depth, k, samples, seed)
+    P = build_ladder(LadderSpec(n, depth))
+    masks = upset_masks(P)
+    scan = [(c, w) for c, w, _, _ in colour_scan(P, masks, k, samples, seed)]
+    assert scan == oracle_set_weights(masks, k, samples, seed)
 
 
 def old_random_tuples(pool, k, count, seed):

@@ -273,6 +273,18 @@ def test_json_round_trip_with_levels():
     assert Q.level_tags == {0: 0, 1: 1}
 
 
+@pytest.mark.parametrize("levels, named", [
+    ({"a": 0, "b": 1.5}, "'b'"),
+    ({"a": True}, "'a'"),
+    ({"b": "top"}, "'b'"),
+    ({"a": 0, "zz": 1}, "'zz'"),
+])
+def test_json_levels_are_integers_of_points(levels, named):
+    data = {"points": ["a", "b"], "leq": [[1, 0]], "levels": levels}
+    with pytest.raises(ValueError, match=named):
+        poset_from_json(data)
+
+
 def test_dot_output(fork):
     dot = poset_to_dot(fork)
     assert dot.startswith("digraph poset {")
