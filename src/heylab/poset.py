@@ -241,11 +241,17 @@ def upsets_of(up: Sequence[int], cap: int) -> list:
     extends exactly the upsets found so far that hold all of its strict
     up-set. No recursion, so deep orders (long chains) are fine.
     """
+    return closed_unions(((1 << i, up[i] & ~(1 << i)) for i in _top_down(up)), cap)
+
+
+def closed_unions(pairs, cap):
+    """Every union of masks of pairs, (mask, needs) int masks each after
+    those its needs are made of, that holds the needs of each of its masks,
+    unsorted: a mask joins the unions so far that hold its needs. Over cap
+    (an int) of them raises BudgetExceeded."""
     out = [0]
-    for i in _top_down(up):
-        bit = 1 << i
-        above = up[i] & ~bit
-        out += [u | bit for u in out if u & above == above]
+    for mask, needs in pairs:
+        out += [u | mask for u in out if u & needs == needs]
         if len(out) > cap:
             raise over_budget(len(out), cap, "upsets")
     return out

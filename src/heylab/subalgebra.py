@@ -19,10 +19,10 @@ from .colouring import (_initial_blocks, _omega_block_of, _split, _stages,
 from .poset import (
     DEFAULT_UPSET_BUDGET,
     Poset,
+    closed_unions,
     down_closure_of,
     over_budget,
     upset_masks,
-    upsets_of,
 )
 
 # witness terms: ('0',) | ('1',) | ('g', i) | (op, left_mask, right_mask)
@@ -181,16 +181,14 @@ def quotient_size(P: Poset, G: Sequence, budget: Optional[int] = None) -> int:
 def quotient_upset_count(
     blocks: Sequence[int], downs: dict, budget: Optional[int] = None
 ) -> int:
-    """The number of upsets of the quotient whose classes are the blocks,
-    downs[b] the down-closure of block b; the budget caps the count."""
+    """The number of upsets of the quotient whose classes are the omega-stable
+    blocks, downs[b] the down-closure of block b; the budget caps the count.
+    It counts their complements, the down-sets: each down-closure is a union
+    of blocks, a lower class's is a proper submask and so a smaller int, and
+    in that order a block joins the down-sets so far that hold the rest of it."""
     cap = DEFAULT_UPSET_BUDGET if budget is None else budget
-    # class c lies above class b when the down-closure of c meets b
-    up = [0] * len(blocks)
-    for c, d in enumerate(map(downs.get, blocks)):
-        for b, B in enumerate(blocks):
-            if B & d:
-                up[b] |= 1 << c
-    return len(upsets_of(up, cap))
+    return len(closed_unions(
+        ((b, downs[b] & ~b) for b in sorted(blocks, key=downs.get)), cap))
 
 
 def rank_type_mismatches(

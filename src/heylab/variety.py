@@ -101,11 +101,11 @@ def strictness_report(
     generated by any n upsets (scanned exhaustively at the upset level),
     and whether the canonical (n+1)-colouring generates everything. Each
     subalgebra is sized on its omega-quotient, as by quotient_size, with
-    the multisets refined along omega_walk. A quotient of c classes has at
-    most 2**c upsets, so one that cannot beat the largest so far is not
-    counted. The upset budget caps each truncation's upsets, and so each
-    generated subalgebra; the tuple budget caps the C(|Up|+n-1, n)
-    generator multisets of each depth's scan.
+    the multisets refined along omega_walk. The bottom point's class is the
+    least, so c classes have at most 2**(c-1) + 1 upsets, and a quotient
+    that cannot beat the largest so far is not counted. The upset budget
+    caps each truncation's upsets, and so each generated subalgebra; the
+    tuple budget caps the C(|Up|+n-1, n) generator multisets of a depth.
     """
     rows = []
     for spec in [LadderSpec(n, d) for d in depths]:
@@ -116,8 +116,9 @@ def strictness_report(
         witness: tuple = ()
         tuples = combinations_with_replacement(masks, n)
         for tup, blocks, downs in omega_walk(P, tuples):
-            # c classes have at most 2**c upsets, and only a strict gain counts
-            if 1 << len(blocks) <= best:
+            # the ladder's bottom point makes its class the least, so c classes
+            # have at most 2**(c-1) + 1 upsets; only a strict gain counts
+            if (1 << len(blocks) - 1) + 1 <= best:
                 continue
             size = quotient_upset_count(blocks, downs, budget_upsets)
             if size > best:

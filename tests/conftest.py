@@ -1,3 +1,5 @@
+from functools import cache
+
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -26,6 +28,30 @@ def posets_with_generators(draw):
     P = draw(posets())
     gens = draw(st.lists(st.sampled_from(upset_masks(P)), max_size=3))
     return P, gens
+
+
+def oracle_quotient_upset_count(blocks, downs):
+    """The number of upsets of the quotient whose classes are the blocks,
+    downs[b] the down-closure of block b, counted on the class order itself:
+    class c lies above class b when the down-closure of c meets b. The
+    upsets of a set S of classes that hold a class x are those of S less
+    up(x), each with up(x) added; those that miss x are those of S less
+    down(x)."""
+    up, down = [0] * len(blocks), [0] * len(blocks)
+    for c, d in enumerate(map(downs.get, blocks)):
+        for b, B in enumerate(blocks):
+            if B & d:
+                up[b] |= 1 << c
+                down[c] |= 1 << b
+
+    @cache
+    def count(S):
+        if not S:
+            return 1
+        x = S.bit_length() - 1
+        return count(S & ~up[x]) + count(S & ~down[x])
+
+    return count((1 << len(blocks)) - 1)
 
 
 @pytest.fixture

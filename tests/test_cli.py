@@ -211,6 +211,31 @@ EMPTY_TUPLE_DIGESTS = [
 ]
 
 
+# sha256 of stdout, and the exit code, of n = 2 strictness runs, pinned from
+# the scan that counted every quotient of more than log2(best) classes on an
+# up-matrix of its classes; depths 3-5 exit 3, since the largest generated
+# size still grows there (53, 62, 66) before it holds at 66
+STRICTNESS_N2_DIGESTS = [
+    pytest.param(
+        ["strictness", "--n", "2", "--depths", "5,6"], 0,
+        "9abb3883858b16f9f7f05e98fbab2a73f3f5f1d14532b89be04ee1bf2c8ae4d9",
+        id="n2-d5-6",
+    ),
+    pytest.param(
+        ["strictness", "--n", "2", "--depths", "3,4,5"], 3,
+        "09312d7992815390e6a184826654b813d457eb281911ca63b9c9ccfaa9417dfd",
+        id="n2-d3-5",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, code, digest", STRICTNESS_N2_DIGESTS)
+def test_strictness_n2_report_digest(runner, args, code, digest):
+    res = runner.invoke(main, args)
+    assert res.exit_code == code
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
+
 @pytest.mark.parametrize("args, code, digest", EMPTY_TUPLE_DIGESTS)
 def test_empty_generator_tuple_reports(runner, fork_file, tmp_path, args, code, digest):
     point_file = tmp_path / "point.json"

@@ -2,7 +2,7 @@ import random
 from itertools import combinations_with_replacement, product, tee
 
 import pytest
-from conftest import posets_with_generators
+from conftest import oracle_quotient_upset_count, posets_with_generators
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -290,7 +290,8 @@ def assert_walk_matches_oracle(P, stream, count=False):
         assert set(blocks) == set(want) and len(blocks) == len(want)
         assert all(downs[b] == want_downs[b] for b in want)
         if count:
-            assert quotient_upset_count(blocks, downs) == quotient_size(P, tup)
+            want_count = oracle_quotient_upset_count(want, want_downs)
+            assert quotient_upset_count(blocks, downs) == want_count
     assert next(walk, None) is None
 
 

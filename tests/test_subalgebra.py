@@ -1,13 +1,13 @@
 from itertools import combinations, combinations_with_replacement
 
 import pytest
-from conftest import posets_with_generators
+from conftest import oracle_quotient_upset_count, posets_with_generators
 from hypothesis import given
 from hypothesis import strategies as st
 
 from heylab import colouring, generate
 from heylab.algebra import imp_mask
-from heylab.colouring import _initial_blocks, _refine_block_of
+from heylab.colouring import _initial_blocks, _omega_block_of, _refine_block_of
 from heylab.corpus import DEFAULT_SEED, all_posets_up_to_iso, corpus_from_spec
 from heylab.errors import BudgetExceeded
 from heylab.ladder import LadderSpec, build_ladder, canonical_colouring
@@ -16,6 +16,7 @@ from heylab.subalgebra import (
     RankedAlgebra,
     duality_sides,
     quotient_size,
+    quotient_upset_count,
     rank_type_mismatches,
 )
 from heylab.verify import DEFAULT_CORPUS, _sampled_lemma
@@ -333,6 +334,20 @@ def test_quotient_size_on_acceptance_runs():
 def test_quotient_size_matches_generate(case):
     P, gens = case
     assert quotient_size(P, gens) == len(generate(P, gens).elements)
+
+
+@given(posets_with_generators())
+def test_quotient_count_matches_the_class_order_oracle(case):
+    # the down-set count from the down-closures against the upsets of the
+    # class order, and both against the closure itself
+    P, gens = case
+    blocks, _, downs = _omega_block_of(P, gens)
+    count = quotient_upset_count(blocks, downs)
+    assert count == oracle_quotient_upset_count(blocks, downs)
+    assert count == len(generate(P, gens).elements)
+    assert quotient_upset_count(blocks, downs, budget=count) == count
+    with pytest.raises(BudgetExceeded):
+        quotient_upset_count(blocks, downs, budget=count - 1)
 
 
 def test_quotient_size_budget(fork):

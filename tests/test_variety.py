@@ -1,15 +1,15 @@
 from itertools import combinations, product
 
 import pytest
+from conftest import oracle_quotient_upset_count
 
 from heylab import LadderSpec, algebra_of, build_ladder, strictness_report, validate
 from heylab.corpus import all_posets_up_to_iso
 from heylab.errors import BudgetExceeded, ForeignElement
 import heylab.variety
-from heylab.colouring import omega_class_count
+from heylab.colouring import _omega_block_of, omega_class_count
 from heylab.ladder import canonical_colouring
 from heylab.poset import iter_bits, upset_masks, upset_multisets
-from heylab.subalgebra import quotient_size
 from heylab.variety import algebra_product, subalgebra_closure
 
 
@@ -28,14 +28,20 @@ def max_k_generated_size(A, k, budget_tuples=None):
 
 def oracle_strictness_rows(n, depths):
     """strictness_report as it was before its scan shared prefixes: every
-    multiset refined from scratch and sized by quotient_size, none skipped."""
+    multiset refined from scratch and its quotient's upsets counted on the
+    class order, none skipped."""
+
+    def size_of(P, tup):
+        blocks, _, downs = _omega_block_of(P, tup)
+        return oracle_quotient_upset_count(blocks, downs)
+
     rows = []
     for depth in depths:
         P = build_ladder(LadderSpec(n, depth))
         masks = upset_masks(P)
         best, witness = 0, ()
         for tup in upset_multisets(masks, n):
-            size = quotient_size(P, tup)
+            size = size_of(P, tup)
             if size > best:
                 best, witness = size, tup
         rows.append(
@@ -46,7 +52,7 @@ def oracle_strictness_rows(n, depths):
                 "max_k_generated_size": best,
                 "witness": [sorted(iter_bits(m)) for m in witness],
                 "canonical_generates_full": (
-                    quotient_size(P, canonical_colouring(n)) == len(masks)
+                    size_of(P, canonical_colouring(n)) == len(masks)
                 ),
             }
         )
@@ -190,9 +196,10 @@ def test_strictness_rows_match_the_per_multiset_oracle(n, depths):
 
 
 def test_strictness_counts_only_quotients_that_could_beat_the_best(monkeypatch):
-    # c classes have at most 2**c upsets, so a quotient is counted exactly
-    # when 2**c exceeds the largest size so far. On the ladders the skipped
-    # quotients never change a row, so the counts themselves are compared.
+    # the bottom point's class is the least, so c classes have at most
+    # 2**(c-1) + 1 upsets, and a quotient is counted exactly when that
+    # exceeds the largest size so far. On the ladders the skipped quotients
+    # never change a row, so the counts themselves are compared.
     counted = []
     count = heylab.variety.quotient_upset_count
 
@@ -206,8 +213,22 @@ def test_strictness_counts_only_quotients_that_could_beat_the_best(monkeypatch):
     best, want = 0, []
     for tup in upset_multisets(upset_masks(P), 2):
         classes = omega_class_count(P, tup)
-        if 1 << classes > best:
+        if (1 << classes - 1) + 1 > best:
             want.append(classes)
-            best = max(best, quotient_size(P, tup))
+            blocks, _, downs = _omega_block_of(P, tup)
+            best = max(best, oracle_quotient_upset_count(blocks, downs))
     assert 0 < len(want) < len(list(upset_multisets(upset_masks(P), 2)))
     assert counted == want
+
+
+@pytest.mark.parametrize("n, depth", [(n, d) for n in range(3) for d in range(1, 5)])
+def test_every_ladder_quotient_has_a_least_class(n, depth):
+    # the premise of the strictness bound: the bottom point puts one class
+    # below all the others, and then an upset holding it is the whole
+    # quotient, so c classes have at most 2**(c-1) + 1 upsets
+    P = build_ladder(LadderSpec(n, depth))
+    for tup in upset_multisets(upset_masks(P), n):
+        blocks, _, downs = _omega_block_of(P, tup)
+        assert any(all(L & downs[b] for b in blocks) for L in blocks)
+        count = oracle_quotient_upset_count(blocks, downs)
+        assert count <= (1 << len(blocks) - 1) + 1
