@@ -3,6 +3,9 @@
 Exit codes: 0 success / verification passed, 1 invalid input (click usage
 errors included), 2 budget exceeded, 3 verification failed or search
 unsuccessful.
+
+Each command imports the modules it runs in its own body, so a cold
+process compiles only those.
 """
 
 from __future__ import annotations
@@ -10,18 +13,13 @@ from __future__ import annotations
 import contextlib
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import click
 
-from . import verify as verify_mod
-from .algebra import algebra_from_json, algebra_of
-from .colouring import _omega_block_of, find_k_colouring, stage_types
-from .corpus import DEFAULT_SEED
 from .errors import BudgetExceeded, HeylabError
-from .ladder import LadderSpec, build_ladder
 from .poset import (
+    DEFAULT_SEED,
     DEFAULT_TUPLE_BUDGET,
     DEFAULT_UPSET_BUDGET,
     is_upset_mask,
@@ -31,16 +29,13 @@ from .poset import (
     poset_to_json,
     upset_masks,
 )
-from .subalgebra import generate
-from .variety import algebra_product
 
 EXIT_INVALID = 1
 EXIT_BUDGET = 2
 EXIT_FAILED = 3
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     budget_upsets: int
     budget_tuples: int
     seed: int
@@ -116,15 +111,23 @@ class _Heylab(click.Group):
 
 
 def _load(path: str, parse, what: str):
-    """parse() applied to a JSON file; any failure but a budget's names the
-    file."""
+    """parse() applied to the JSON object in a file; any failure but a
+    budget's names the file."""
     try:
         with open(path) as fh:
-            return parse(json.load(fh))
+            data = json.load(fh)
+        if type(data) is not dict:
+            raise ValueError("the top level must be a JSON object")
+        return parse(data)
     except BudgetExceeded:
         raise
     except (OSError, KeyError, TypeError, ValueError, HeylabError, RecursionError) as e:
-        reason = "JSON nested too deeply" if isinstance(e, RecursionError) else e
+        if isinstance(e, RecursionError):
+            reason = "JSON nested too deeply"
+        elif isinstance(e, KeyError):  # parse() reads the object's keys
+            reason = f"missing key {e.args[0]!r}"
+        else:
+            reason = e
         raise ValueError(f"cannot read {what} file {path}: {reason}") from None
 
 
@@ -174,6 +177,8 @@ def main(ctx, budget_upsets, budget_tuples, seed, fmt, out):
 @click.pass_obj
 def ladder(cfg: RunConfig, n, depth):
     """Build a ladder truncation and print it as poset JSON or DOT."""
+    from .ladder import LadderSpec, build_ladder
+
     P = build_ladder(LadderSpec(n, depth), cfg.budget_upsets)
     _emit(cfg, poset_to_json(P), dot=poset_to_dot(P))
 
@@ -198,6 +203,8 @@ def upsets(cfg: RunConfig, poset_file):
 @click.pass_obj
 def algebra(cfg: RunConfig, poset_file):
     """Export the full upset Heyting algebra with operation tables."""
+    from .algebra import algebra_of
+
     P = _load(poset_file, poset_from_json, "poset")
     payload = algebra_of(P, cfg.budget_upsets).to_json()
     payload["seed"] = cfg.seed
@@ -213,6 +220,8 @@ def algebra(cfg: RunConfig, poset_file):
 @click.pass_obj
 def types(cfg: RunConfig, poset_file, colours, stage):
     """Type partition of a poset under a colouring."""
+    from .colouring import _omega_block_of, stage_types
+
     P = _load(poset_file, poset_from_json, "poset")
     masks = _parse_upsets(P, colours)
     if stage is None:
@@ -235,6 +244,8 @@ def types(cfg: RunConfig, poset_file, colours, stage):
 @click.pass_obj
 def colour_search(cfg: RunConfig, poset_file, k):
     """Exhaustive search for a k-colouring; exits 3 when none exists."""
+    from .colouring import find_k_colouring
+
     if k < 0:
         raise ValueError("k must be >= 0")
     P = _load(poset_file, poset_from_json, "poset")
@@ -260,6 +271,8 @@ def colour_search(cfg: RunConfig, poset_file, k):
 @click.pass_obj
 def generate_cmd(cfg: RunConfig, poset_file, gens):
     """Rank-stratified generated subalgebra with witness terms."""
+    from .subalgebra import generate
+
     P = _load(poset_file, poset_from_json, "poset")
     masks = _parse_upsets(P, gens)
     ra = generate(P, masks, cfg.budget_upsets)
@@ -297,6 +310,8 @@ def verify(cfg: RunConfig, lemma, depths, **options):
     The global seed and budgets go to every lemma that takes them; an
     option the lemma does not take exits 1.
     """
+    from . import verify as verify_mod
+
     report = verify_mod.run_verification(
         lemma,
         depths=None if depths is None else _depth_list(depths),
@@ -322,6 +337,8 @@ def strictness(cfg: RunConfig, n, depths):
     generated subalgebra; --budget-tuples caps the C(|Up|+n-1, n)
     generator multisets scanned at each depth.
     """
+    from . import verify as verify_mod
+
     report = verify_mod.verify_strictness(
         n, _depth_list(depths), cfg.budget_upsets, cfg.budget_tuples
     )
@@ -357,6 +374,9 @@ def product(cfg: RunConfig, algebra_a, algebra_b):
     the size**3 steps of checking them, and --budget-upsets the
     (|A|*|B|)**2 entries of each product table.
     """
+    from .algebra import algebra_from_json
+    from .variety import algebra_product
+
     A, B = (
         _load(p, lambda data: algebra_from_json(data, cfg.budget_tuples), "algebra")
         for p in (algebra_a, algebra_b)

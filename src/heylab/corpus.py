@@ -9,9 +9,7 @@ from functools import partial
 from typing import Sequence
 
 from .errors import BudgetExceeded
-from .poset import Poset, iter_bits, upsets_of, validate
-
-DEFAULT_SEED = 2718
+from .poset import DEFAULT_SEED, Poset, iter_bits, upsets_of, validate
 
 # Largest K in an 'exhaustiveK' corpus item: 24,223 of the 48,346
 # candidates on 8 points pass the down-set test and are labelled, in about

@@ -13,6 +13,8 @@ from .errors import BudgetExceeded, CycleError, EmptyPoset, ForeignPoint
 
 DEFAULT_UPSET_BUDGET = 1 << 20
 DEFAULT_TUPLE_BUDGET = 1 << 20
+# the seed of random corpora and of the CLI's --seed
+DEFAULT_SEED = 2718
 
 
 # a budget message writes a count or cap past this many bits by its power of two

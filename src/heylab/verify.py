@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .algebra import algebra_of, imp_mask
 from .colouring import random_tuples
-from .corpus import DEFAULT_SEED, SpecCorpus
+from .corpus import SpecCorpus
 from .ladder import (
     LadderSpec,
     build_ladder,
@@ -28,6 +28,7 @@ from .ladder import (
     verify_canonical,
 )
 from .poset import (
+    DEFAULT_SEED,
     EXACT_COUNT_BITS,
     Poset,
     check_tuple_budget,

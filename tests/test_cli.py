@@ -155,6 +155,45 @@ def test_help_exits_0(runner, argv):
     assert res.stdout.startswith("Usage:")
 
 
+# sha256 of `heylab --help` and of `heylab CMD --help`, 80 columns wide,
+# pinned while every module was still imported at start-up
+HELP_DIGESTS = {
+    "": "45ec71eaecdb026a8a8e7c22104d8f8b447847de4e42b50acb19ed0b6608ad21",
+    "algebra": "dbe5391077d5054ea4af8a377b641a81ef8a732f71da9d57682a01b4786782f3",
+    "colour-search": "ee30ff04e6c480fa119b01ac1fd94b843f115706febc1d1f78d02bf3844266da",
+    "generate": "f3f118a9722cc532b981d2b2a17a8e93596778f82afe40db3683969a72b50930",
+    "ladder": "8f2cb3752ce3bedb69927130422d89413ecc89cf499cb205dda1388f692afbf0",
+    "product": "d1b520bdb04824a5535904aa66b6d1eed25b2a1888aeabc62d78c93de8141e95",
+    "strictness": "dd338bdc1f378b6920f277b4152dec67576a07bad3b3e50765c0f8defcea71e6",
+    "types": "c8e64ff44c91cdff671fd91ae32756261e3c18416939b5b7fbe8c56c12e60fe6",
+    "upsets": "e2e95792b9ac9c7dc273e15791b699107d6ce2d7b84f4971a53bf6375e2a7329",
+    "verify": "622f0741d5acfe4f1e4505a06c8b2045de3aa10efd168e10cd57098b7e3ec445",
+}
+
+
+def _help(runner, command: str):
+    argv = [command, "--help"] if command else ["--help"]
+    return runner.invoke(main, argv, prog_name="heylab", terminal_width=80)
+
+
+def test_every_command_has_its_help_pinned():
+    assert sorted(HELP_DIGESTS) == ["", *sorted(main.commands)]
+
+
+@pytest.mark.parametrize("command", HELP_DIGESTS, ids=lambda c: c or "heylab")
+def test_help_digest(runner, command):
+    res = _help(runner, command)
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == HELP_DIGESTS[command]
+
+
+def test_help_shows_the_default_budgets_and_seed(runner):
+    out = _help(runner, "").stdout
+    for flag, default in (("budget-upsets", 1 << 20), ("budget-tuples", 1 << 20),
+                          ("seed", 2718)):
+        assert re.search(rf"\n  --{flag} INTEGER +\[default: {default}\]\n", out)
+
+
 def test_types_rejects_non_upset(runner, fork_file):
     res = runner.invoke(main, ["types", fork_file, "--colour", "b"])
     assert res.exit_code == 1
@@ -492,6 +531,9 @@ ONE_ELEMENT = {
 }
 
 
+WITHOUT_SIZE = {k: v for k, v in ONE_ELEMENT.items() if k != "size"}
+
+
 def _algebra(**changes):
     return lambda write: write({**ONE_ELEMENT, **changes})
 
@@ -627,6 +669,11 @@ MALFORMED = [
                  1, id="levels-bool"),
     pytest.param(["upsets", _file({"points": ["a"], "leq": [], "levels": {"zz": 0}})],
                  1, id="levels-unknown-point"),
+    # a file's top level must be an object holding every key its reader
+    # needs (the messages: test_malformed_file_error_names_the_fault)
+    pytest.param(["upsets", _file([["a"], []])], 1, id="poset-top-level-list"),
+    pytest.param(["product", _file(WITHOUT_SIZE), _algebra()], 1,
+                 id="algebra-missing-key"),
     pytest.param(["product", _chain2(size=9), _chain2()], 1, id="algebra-size"),
     pytest.param(["product", _algebra(meet=[[5]]), _algebra()], 1, id="entry-range"),
     pytest.param(["product", _algebra(), _algebra(join="x")], 1, id="table-type"),
@@ -713,6 +760,26 @@ def test_malformed_input_exits_with_one_line(runner, tmp_path, argv, code):
             cap = r"2 \*\* \d+ or more"
         form = rf"error: \d+ \S.* exceed the budget of {cap} \({flag}\)\n"
         assert re.fullmatch(form, res.stderr)
+
+
+NOT_AN_OBJECT = "the top level must be a JSON object"
+
+
+@pytest.mark.parametrize("command, data, reason", [
+    pytest.param("upsets", {"points": ["a"]}, "missing key 'leq'", id="poset-key"),
+    pytest.param("upsets", [["a"], []], NOT_AN_OBJECT, id="poset-list"),
+    pytest.param("upsets", "ab", NOT_AN_OBJECT, id="poset-string"),
+    pytest.param("product", WITHOUT_SIZE, "missing key 'size'", id="algebra-key"),
+    pytest.param("product", [ONE_ELEMENT], NOT_AN_OBJECT, id="algebra-list"),
+])
+def test_malformed_file_error_names_the_fault(runner, tmp_path, command, data, reason):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    # product reads two algebra files, upsets one poset file
+    kind, files = ("algebra", 2) if command == "product" else ("poset", 1)
+    res = runner.invoke(main, [command] + [str(path)] * files)
+    assert res.exit_code == 1
+    assert res.stderr == f"error: cannot read {kind} file {path}: {reason}\n"
 
 
 # any JSON value, small enough that a poset read from it has few points
