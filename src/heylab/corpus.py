@@ -11,14 +11,15 @@ from typing import Sequence
 from .errors import BudgetExceeded
 from .poset import DEFAULT_SEED, Poset, iter_bits, upsets_of, validate
 
-# Largest K in an 'exhaustiveK' corpus item: 24,223 of the 48,346
-# candidates on 8 points pass the down-set test and are labelled, in about
-# 2.5 s in all; 9 points (183,231 classes, A000112) take about 40 s.
-MAX_EXHAUSTIVE_POINTS = 8
+# Largest K in an 'exhaustiveK' corpus item: on 9 points 183,231 classes
+# (A000112) come from the candidates that pass the down-set test, labelled
+# by the cell search of least_bits, in about 11 s and 245 MB in-process;
+# 10 points have 2,567,284 classes, fourteen times as many.
+MAX_EXHAUSTIVE_POINTS = 9
 
 # POSET_COUNTS[K]: the posets on K points up to isomorphism (OEIS A000112),
 # K = 0..MAX_EXHAUSTIVE_POINTS
-POSET_COUNTS = (1, 1, 2, 5, 16, 63, 318, 2045, 16999)
+POSET_COUNTS = (1, 1, 2, 5, 16, 63, 318, 2045, 16999, 183231)
 
 
 def _slots(n: int) -> list:
@@ -35,47 +36,65 @@ def least_bits(up: Sequence[int]) -> int:
     least `bits` is one of them, so two orders on n points get the same
     value exactly when they are isomorphic.
 
-    Labels n-1, n-2, ... are given in turn, each to a point whose strict
-    up-set is already labelled. `bits` compares its highest slot first, and
-    the slots of label i are the pairs (i, j), j > i: they hold the row of
-    the point labelled i, which is fixed once labels i..n-1 are placed. So
-    a placing is extended only while its rows so far are the least, the
-    search branches only where rows tie, and bits is the concatenation of
-    the least rows. Twins (points with the same strict up- and down-sets)
-    are swapped by an automorphism, so of the unlabelled twins only the
-    first is tried.
+    Labels n-1, n-2, ... go in turn to points whose strict up-sets are
+    already labelled. `bits` compares its highest slot first, and the
+    slots of label i are the pairs (i, j), j > i: they hold the row of the
+    point labelled i, one bit per higher label, the lowest label lowest.
+    So the least `bits` gives each label to a point with the least row
+    that the labels before allow. Two facts let it place points in groups:
+    - a row is its point's strict up-set U relabelled, so the points tied
+      for the least row in one labelling share U;
+    - once one of them takes row R, the others take the next labels, with
+      rows R<<1, R<<2, ...: every other point then placeable has another
+      up-set, or one that holds U and a point of the group, so a larger
+      row, whatever order the tied points take.
+    The search keeps states: the placed points as cells, sets of points
+    with consecutive labels whose inner order is still open, in placing
+    order. A group (every unplaced point with strict up-set U, all of U
+    placed) has its least row over those open orders when each cell c
+    puts its |U & c| points of U at the low end of its labels. So the row
+    is built cell by cell, and the state that reaches it splits every
+    cell into c & ~U above c & U and appends the group as a new cell. Of
+    the (state, group) pairs, those with the least row are kept, and of
+    those the ones with the largest group: a group of t points gives the
+    rows R, R<<1, ..., R<<(t-1), and a smaller one of s points runs out
+    where the larger still gives R<<s and any other point more. Twins
+    (points with the same strict up- and down-sets) share a cell, so no
+    automorphism needs pruning; states that split alike are merged.
     """
-    n = len(up)
-    down = [0] * n
-    for i, u in enumerate(up):
-        for j in iter_bits(u):
-            down[j] |= 1 << i
-    seen, twins_before = {}, []
-    for x in range(n):
-        key = (up[x], down[x])
-        twins_before.append(seen.get(key, 0))
-        seen[key] = twins_before[x] | 1 << x
-    bits = 0
-    placings = [(0, ())]  # (mask of labelled points, those points, last first)
-    for k in range(n):
-        least, kept = None, []
-        for done, placed in placings:
-            for x in range(n):
-                ux = up[x]
-                if done >> x & 1 or (ux | twins_before[x]) & ~done:
+    groups = {}
+    for x, u in enumerate(up):
+        groups[u] = groups.get(u, 0) | 1 << x
+    groups = [(u, group, group.bit_count()) for u, group in groups.items()]
+    bits = placed = 0
+    states = {(): 0}  # cells, first placed first -> mask of their points
+    while placed < len(up):
+        least = None
+        for cells, done in states.items():
+            for u, group, size in groups:
+                if group & done or u & ~done:
                     continue
                 row = 0
-                bit = 1
-                for y in placed:
-                    if ux >> y & 1:
-                        row |= bit
-                    bit <<= 1
-                if least is None or row < least:
-                    least, kept = row, []
-                if row == least:
-                    kept.append((done | 1 << x, (x,) + placed))
-        bits = bits << k | least
-        placings = kept
+                for c in cells:
+                    row = row << c.bit_count() | (1 << (u & c).bit_count()) - 1
+                if least is None or row < least or row == least and size > most:
+                    least, most, kept = row, size, [(cells, done, u, group)]
+                elif row == least and size == most:
+                    kept.append((cells, done, u, group))
+        for j in range(most):
+            bits = bits << placed + j | least << j
+        placed += most
+        states = {}
+        for cells, done, u, group in kept:
+            split = []
+            for c in cells:
+                inside = c & u
+                if inside and inside != c:
+                    split += (c ^ inside, inside)
+                else:
+                    split.append(c)
+            split.append(group)
+            states[tuple(split)] = done | group
     return bits
 
 

@@ -306,7 +306,7 @@ def test_verify_pass(runner):
 
 
 @pytest.mark.parametrize(
-    "corpus, code", [("exhaustive0", 1), ("random5:x", 1), ("exhaustive9", 2)]
+    "corpus, code", [("exhaustive0", 1), ("random5:x", 1), ("exhaustive10", 2)]
 )
 def test_verify_bad_corpus(runner, corpus, code):
     res = runner.invoke(main, ["verify", "residuation", "--corpus", corpus])
@@ -517,6 +517,12 @@ def test_corpus_over_the_tuple_cap_exits_before_building(runner, monkeypatch):
     assert res.exit_code == 2
     assert res.stderr == (
         "error: 2333880 checks exceed the budget of 1048576 (--budget-tuples)\n"
+    )
+    # 202,680 posets x 20 draws x 6 stages
+    res = runner.invoke(main, ["verify", "rank-type", "--corpus", "exhaustive9"])
+    assert res.exit_code == 2
+    assert res.stderr == (
+        "error: 24321600 checks exceed the budget of 1048576 (--budget-tuples)\n"
     )
 
 

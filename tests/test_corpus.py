@@ -157,6 +157,46 @@ def _unfiltered_all_posets(max_points: int) -> list:
     return out
 
 
+# -- placing oracle: the search least_bits ran before its cell search. It
+# tries every placing of points whose rows tie, one point per step, and
+# prunes twins (points with equal strict up- and down-sets) to the first
+
+
+def oracle_least_bits(up) -> int:
+    n = len(up)
+    down = [0] * n
+    for i, u in enumerate(up):
+        for j in iter_bits(u):
+            down[j] |= 1 << i
+    seen, twins_before = {}, []
+    for x in range(n):
+        key = (up[x], down[x])
+        twins_before.append(seen.get(key, 0))
+        seen[key] = twins_before[x] | 1 << x
+    bits = 0
+    placings = [(0, ())]  # (mask of labelled points, those points, last first)
+    for k in range(n):
+        least, kept = None, []
+        for done, placed in placings:
+            for x in range(n):
+                ux = up[x]
+                if done >> x & 1 or (ux | twins_before[x]) & ~done:
+                    continue
+                row = 0
+                bit = 1
+                for y in placed:
+                    if ux >> y & 1:
+                        row |= bit
+                    bit <<= 1
+                if least is None or row < least:
+                    least, kept = row, []
+                if row == least:
+                    kept.append((done | 1 << x, (x,) + placed))
+        bits = bits << k | least
+        placings = kept
+    return bits
+
+
 def _bits_of_pairs(pairs, n: int) -> int:
     return sum(1 << b for b, pair in enumerate(_slots(n)) if pair in pairs)
 
@@ -263,8 +303,8 @@ def test_least_bits_matches_brute_force(n):
 
 
 @st.composite
-def relabeled_posets(draw):
-    P = draw(posets())
+def relabeled_posets(draw, max_points=7):
+    P = draw(posets(max_points=max_points))
     perm = draw(st.permutations(range(P.n)))
     pairs = [(perm[i], perm[j]) for i in range(P.n) for j in range(P.n) if P.leq(i, j)]
     return P, validate(P.points, pairs)
@@ -280,6 +320,27 @@ def test_least_bits_is_an_isomorphism_invariant(case, data):
     R, S = (data.draw(posets(min_points=n, max_points=n)) for _ in range(2))
     same = least_bits(_strict_up(R)) == least_bits(_strict_up(S))
     assert same == (_brute_form_of_poset(R) == _brute_form_of_poset(S))
+
+
+def test_least_bits_matches_the_placing_oracle_on_every_labelled_candidate(
+    monkeypatch,
+):
+    # every candidate that the search on 7 points labels (3,570 in all)
+    labelled = []
+    monkeypatch.setattr(
+        corpus, "least_bits", lambda up: labelled.append(list(up)) or least_bits(up)
+    )
+    all_posets_up_to_iso(7)
+    assert len(labelled) == 3570
+    for up in labelled:
+        assert least_bits(up) == oracle_least_bits(up)
+
+
+@given(relabeled_posets(max_points=9))
+def test_least_bits_matches_the_placing_oracle(case):
+    for P in case:
+        up = _strict_up(P)
+        assert least_bits(up) == oracle_least_bits(up)
 
 
 def test_exhaustive_no_duplicates():
@@ -340,16 +401,17 @@ def test_corpus_from_spec_rejects_malformed_items(item):
 def test_spec_corpus_raises_what_corpus_from_spec_raises(item):
     with pytest.raises(ValueError, match=repr(item)):
         SpecCorpus(f"exhaustive2,{item}")
-    with pytest.raises(BudgetExceeded, match="'exhaustive9'"):
-        SpecCorpus(f"exhaustive9,{item}")
+    with pytest.raises(BudgetExceeded, match="'exhaustive10'"):
+        SpecCorpus(f"exhaustive10,{item}")
 
 
 def test_spec_corpus_counts_each_item(exhaustive7):
-    # POSET_COUNTS against the enumeration; 8 points are counted only
+    # POSET_COUNTS against the enumeration; 8 and 9 points are counted only
     assert len(POSET_COUNTS) == MAX_EXHAUSTIVE_POINTS + 1
     by_size = Counter(P.n for P in exhaustive7)
     assert [by_size[k] for k in range(1, 8)] == list(POSET_COUNTS[1:8])
     assert POSET_COUNTS[8] == 16999 and len(SpecCorpus("exhaustive8")) == 19449
+    assert POSET_COUNTS[9] == 183231 and len(SpecCorpus("exhaustive9")) == 202680
     for spec in ("exhaustive6", "exhaustive1,random7:3", "random4, exhaustive3"):
         corpus = SpecCorpus(spec)
         assert len(corpus) == len(list(corpus))

@@ -374,7 +374,7 @@ def test_corpus_cap_is_checked_before_any_poset_is_built(monkeypatch):
     with pytest.raises(BudgetExceeded) as caught:
         run_verification("rank-type", corpus="exhaustive8")
     assert str(caught.value) == message
-    with pytest.raises(BudgetExceeded, match="limited to 8 points"):
-        run_verification("rank-type", corpus="random3,exhaustive9")
+    with pytest.raises(BudgetExceeded, match="limited to 9 points"):
+        run_verification("rank-type", corpus="random3,exhaustive10")
     with pytest.raises(ValueError, match="unknown corpus item 'bogus'"):
         run_verification("duality", corpus="exhaustive8,bogus")
