@@ -161,15 +161,12 @@ def algebra_of(P: Poset, budget: Optional[int] = None) -> FiniteHeytingAlgebra:
     if size * size > cap:
         raise over_budget(size * size, cap, "entries per algebra table")
     idx = {m: i for i, m in enumerate(masks)}
-    meet_t = tuple(
-        tuple(idx[masks[a] & masks[b]] for b in range(size)) for a in range(size)
-    )
-    join_t = tuple(
-        tuple(idx[masks[a] | masks[b]] for b in range(size)) for a in range(size)
-    )
+    # imp_mask's kernel, read once per table rather than called per entry
+    close, full = down_closure_of(P), P.full_mask
+    meet_t = tuple(tuple([idx[a & b] for b in masks]) for a in masks)
+    join_t = tuple(tuple([idx[a | b] for b in masks]) for a in masks)
     imp_t = tuple(
-        tuple(idx[imp_mask(P, masks[a], masks[b])] for b in range(size))
-        for a in range(size)
+        tuple([idx[full & ~close(a & ~b)] for b in masks]) for a in masks
     )
     elements = tuple(tuple(iter_bits(m)) for m in masks)
     return FiniteHeytingAlgebra(

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import groupby
 from math import factorial, prod
+from operator import eq
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .poset import Poset, down_closure_of, upset_masks, upset_multisets
@@ -114,10 +116,33 @@ def stage_types(P: Poset, masks: Sequence[int], stage: int) -> list:
 
 def random_tuples(pool, k: int, count: int, seed: Optional[int]) -> Iterator[tuple]:
     """Yield count seeded random k-tuples drawn from pool with replacement,
-    each only when it is asked for."""
-    randrange, n = random.Random(seed).randrange, len(pool)
+    each only when it is asked for.
+
+    Each index is rng.randrange(n) as randrange draws it, read from
+    getrandbits without its call layers: n.bit_length() bits, drawn again
+    while they are n or more. The stream and the generator's final state
+    are randrange's; an empty pool raises randrange's ValueError."""
+    getrandbits, n = random.Random(seed).getrandbits, len(pool)
+    if not n and k and count:
+        raise ValueError("empty range for randrange()")
+    bits = n.bit_length()
     for _ in range(count):
-        yield tuple([pool[randrange(n)] for _ in range(k)])
+        tup = []
+        for _ in range(k):
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            tup.append(pool[r])
+        yield tuple(tup)
+
+
+def multiset_weight(pattern) -> int:
+    """The k!/prod(c_i!) orderings of an ascending k-multiset whose k - 1
+    neighbour pairs are equal where pattern is true: the items repeat only
+    in runs, and a run of r equal pairs is one item c = r + 1 times."""
+    return factorial(len(pattern) + 1) // prod(
+        factorial(len(list(run)) + 1) for equal, run in groupby(pattern) if equal
+    )
 
 
 def colour_scan(P: Poset, pool, k: int, samples: Optional[int] = None,
@@ -126,13 +151,19 @@ def colour_scan(P: Poset, pool, k: int, samples: Optional[int] = None,
     colours from pool, each weighted by the k-tuples it stands for, since the
     omega-types depend only on the set of colours. When samples is None the
     sets are every ascending multiset, capped by budget, each weighted by its
-    k!/prod(c_i!) orderings; otherwise they are the ascending sorted sets of
-    samples seeded draws, each weighted by the number of draws of it."""
+    k!/prod(c_i!) orderings, memoised on its pattern of equal neighbours;
+    otherwise they are the ascending sorted sets of samples seeded draws,
+    each weighted by the number of draws of it."""
     if samples is None:
         sets = upset_multisets(pool, k, budget)
+        weights: dict = {}
 
         def weight(tup: tuple) -> int:
-            return factorial(k) // prod(map(factorial, map(tup.count, set(tup))))
+            pattern = bytes(map(eq, tup, tup[1:]))
+            w = weights.get(pattern)
+            if w is None:
+                w = weights[pattern] = multiset_weight(pattern)
+            return w
     else:
         draws = Counter(
             tuple(sorted(set(tup))) for tup in random_tuples(pool, k, samples, seed)

@@ -84,14 +84,14 @@ class RankedAlgebra:
         return value[mask]
 
 
-def _lattice_close(seeds, witnesses: dict, cap: int, consts, old=frozenset()) -> set:
-    """The meet/join closure of seeds, which hold the constants consts. A
-    pair with a constant gives nothing new (0 & a = 0, 0 | a = a, 1 & a =
-    a, 1 | a = 1), so the constants are paired with nothing. old, when
-    given, is a lattice-closed subset of seeds: a pair of its elements gives
-    nothing new, so an element of old is paired only with the fresh
-    elements before it, and a fresh one with every element before it."""
-    seen = set(seeds)
+def _lattice_close(seen, witnesses: dict, cap: int, consts, old=frozenset()) -> set:
+    """Close seen, a fresh set the caller gives up, under meet and join in
+    place, and return it; seen holds the constants consts. A pair with a
+    constant gives nothing new (0 & a = 0, 0 | a = a, 1 & a = a, 1 | a =
+    1), so the constants are paired with nothing. old, when given, is a
+    lattice-closed subset of seen: a pair of its elements gives nothing
+    new, so an element of old is paired only with the fresh elements
+    before it, and a fresh one with every element before it."""
     if len(seen) > cap:
         raise over_budget(len(seen), cap, "upsets")
     elems = sorted(seen - consts)
@@ -139,7 +139,8 @@ def generate(P: Poset, G: Iterable, budget: Optional[int] = None) -> RankedAlgeb
     # reaches it first and adds whatever a -> b would (a & b = a gives 1;
     # when a and a & b are both old, a -> (a & b) is in cur already).
     prev: set = set()
-    # imp_mask inlined: a -> b is the complement of the down-closure of a \ b
+    # imp_mask inlined: a -> b is the complement of the down-closure of
+    # a \ b, which is a ^ b for b a submask of a
     close, full = down_closure_of(P), P.full_mask
     while True:
         cand = set(cur)
@@ -152,7 +153,7 @@ def generate(P: Poset, G: Iterable, budget: Optional[int] = None) -> RankedAlgeb
                     break
                 if b & ~a:
                     continue
-                m = full & ~close(a & ~b)
+                m = full & ~close(a ^ b)
                 if m not in cand:
                     cand.add(m)
                     witnesses.setdefault(m, ("imp", a, b))

@@ -36,12 +36,13 @@ def subalgebra_closure(A: FiniteHeytingAlgebra, gens: Iterable[int]) -> frozense
     """Indices of the subalgebra generated by gens with 0 and 1 seeded."""
     elems = sorted(set(_check_elements(A, gens)) | {A.bottom, A.top})
     seen = set(elems)
+    imp = A.imp
     i = 0
     while i < len(elems):
         a = elems[i]
-        for j in range(i + 1):
-            b = elems[j]
-            for m in (A.meet[a][b], A.join[a][b], A.imp[a][b], A.imp[b][a]):
+        meet_a, join_a, imp_a = A.meet[a], A.join[a], imp[a]
+        for b in elems[: i + 1]:
+            for m in (meet_a[b], join_a[b], imp_a[b], imp[b][a]):
                 if m not in seen:
                     seen.add(m)
                     elems.append(m)

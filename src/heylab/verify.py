@@ -49,27 +49,43 @@ def _sample_generator_sets(masks, count: int, rng: random.Random):
     empty set, count in all; each is drawn only when it is asked for.
 
     The sets and the stream are those of sorted(rng.sample(pool,
-    rng.randint(1, min(2, n)))), drawn by rng.randrange without sample's
-    copy of the pool: randint(1, m) is 1 + randrange(m), and sample draws j
-    below n, then k below n - 1 (n - 1 standing in for j) when n <= 21,
-    else k below n until k != j."""
+    rng.randint(1, min(2, n)))), drawn without sample's copy of the pool:
+    randint(1, m) is 1 + randrange(m), and sample draws j below n, then k
+    below n - 1 (n - 1 standing in for j) when n <= 21, else k below n
+    until k != j. Each randrange(m) is read from rng.getrandbits as
+    randrange draws it: m.bit_length() bits, drawn again while they are m
+    or more. An empty pool raises randrange's ValueError."""
     yield ()
     pool = list(masks)
     n = len(pool)
-    sizes, randrange = min(2, n), rng.randrange
+    if not n and count > 1:
+        raise ValueError("empty range for randrange()")
+    getrandbits = rng.getrandbits
+    sizes = min(2, n)  # a set has 1 + randrange(sizes) upsets
+    short = n - 1  # sample's second draw is below n - 1 when n <= 21
+    size_bits, bits, short_bits = sizes.bit_length(), n.bit_length(), short.bit_length()
     for _ in range(count - 1):
-        if not randrange(sizes):
-            yield (pool[randrange(n)],)
+        r = getrandbits(size_bits)
+        while r >= sizes:
+            r = getrandbits(size_bits)
+        j = getrandbits(bits)
+        while j >= n:
+            j = getrandbits(bits)
+        if not r:
+            yield (pool[j],)
             continue
-        j = randrange(n)
         if n <= 21:
-            k = randrange(n - 1)
+            k = getrandbits(short_bits)
+            while k >= short:
+                k = getrandbits(short_bits)
             if k == j:
-                k = n - 1
+                k = short
         else:
-            k = randrange(n)
+            k = j
             while k == j:
-                k = randrange(n)
+                k = getrandbits(bits)
+                while k >= n:
+                    k = getrandbits(bits)
         a, b = pool[j], pool[k]
         yield (a, b) if a < b else (b, a)
 
@@ -82,11 +98,29 @@ def _report(lemma: str, failures: list, **fields) -> dict:
     return {"lemma": lemma, **fields, "failures": failures, "passed": not failures}
 
 
+def _running_budget(budget_tuples: Optional[int], what: str):
+    """A callable that adds a poset's count of what to a running total and
+    raises BudgetExceeded, naming that total, at the first poset that takes
+    it past budget_tuples: for a lemma whose count needs each poset's
+    upsets, checked poset by poset before the poset's work."""
+    total = 0
+
+    def charge(count: int) -> None:
+        nonlocal total
+        total += count
+        check_tuple_budget(total, budget_tuples, what)
+
+    return charge
+
+
 def verify_residuation(
     corpus: Sequence[Poset],
     budget_upsets: Optional[int] = None,
+    budget_tuples: Optional[int] = None,
 ) -> dict:
     """Residuation and distributivity over every upset triple (a, b, c).
+    The |Up(P)|**2 (b, c) pairs of the posets so far are capped by
+    budget_tuples.
 
     Each (b, c) tests every a at once. Both tests read "a & M == 0" for
     masks M fixed by (b, c): residuation holds at a when a & (b & ~c) and
@@ -98,8 +132,10 @@ def verify_residuation(
     of M. Failures are listed in (b, c, a) order."""
     failures = []
     triples = 0
+    charge = _running_budget(budget_tuples, "(b, c) pairs")
     for P in corpus:
         masks = upset_masks(P, budget_upsets)
+        charge(len(masks) ** 2)
         holding = [
             sum(1 << i for i, a in enumerate(masks) if a >> x & 1)
             for x in range(P.n)

@@ -1,3 +1,4 @@
+import random
 from functools import cache
 
 import pytest
@@ -20,6 +21,15 @@ def posets(draw, max_points=7, min_points=1):
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
     return validate([f"p{i}" for i in range(n)], [s for s, c in zip(slots, chosen) if c])
+
+
+class BoundedRandom(random.Random):
+    """A generator that fails, instead of drawing for ever, past 1,000 draws."""
+
+    def getrandbits(self, k):
+        self.draws = getattr(self, "draws", 0) + 1
+        assert self.draws <= 1000, "drew for ever"
+        return super().getrandbits(k)
 
 
 @st.composite

@@ -89,6 +89,19 @@ def test_law_check_passes_on_exhaustive4():
         assert algebra_from_json(A.to_json()) == A
 
 
+@given(posets())
+def test_algebra_of_tables_match_the_definitions(P):
+    # algebra_of reads imp_mask's kernel once per table, not imp_mask per entry
+    A = algebra_of(P)
+    masks = upset_masks(P)
+    idx = {m: i for i, m in enumerate(masks)}
+    for i, mi in enumerate(masks):
+        for j, mj in enumerate(masks):
+            assert A.imp[i][j] == idx[imp_mask(P, mi, mj)]
+            assert A.meet[i][j] == idx[mi & mj]
+            assert A.join[i][j] == idx[mi | mj]
+
+
 @given(posets(max_points=6))
 def test_algebra_of_satisfies_heyting_laws(P):
     A = algebra_of(P)

@@ -610,6 +610,9 @@ MALFORMED = [
                   "--depths", "4"], 2, id="verify-strictness-tuple-budget"),
     pytest.param(["--budget-upsets", "3", "verify", "residuation", "--corpus",
                   "exhaustive3"], 2, id="verify-upset-budget"),
+    # the (b, c) pairs of a corpus's posets so far, counted poset by poset
+    pytest.param(["--budget-tuples", "100", "verify", "residuation", "--corpus",
+                  "exhaustive3"], 2, id="residuation-pairs-tuple-budget"),
     pytest.param(["--budget-upsets", "1000", "upsets", _chain], 2, id="chain1200"),
     pytest.param(["--budget-upsets", "4", "generate", _fork, "--gen", "x"], 2,
                  id="generate-upset-budget"),

@@ -1,5 +1,8 @@
 import random
+from collections import Counter
 from itertools import combinations_with_replacement, product, tee
+from math import factorial, prod
+from operator import eq
 
 import pytest
 from conftest import oracle_quotient_upset_count, posets_with_generators
@@ -13,6 +16,8 @@ from heylab.colouring import (
     _omega_block_of,
     _refine_block_of,
     _stages,
+    colour_scan,
+    multiset_weight,
     omega_class_count,
     omega_walk,
 )
@@ -344,3 +349,18 @@ def test_colour_search_matches_the_multiset_oracle():
     for P in all_posets_up_to_iso(5):
         for k in range(4):
             assert find_k_colouring(P, k) == oracle_find_k_colouring(P, k)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_multiset_weights_count_the_orderings(k):
+    # an ascending multiset's weight from its pattern of equal neighbours is
+    # k!/prod(c_i!), c_i the count of each item in it
+    for tup in combinations_with_replacement(range(4), k):
+        counts = Counter(tup).values()
+        expected = factorial(k) // prod(map(factorial, counts))
+        assert multiset_weight(bytes(map(eq, tup, tup[1:]))) == expected
+    P = all_posets_up_to_iso(3)[-1]
+    masks = upset_masks(P)
+    scan = [(c, w) for c, w, _, _ in colour_scan(P, masks, k)]
+    ordered = Counter(tuple(sorted(t)) for t in product(masks, repeat=k))
+    assert scan == sorted(ordered.items())

@@ -4,6 +4,7 @@ from itertools import product
 from math import factorial, prod
 
 import pytest
+from conftest import BoundedRandom
 
 from heylab import (
     LadderSpec,
@@ -363,7 +364,9 @@ def old_random_tuples(pool, k, count, seed):
         yield tuple(pool[rng.randrange(len(pool))] for _ in range(k))
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 21, 22, 40])
+# randrange(n) draws n.bit_length() bits until they fall below n: a redraw
+# is rarest at n = 2**j and most frequent at n = 2**j + 1
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 8, 21, 22, 40, 64, 65])
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_random_tuples_keep_their_stream(monkeypatch, size, k):
     made = []
@@ -380,3 +383,18 @@ def test_random_tuples_keep_their_stream(monkeypatch, size, k):
         got = list(random_tuples(pool, k, 200, seed))
         assert got == list(old_random_tuples(pool, k, 200, seed))
         assert made[0].getstate() == made[1].getstate()
+
+
+def test_random_tuples_refuse_an_empty_pool(monkeypatch):
+    # a draw below 0 has no value, and getrandbits(0) gives 0 for ever; the
+    # kernel must raise randrange's error rather than loop
+    monkeypatch.setattr(random, "Random", BoundedRandom)
+    with pytest.raises(ValueError) as old:
+        list(old_random_tuples([], 1, 1, 0))
+    with pytest.raises(ValueError) as new:
+        list(random_tuples([], 1, 1, 0))
+    assert str(new.value) == str(old.value) == "empty range for randrange()"
+    # with nothing to draw, nothing is refused
+    for k, count in ((0, 3), (2, 0)):
+        got = list(random_tuples([], k, count, 0))
+        assert got == list(old_random_tuples([], k, count, 0))

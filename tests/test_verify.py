@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from conftest import BoundedRandom
 
 from heylab import corpus as corpus_mod
 from heylab import verify as verify_mod
@@ -78,6 +79,38 @@ def test_residuation_failures_against_per_triple_oracle(monkeypatch):
     r = verify_residuation(corpus)
     assert len(r["failures"]) == 274
     assert json.dumps(r, indent=1) == json.dumps(oracle_residuation(corpus), indent=1)
+
+
+def test_residuation_pairs_are_capped_poset_by_poset(tiny_corpus, monkeypatch):
+    pairs = [len(upset_masks(P)) ** 2 for P in tiny_corpus]
+    total = sum(pairs)
+    assert verify_residuation(tiny_corpus, budget_tuples=total) == verify_residuation(
+        tiny_corpus
+    )
+    message = f"{total} (b, c) pairs exceed the budget of {total - 1} (--budget-tuples)"
+    with pytest.raises(BudgetExceeded) as caught:
+        verify_residuation(tiny_corpus, budget_tuples=total - 1)
+    assert str(caught.value) == message
+    # the first poset past the cap is refused before any of its pairs is
+    # checked, and the message names the count it reached
+    calls = []
+    orig = verify_mod.imp_mask
+    monkeypatch.setattr(
+        "heylab.verify.imp_mask", lambda P, b, c: calls.append(P) or orig(P, b, c)
+    )
+    with pytest.raises(BudgetExceeded, match=rf"^{pairs[0] + pairs[1]} \(b, c\)"):
+        verify_residuation(tiny_corpus, budget_tuples=pairs[0])
+    assert calls == [tiny_corpus[0]] * pairs[0]
+
+
+def test_residuation_pairs_on_the_documented_corpora():
+    # the default corpus stays under the default cap of 2**20; exhaustive7
+    # does not (README)
+    def pairs(spec):
+        return sum(len(upset_masks(P)) ** 2 for P in corpus_mod.SpecCorpus(spec))
+
+    assert pairs("exhaustive5,random200:2718") == 45_558
+    assert pairs("exhaustive7") == 1_444_605
 
 
 def test_rank_type_report(tiny_corpus):
@@ -351,16 +384,32 @@ def old_sample_generator_sets(masks, count, rng):
         yield tuple(sorted(rng.sample(pool, size)))
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 21, 22, 40])
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 8, 21, 22, 40, 64, 65])
 @pytest.mark.parametrize("seed", [0, 1, 7, 2718])
 def test_generator_set_draws_keep_their_stream(size, seed):
     # sample draws from a copy of the pool up to 21 items and by rejection
-    # past them; the pool's order is not its sorted order
+    # past them; the pool's order is not its sorted order. randrange(n)
+    # redraws its n.bit_length() bits least often at n = 2**j and most
+    # often at n = 2**j + 1
     pool = [(i * 40503) % 65521 for i in range(1, size + 1)]
     rng, old_rng = random.Random(seed), random.Random(seed)
     got = list(_sample_generator_sets(pool, 400, rng))
     assert got == list(old_sample_generator_sets(pool, 400, old_rng))
     assert rng.getstate() == old_rng.getstate()
+
+
+def test_generator_set_draws_refuse_an_empty_pool():
+    # getrandbits(0) gives 0 for ever; the draw must raise randrange's
+    # error, after the empty set, rather than loop
+    rng, old_rng = BoundedRandom(1), BoundedRandom(1)
+    assert next(_sample_generator_sets([], 2, rng)) == ()
+    with pytest.raises(ValueError) as old:
+        list(old_sample_generator_sets([], 2, old_rng))
+    with pytest.raises(ValueError) as new:
+        list(_sample_generator_sets([], 2, rng))
+    assert str(new.value) == "empty range for randrange()"
+    assert str(old.value).startswith(str(new.value))
+    assert list(_sample_generator_sets([], 1, rng)) == [()]
 
 
 def test_corpus_cap_is_checked_before_any_poset_is_built(monkeypatch):
