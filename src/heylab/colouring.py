@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import groupby
+from functools import cache
+from itertools import groupby, islice
 from math import factorial, prod
 from operator import eq
 from typing import Iterable, Iterator, Optional, Sequence
@@ -18,69 +19,75 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .poset import Poset, down_closure_of, upset_masks, upset_multisets
 
 
-def _split(blocks: list, cuts: Iterable[int]) -> list:
-    """Each block (a point mask) split in two by each cut that holds part of it."""
+def _split(blocks: list, cuts: Iterable[int]) -> tuple:
+    """(blocks, pieces): each block (a point mask) split in two by each cut
+    that holds part of it, and every piece a split made, in order."""
+    pieces = []
     for d in cuts:
         out = []
         for b in blocks:
             a = b & d
             if a and a != b:
                 out += (a, b ^ a)
+                pieces += out[-2:]
             else:
                 out.append(b)
         blocks = out
-    return blocks
+    return blocks, pieces
 
 
 def _initial_blocks(P: Poset, masks: Iterable[int]) -> list:
     """Stage 0: the points split by membership in each colour."""
-    return _split([P.full_mask], masks)
+    return _split([P.full_mask], masks)[0]
 
 
 # perfbench/tracing.py wraps _refine_block_of and _omega_block_of by these names
-def _refine_block_of(P: Poset, blocks: list, downs: dict) -> list:
-    """One stage: blocks cut by the down-closures of those not yet in downs,
-    which gain them; the cuts already in downs split blocks already."""
+def _refine_block_of(P: Poset, blocks: list, fresh: list, downs: dict) -> tuple:
+    """One stage: (blocks, pieces), blocks cut by the down-closures of the
+    fresh pieces only, each read from the memo downs or formed there.
+
+    Every other block's down-closure was cut by at an earlier stage (in a
+    walk, its parent's), so it is a union of blocks. A piece split again by
+    the stage that made it still gives a cut, the union of its sub-pieces'
+    cuts, which the same step makes. So each stage and the fixpoint equal,
+    as sets, the stages cut by every block's down-closure."""
     close, cuts = down_closure_of(P), []
-    for b in blocks:
-        if b not in downs:
+    for b in fresh:
+        d = downs.get(b)
+        if d is None:
             downs[b] = d = close(b)
-            cuts.append(d)
+        cuts.append(d)
     return _split(blocks, cuts)
 
 
 def _stages(P: Poset, blocks: list, downs: dict):
-    """Yield blocks, which every cut in downs splits already, and its stages
-    up to and including the first that refines to itself, the omega
-    fixpoint; downs then holds the down-closure of every final block."""
-    while True:
+    """Yield blocks, each of them fresh, and its stages up to and including
+    the first that refines to itself, the omega fixpoint; downs then holds
+    every final block's down-closure."""
+    fresh = blocks
+    while fresh:
         yield blocks
-        nxt = _refine_block_of(P, blocks, downs)
-        if len(nxt) == len(blocks):
-            return
-        blocks = nxt
+        blocks, fresh = _refine_block_of(P, blocks, fresh, downs)
 
 
 def _omega_block_of(P: Poset, masks: Sequence[int]):
     """Refine to the fixpoint: (blocks, stabilized_at, downs), downs[b] the
     down-closure of block b."""
     downs: dict = {}
-    for stage, blocks in enumerate(_stages(P, _initial_blocks(P, masks), downs)):
-        pass
-    return blocks, stage, downs
+    *before, blocks = _stages(P, _initial_blocks(P, masks), downs)
+    return blocks, len(before), downs
 
 
 def omega_walk(P: Poset, tuples: Iterable[tuple]):
-    """Yield (tup, blocks, downs) for each generator tuple, in order, with
-    blocks the omega-types of tup and downs[b] the down-closure of block b.
-
-    Omega of G plus g is the fixpoint of omega of G split by g, so each
-    prefix's partition is refined from its parent's. The walk keeps the
-    partitions of the last tuple's prefixes and reuses the longest prefix
-    it shares with the next, so ascending multisets refine each distinct
-    prefix once. Tuples are drawn one at a time."""
-    blocks, _, downs = _omega_block_of(P, ())
-    stack, last = [(blocks, downs)], ()
+    """Yield (tup, blocks, downs) for each tuple, drawn one at a time: the
+    omega-types of tup, and downs[b] the down-closure of block b, valid
+    until the next tuple is drawn. Omega of G plus g is the fixpoint of
+    omega of G split by g, refined from the pieces g made, so the walk
+    keeps the partitions of the last tuple's prefixes and starts from the
+    longest it shares with the next. downs memoises the down-closures formed
+    since the first generator changed, when it was re-seeded from the root."""
+    blocks, _, root = _omega_block_of(P, ())
+    stack, last = [blocks], ()
     for tup in tuples:
         shared = 0
         for a, b in zip(last, tup):
@@ -88,14 +95,15 @@ def omega_walk(P: Poset, tuples: Iterable[tuple]):
                 break
             shared += 1
         del stack[shared + 1:]
+        if not shared:
+            downs = dict(root)
         for g in tup[shared:]:
-            blocks, downs = stack[-1]
-            downs = dict(downs)  # the parent's serves its later children too
-            for blocks in _stages(P, _split(blocks, (g,)), downs):
-                pass
-            stack.append((blocks, downs))
+            blocks, fresh = _split(stack[-1], (g,))
+            while fresh:
+                blocks, fresh = _refine_block_of(P, blocks, fresh, downs)
+            stack.append(blocks)
         last = tup
-        yield (tup, *stack[-1])
+        yield tup, stack[-1], downs
 
 
 def omega_class_count(P: Poset, masks: Sequence[int]) -> int:
@@ -108,9 +116,7 @@ def stage_types(P: Poset, masks: Sequence[int], stage: int) -> list:
     fixpoint every stage repeats it."""
     if stage < 0:
         raise ValueError("stage must be >= 0")
-    for n, blocks in enumerate(_stages(P, _initial_blocks(P, masks), {})):
-        if n == stage:
-            break
+    *_, blocks = islice(_stages(P, _initial_blocks(P, masks), {}), stage + 1)
     return blocks
 
 
@@ -136,7 +142,7 @@ def random_tuples(pool, k: int, count: int, seed: Optional[int]) -> Iterator[tup
         yield tuple(tup)
 
 
-def multiset_weight(pattern) -> int:
+def multiset_weight(pattern: bytes) -> int:
     """The k!/prod(c_i!) orderings of an ascending k-multiset whose k - 1
     neighbour pairs are equal where pattern is true: the items repeat only
     in runs, and a run of r equal pairs is one item c = r + 1 times."""
@@ -147,23 +153,17 @@ def multiset_weight(pattern) -> int:
 
 def colour_scan(P: Poset, pool, k: int, samples: Optional[int] = None,
                 seed: Optional[int] = None, budget: Optional[int] = None):
-    """Yield (colours, weight, blocks, downs) along omega_walk for sets of k
-    colours from pool, each weighted by the k-tuples it stands for, since the
-    omega-types depend only on the set of colours. When samples is None the
-    sets are every ascending multiset, capped by budget, each weighted by its
-    k!/prod(c_i!) orderings, memoised on its pattern of equal neighbours;
-    otherwise they are the ascending sorted sets of samples seeded draws,
-    each weighted by the number of draws of it."""
+    """Yield (colours, weight, blocks, downs) along omega_walk, downs valid
+    until the next tuple is drawn, for sets of k colours from pool weighted
+    by the k-tuples each stands for (the omega-types depend only on the set
+    of colours): every ascending multiset, capped by budget, with its
+    k!/prod(c_i!) orderings memoised per pattern of equal neighbours, or,
+    with samples, the sorted sets of that many seeded draws with their counts."""
     if samples is None:
-        sets = upset_multisets(pool, k, budget)
-        weights: dict = {}
+        sets, memo = upset_multisets(pool, k, budget), cache(multiset_weight)
 
         def weight(tup: tuple) -> int:
-            pattern = bytes(map(eq, tup, tup[1:]))
-            w = weights.get(pattern)
-            if w is None:
-                w = weights[pattern] = multiset_weight(pattern)
-            return w
+            return memo(bytes(map(eq, tup, tup[1:])))
     else:
         draws = Counter(
             tuple(sorted(set(tup))) for tup in random_tuples(pool, k, samples, seed)

@@ -6,7 +6,8 @@ from __future__ import annotations
 import random
 import re
 from functools import partial
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded
 from .poset import DEFAULT_SEED, Poset, iter_bits, upsets_of, validate
@@ -98,9 +99,11 @@ def least_bits(up: Sequence[int]) -> int:
     return bits
 
 
-def all_posets_up_to_iso(max_points: int) -> list:
-    """All posets on 1..max_points points, one representative per
-    isomorphism class, in a deterministic order.
+def iter_posets_up_to_iso(max_points: int) -> Iterator[Poset]:
+    """Yield all posets on 1..max_points points, one representative per
+    isomorphism class, in a deterministic order, each size's as soon as
+    its classes are known: the next size is not begun until they are all
+    drawn.
 
     The classes on K points come from those on K-1: every poset has a
     maximal point, so adding a new maximal point above each down-set of
@@ -124,7 +127,6 @@ def all_posets_up_to_iso(max_points: int) -> list:
     order, so there is nothing to close. Within each size classes come in
     the order of their representatives.
     """
-    out = []
     classes = {least_bits(()): ()}
     for n in range(1, max_points + 1):
         parents, classes = classes.values(), {}
@@ -151,8 +153,12 @@ def all_posets_up_to_iso(max_points: int) -> list:
                 i, j = slots[b]
                 up[i] |= 1 << j
                 down[j] |= 1 << i
-            out.append(Poset(points, up, down))
-    return out
+            yield Poset(points, up, down)
+
+
+def all_posets_up_to_iso(max_points: int) -> list:
+    """The list of iter_posets_up_to_iso(max_points)."""
+    return list(iter_posets_up_to_iso(max_points))
 
 
 def random_poset(rng: random.Random, n_points: int) -> Poset:
@@ -200,7 +206,7 @@ def _corpus_items(text: str) -> list:
                     f"{MAX_EXHAUSTIVE_POINTS} points"
                 )
             count = sum(POSET_COUNTS[1 : k + 1])
-            items.append((count, partial(all_posets_up_to_iso, k)))
+            items.append((count, partial(iter_posets_up_to_iso, k)))
         elif item.startswith("random"):
             count_s, sep, seed_s = item[len("random"):].partition(":")
             count = _positive(item, count_s, "the count")
@@ -231,7 +237,9 @@ def corpus_from_spec(text: str) -> list:
 class SpecCorpus:
     """The posets of a corpus specifier, which is parsed, checked and
     counted when this is made; they are built each time it is iterated,
-    so a caller can cap its work by len() before any poset is built."""
+    one item after another and the exhaustive ones one poset at a time, so
+    a caller can cap its work by len() before any poset is built, or as it
+    goes, and holds only the posets it keeps."""
 
     def __init__(self, spec: str):
         self.spec = spec
@@ -241,4 +249,4 @@ class SpecCorpus:
         return self.size
 
     def __iter__(self):
-        return iter(corpus_from_spec(self.spec))
+        return chain.from_iterable(build() for _, build in _corpus_items(self.spec))

@@ -55,7 +55,7 @@ class Poset:
 
     __slots__ = (
         "points", "up", "down", "level_tags", "full_mask", "_index",
-        "_upset_masks", "_cover_walk", "_down_closure",
+        "_upset_masks", "_cover_walk", "_down_closure", "__weakref__",
     )
 
     def __init__(

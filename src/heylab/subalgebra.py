@@ -209,7 +209,7 @@ def rank_type_mismatches(
     # split by its new elements
     rank_blocks, part, before = [], [P.full_mask], frozenset()
     for s in ra.strata[: max_stage + 1]:
-        part, before = _split(part, s - before), s
+        part, before = _split(part, s - before)[0], s
         rank_blocks.append(set(part))
     bad, last = [], len(rank_blocks) - 1
     stages = _stages(P, _initial_blocks(P, gmasks), {})

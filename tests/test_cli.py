@@ -431,67 +431,80 @@ def test_bad_budget_rejected(runner, fork_file):
     assert res.exit_code == 1
 
 
-# sha256 of the stdout of `heylab verify ...` for every lemma, pinned from
-# the reports of the code before the lemma registry: moving what each lemma
-# takes into one registry must not change a byte of any report
+# sha256 of the stdout of `heylab verify ...` for every lemma, and its exit
+# code, pinned from the reports of the code before the lemma registry:
+# moving what each lemma takes into one registry must not change a byte of
+# any report
 VERIFY_DIGESTS = [
     pytest.param(
-        ["residuation", "--corpus", "exhaustive3"],
+        ["residuation", "--corpus", "exhaustive3"], 0,
         "519c05281e96d656570d80973b41cd1932deb086852d658edfd60efdedfb1514",
         id="residuation",
     ),
     pytest.param(
-        ["rank-type", "--corpus", "exhaustive3", "--gens-per-poset", "3"],
+        ["rank-type", "--corpus", "exhaustive3", "--gens-per-poset", "3"], 0,
         "b256bc2c7e3a8dec1b6e677d4bd94b223a8a21a367a72328c03b7640cf6545c3",
         id="rank-type",
     ),
     pytest.param(
-        ["duality", "--corpus", "exhaustive3", "--gens-per-poset", "3"],
+        ["duality", "--corpus", "exhaustive3", "--gens-per-poset", "3"], 0,
         "2de9ce2444b90ebc929f9266b5560b8c55d02042bc627e867085c5a8d2cb4c8d",
         id="duality",
     ),
     pytest.param(
-        ["oracle", "--corpus", "exhaustive3", "--gens-per-poset", "3"],
+        ["oracle", "--corpus", "exhaustive3", "--gens-per-poset", "3"], 0,
         "8671e389a9eaef6fddd95be86c31783766af6f08b2d81b5d88a2ce6843c3842f",
         id="oracle",
     ),
     pytest.param(
-        ["canonical", "--n", "1", "--depth", "4"],
+        ["canonical", "--n", "1", "--depth", "4"], 0,
         "1163c37c1e70e2e761712714cd9b6700e3a96474d8475d50cd253cb20178a6e3",
         id="canonical",
     ),
     pytest.param(
-        ["collapse", "--n", "1", "--samples", "3"],
+        ["collapse", "--n", "1", "--samples", "3"], 0,
         "88f5573486d6e1424b8e1f1604b8635bd67331b58b75e167f86abd663f45d714",
         id="collapse",
     ),
     pytest.param(
-        ["non-colourable", "--n", "1", "--depth", "3"],
+        ["non-colourable", "--n", "1", "--depth", "3"], 0,
         "8a65cb9056d5f79ad4e58f07b7a0a59c55b180a1132b6fb68630d4485d48279e",
         id="non-colourable-exhaustive",
     ),
     pytest.param(
-        ["non-colourable", "--n", "2", "--depth", "2", "--k", "2", "--samples", "20"],
+        ["non-colourable", "--n", "2", "--depth", "2", "--k", "2", "--samples", "20"], 0,
         "0e2598c15cb7fbe481a5390f5a04b99a866143de6f831c43da98449bbb065084",
         id="non-colourable-sampled",
     ),
+    # walks three deep, the memo re-seeded under each first generator; 3
+    # colours colour these truncations, so the lemma fails (exit 3)
     pytest.param(
-        ["next-level", "--n", "1", "--depth", "4", "--samples", "5"],
+        ["non-colourable", "--n", "2", "--depth", "2", "--k", "3"], 3,
+        "ab25e8262f3e13b12a98f9456af767e9c1ae1eca48c882c814e7679319ae9129",
+        id="non-colourable-n2-k3",
+    ),
+    pytest.param(
+        ["non-colourable", "--n", "1", "--depth", "4", "--k", "3"], 3,
+        "90c6f2176a1481178a46d7c0f871e83b69604dd8c4e005cbe4c00cfdea88a201",
+        id="non-colourable-n1-d4-k3",
+    ),
+    pytest.param(
+        ["next-level", "--n", "1", "--depth", "4", "--samples", "5"], 0,
         "59b09185e24d834dcd5f865005f618c6df6ff954fc577a8fa4d7ba956a59d2da",
         id="next-level",
     ),
     pytest.param(
-        ["strictness", "--n", "1", "--depths", "4,5"],
+        ["strictness", "--n", "1", "--depths", "4,5"], 0,
         "8d343ae8f9713d494598a3d0358115be40a14e326ca04d4de5d2d10b2c91b92b",
         id="strictness",
     ),
 ]
 
 
-@pytest.mark.parametrize("args, digest", VERIFY_DIGESTS)
-def test_verify_report_digest(runner, args, digest):
+@pytest.mark.parametrize("args, code, digest", VERIFY_DIGESTS)
+def test_verify_report_digest(runner, args, code, digest):
     res = runner.invoke(main, ["verify", *args])
-    assert res.exit_code == 0
+    assert res.exit_code == code
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
 
 
@@ -500,7 +513,7 @@ def test_sampled_run_at_its_tuple_cap(runner, cap, lemma):
     # a run that reaches its cap exactly prints the same bytes; one below
     # it exits 2 (rank-type: 8 posets x 3 draws x 6 stages; collapse: 3
     # samples)
-    args, digest = next(p.values for p in VERIFY_DIGESTS if p.id == lemma)
+    args, _, digest = next(p.values for p in VERIFY_DIGESTS if p.id == lemma)
     res = runner.invoke(main, ["--budget-tuples", str(cap), "verify", *args])
     assert res.exit_code == 0
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
@@ -512,7 +525,7 @@ def test_corpus_over_the_tuple_cap_exits_before_building(runner, monkeypatch):
     def refuse(max_points):
         raise AssertionError("the corpus was built")
 
-    monkeypatch.setattr(corpus_mod, "all_posets_up_to_iso", refuse)
+    monkeypatch.setattr(corpus_mod, "iter_posets_up_to_iso", refuse)
     res = runner.invoke(main, ["verify", "rank-type", "--corpus", "exhaustive8"])
     assert res.exit_code == 2
     assert res.stderr == (

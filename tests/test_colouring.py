@@ -123,7 +123,8 @@ def test_fork_single_colour_stages(fork):
     # colour {x}: stage 0 separates x; stage 1 separates b from y
     masks = (0b010,)
     assert _block_of(fork, stage_types(fork, masks, 0)) == (0, 1, 0)
-    stage1 = _refine_block_of(fork, _initial_blocks(fork, masks), {})
+    stage0 = _initial_blocks(fork, masks)
+    stage1, _ = _refine_block_of(fork, stage0, stage0, {})
     assert len(stage1) == fork.n
     assert _block_of(fork, stage_types(fork, masks, 1)) == _block_of(fork, stage1)
     blocks, stabilized_at, _ = _omega_block_of(fork, masks)
@@ -150,10 +151,12 @@ def test_omega_is_a_fixpoint(small_corpus):
         gens = [rng.choice(masks)]
         omega, stabilized_at, _ = _omega_block_of(P, gens)
         blocks = _initial_blocks(P, gens)
+        # each step cuts by every block, as if all of them were fresh
         for _ in range(stabilized_at):
-            blocks = _refine_block_of(P, blocks, {})
+            blocks = _refine_block_of(P, blocks, blocks, {})[0]
         assert _block_of(P, blocks) == _block_of(P, omega)
-        assert _block_of(P, _refine_block_of(P, blocks, {})) == _block_of(P, omega)
+        refined = _refine_block_of(P, blocks, blocks, {})[0]
+        assert _block_of(P, refined) == _block_of(P, omega)
 
 
 def test_find_k_colouring(fork, chain2, point):
@@ -269,7 +272,7 @@ def test_adding_a_generator_refines_omega(case, data):
 def test_refining_omega_returns_it(case):
     P, gens = case
     blocks = _omega_block_of(P, gens)[0]
-    assert _refine_block_of(P, blocks, {}) == blocks
+    assert _refine_block_of(P, blocks, blocks, {}) == (blocks, [])
 
 
 # The multiset scans before they shared prefixes: each multiset refined from
@@ -319,30 +322,75 @@ def test_walk_matches_omega_on_every_small_ladder_multiset(n, depth):
         assert_walk_matches_oracle(P, upset_multisets(upset_masks(P), k), count=k <= n)
 
 
-def test_walk_refines_each_prefix_once_from_its_parent(monkeypatch):
-    # A prefix-closed ascending stream yields every prefix, each right
-    # before its extensions, so each step refines one new prefix. That step
-    # forms the down-closures of the child's new blocks only: none of the
-    # blocks its parent had cut by, which the child inherits.
-    P = build_ladder(LadderSpec(1, 3))
+def _walk_streams(P):
+    """A prefix-closed ascending stream, and the same tuples shuffled with
+    repeats, so that first generators come back after others."""
     masks = upset_masks(P)[::4]
     stream = sorted(t for k in range(4) for t in upset_multisets(masks, k))
-    close, formed = heylab.colouring.down_closure_of(P), []
+    rng = random.Random(5)
+    return [stream, rng.sample(stream, len(stream)) + rng.choices(stream, k=20)]
+
+
+def _recording_walk(monkeypatch, P, stream):
+    """omega_walk over stream, yielding (tup, blocks, downs, formed, fresh):
+    the down-closures formed and the fresh pieces cut by since the last
+    tuple. Each closure is formed inside a step, of one of its fresh pieces."""
+    close, formed, fresh = heylab.colouring.down_closure_of(P), [], []
+    step = heylab.colouring._refine_block_of
+
+    def recording_step(Q, blocks, pieces, downs):
+        before = len(formed)
+        out = step(Q, blocks, pieces, downs)
+        assert set(formed[before:]) <= set(pieces)
+        fresh.extend(pieces)
+        return out
 
     def recording(Q):
         assert Q is P
         return lambda m: formed.append(m) or close(m)
 
     monkeypatch.setattr(heylab.colouring, "down_closure_of", recording)
-    downs_of = {}
+    monkeypatch.setattr(heylab.colouring, "_refine_block_of", recording_step)
     for tup, blocks, downs in omega_walk(P, stream):
-        step, formed[:] = list(formed), []
-        downs_of[tup] = dict(downs)
-        if tup:
-            parent = downs_of[tup[:-1]]
-            assert parent.items() <= downs.items()
-            assert sorted(step) == sorted(set(downs) - set(parent))
-        assert set(blocks) <= set(downs)
+        yield tup, blocks, downs, list(formed), list(fresh)
+        formed[:], fresh[:] = [], []
+
+
+@pytest.mark.parametrize("which", ["ascending", "shuffled"])
+def test_walk_forms_each_closure_once_per_first_generator(monkeypatch, which):
+    # Within the tuples that share a first generator, one after another, no
+    # down-closure is formed twice, and each one formed is a fresh piece's.
+    P = build_ladder(LadderSpec(1, 3))
+    stream = _walk_streams(P)[which == "shuffled"]
+    close, last, seen = down_closure_of(P), None, set()
+    for tup, blocks, downs, formed, _ in _recording_walk(monkeypatch, P, stream):
+        if not tup or tup[:1] != last:
+            seen = set()
+        last = tup[:1]
+        assert not seen & set(formed) and len(set(formed)) == len(formed)
+        seen.update(formed)
+        assert all(downs[b] == close(b) for b in blocks)
+
+
+@pytest.mark.parametrize("which", ["ascending", "shuffled"])
+def test_walk_reseeds_its_memo_when_the_first_generator_changes(monkeypatch, which):
+    # After the tuples that share a first generator, the memo holds the
+    # root's closures and those of the pieces they made, no more: a memo
+    # kept across first generators would carry the pieces of earlier ones.
+    P = build_ladder(LadderSpec(1, 3))
+    stream = _walk_streams(P)[which == "shuffled"]
+    root = set(_omega_block_of(P, ())[2])
+    runs: list = []  # [memo at the run's last tuple, blocks made], per run
+    last = None
+    for tup, _, downs, _, fresh in _recording_walk(monkeypatch, P, stream):
+        if not tup or tup[:1] != last:
+            runs.append([downs, set(root)])
+        last = tup[:1]
+        runs[-1][0] = downs
+        runs[-1][1].update(fresh)
+    assert len(runs) > 5
+    for downs, made in runs:
+        assert set(downs) <= made and len(downs) <= len(made)
 
 
 def test_colour_search_matches_the_multiset_oracle():

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import random
+import weakref
 from collections import Counter
 from itertools import permutations
 from typing import Iterator
@@ -10,7 +12,7 @@ from conftest import posets
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heylab import corpus
+from heylab import corpus, verify
 from heylab.corpus import (
     MAX_EXHAUSTIVE_POINTS,
     POSET_COUNTS,
@@ -416,6 +418,36 @@ def test_spec_corpus_counts_each_item(exhaustive7):
         corpus = SpecCorpus(spec)
         assert len(corpus) == len(list(corpus))
         assert list(corpus) == corpus_from_spec(spec)
+
+
+def test_spec_corpus_streams_each_size_as_it_is_built(monkeypatch, exhaustive7):
+    # a poset on n points is drawn before any candidate on n + 1 points is
+    # labelled, and the stream is the listed corpus, poset by poset
+    labelled, label = [], corpus.least_bits
+    monkeypatch.setattr(
+        corpus, "least_bits", lambda up: labelled.append(len(up)) or label(up)
+    )
+    streamed = []
+    for P in SpecCorpus("exhaustive7"):
+        assert max(labelled) == P.n
+        streamed.append(P)
+    assert streamed == exhaustive7
+
+
+def test_spec_corpus_frees_each_poset_once_its_checks_end(monkeypatch):
+    # a lemma over a streamed corpus holds one poset at a time: when the
+    # second poset's checks begin, the first is gone
+    refs, masks_of = [], verify.upset_masks
+
+    def recording(P, budget=None):
+        gc.collect()
+        assert [r() for r in refs] == [None] * len(refs)
+        refs.append(weakref.ref(P))
+        return masks_of(P, budget)
+
+    monkeypatch.setattr(verify, "upset_masks", recording)
+    assert verify.verify_residuation(SpecCorpus("exhaustive4"))["passed"]
+    assert len(refs) == sum(POSET_COUNTS[1:5])
 
 
 def test_corpus_from_spec_exhaustive_limit():

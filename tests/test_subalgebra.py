@@ -272,7 +272,7 @@ def test_rank_type_stops_refining_at_the_fixpoint(fork, monkeypatch):
     refine = colouring._refine_block_of
     monkeypatch.setattr(
         colouring, "_refine_block_of",
-        lambda P, b, d: passes.append(b) or refine(P, b, d),
+        lambda P, b, f, d: passes.append(b) or refine(P, b, f, d),
     )
     # stage 1 splits b from y, stage 2 changes nothing: stages 3-5 repeat it
     assert rank_type_mismatches(fork, [0b010], 5) == []
@@ -285,7 +285,7 @@ def test_rank_type_stops_refining_at_the_fixpoint(fork, monkeypatch):
 def test_rank_type_repeats_a_mismatch_past_the_fixpoint(fork, monkeypatch):
     # a refinement that splits nothing makes stage 0 the fixpoint, so every
     # later stage misses rank 1's split of b from y
-    monkeypatch.setattr(colouring, "_refine_block_of", lambda P, b, d: list(b))
+    monkeypatch.setattr(colouring, "_refine_block_of", lambda P, b, f, d: (list(b), []))
     assert rank_type_mismatches(fork, [0b010], 5) == [1, 2, 3, 4, 5]
 
 
@@ -299,7 +299,7 @@ def oracle_rank_type_mismatches(P, G, max_stage, budget=None):
     blocks = _initial_blocks(P, gmasks)
     for n in range(max_stage + 1):
         if n > 0:
-            blocks = _refine_block_of(P, blocks, {})
+            blocks = _refine_block_of(P, blocks, blocks, {})[0]
         if rank_blocks[min(n, len(rank_blocks) - 1)] != set(blocks):
             bad.append(n)
     return bad

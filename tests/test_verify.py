@@ -277,7 +277,7 @@ FAILURE_PATHS = [
         id="residuation",
     ),
     pytest.param(
-        "heylab.colouring._refine_block_of", lambda orig: lambda P, b, d: tuple(b),
+        "heylab.colouring._refine_block_of", lambda orig: lambda P, b, f, d: (b, []),
         lambda corpus: verify_rank_type(corpus, gens_per_poset=5, max_stage=3, seed=1),
         {"poset", "generators", "stages"}, id="rank-type",
     ),
