@@ -85,13 +85,13 @@ class RankedAlgebra:
 
 
 def _lattice_close(seen, witnesses: dict, cap: int, consts, old=frozenset()) -> set:
-    """Close seen, a fresh set the caller gives up, under meet and join in
-    place, and return it; seen holds the constants consts. A pair with a
-    constant gives nothing new (0 & a = 0, 0 | a = a, 1 & a = a, 1 | a =
-    1), so the constants are paired with nothing. old, when given, is a
-    lattice-closed subset of seen: a pair of its elements gives nothing
-    new, so an element of old is paired only with the fresh elements
-    before it, and a fresh one with every element before it."""
+    """Close seen under meet and join in place, and return it; seen holds
+    the constants consts. A pair with a constant gives nothing new (0 & a =
+    0, 0 | a = a, 1 & a = a, 1 | a = 1), so the constants are paired with
+    nothing. old, when given, is a lattice-closed subset of seen: a pair of
+    its elements gives nothing new, so an element of old is paired only
+    with the fresh elements before it, and a fresh one with every element
+    before it."""
     if len(seen) > cap:
         raise over_budget(len(seen), cap, "upsets")
     elems = sorted(seen - consts)
@@ -122,48 +122,45 @@ def generate(P: Poset, G: Iterable, budget: Optional[int] = None) -> RankedAlgeb
     """Rank-stratified closure of the generator masks G under meet, join and
     implication, with the constants seeded at rank 0."""
     cap = DEFAULT_UPSET_BUDGET if budget is None else budget
-    gmasks = list(G)
     witnesses = {0: ("0",), P.full_mask: ("1",)}
-    for i, m in enumerate(gmasks):
+    for i, m in enumerate(G):
         witnesses.setdefault(m, ("g", i))
     consts = {0, P.full_mask}
-    cur = _lattice_close(set(gmasks) | consts, witnesses, cap, consts)
+    cur = _lattice_close(set(witnesses), witnesses, cap, consts)
     strata = [frozenset(cur)]
-    ranks = dict.fromkeys(sorted(cur), 0)
-    # semi-naive rounds: a pair of elements of the previous stratum was
-    # formed in the previous round, and its implication is already in cur.
-    # 0 -> b, a -> 1 and 1 -> b give 1, 1 and b, so 0 and 1 are left out of
-    # the pairs, except 0 on the right: a -> 0 is the complement of a.
-    # Only b a proper submask of a is paired with a: a -> b = a -> (a & b),
-    # and a & b is in cur and at most b as an int, so the ascending loop
-    # reaches it first and adds whatever a -> b would (a & b = a gives 1;
-    # when a and a & b are both old, a -> (a & b) is in cur already).
-    prev: set = set()
+    elems = sorted(cur)
+    ranks = dict.fromkeys(elems, 0)
+    # semi-naive rounds, each adding to cur in place: a pair of elements of
+    # old, the stratum before, was formed in the round before, and its
+    # implication is in cur already. 0 -> b, a -> 1 and 1 -> b give 1, 1 and
+    # b, so 0 and 1 are left out of the pairs, except 0 on the right: a -> 0
+    # is the complement of a. Only b a proper submask of a is paired with a:
+    # a -> b = a -> (a & b), and a & b is in cur and at most b as an int, so
+    # the ascending loop reaches it first and adds whatever a -> b would (a &
+    # b = a gives 1; when a and a & b are both old, a -> (a & b) is in cur).
+    old, new = frozenset(), elems
     # imp_mask inlined: a -> b is the complement of the down-closure of
     # a \ b, which is a ^ b for b a submask of a
     close, full = down_closure_of(P), P.full_mask
     while True:
-        cand = set(cur)
-        all_sorted = sorted(cur)
-        del all_sorted[-1]  # 1, the largest mask
-        new_sorted = [b for b in all_sorted if b not in prev]
-        for a in all_sorted:  # a = 0 breaks at once
-            for b in new_sorted if a in prev else all_sorted:
+        del elems[-1]  # 1, the largest mask, new only in stratum 0
+        for a in elems:  # a = 0 breaks at once
+            for b in new if a in old else elems:
                 if b >= a:
                     break
                 if b & ~a:
                     continue
                 m = full & ~close(a ^ b)
-                if m not in cand:
-                    cand.add(m)
+                if m not in cur:
+                    cur.add(m)
                     witnesses.setdefault(m, ("imp", a, b))
-        if len(cand) == len(cur):  # cur is lattice-closed already
+        if len(cur) == len(strata[-1]):  # cur is lattice-closed already
             return RankedAlgebra(P, tuple(strata), ranks, witnesses)
-        nxt = _lattice_close(cand, witnesses, cap, consts, cur)
-        strata.append(frozenset(nxt))
-        for m in sorted(nxt - cur):
-            ranks[m] = len(strata) - 1
-        prev, cur = cur, nxt
+        old = strata[-1]
+        strata.append(frozenset(_lattice_close(cur, witnesses, cap, consts, old)))
+        elems = sorted(cur)
+        new = [m for m in elems if m not in old]
+        ranks.update(dict.fromkeys(new, len(strata) - 1))
 
 
 def quotient_size(P: Poset, G: Sequence, budget: Optional[int] = None) -> int:

@@ -24,29 +24,34 @@ from .subalgebra import quotient_size, quotient_upset_count
 
 
 def _check_elements(A: FiniteHeytingAlgebra, gens: Iterable[int]) -> list:
-    out = []
+    gens = list(gens)
     for g in gens:
-        if not isinstance(g, int) or g < 0 or g >= A.size:
+        if type(g) is not int or g < 0 or g >= A.size:
             raise ForeignElement(f"element index {g!r} not in the algebra")
-        out.append(g)
-    return out
+    return gens
 
 
 def subalgebra_closure(A: FiniteHeytingAlgebra, gens: Iterable[int]) -> frozenset:
-    """Indices of the subalgebra generated by gens with 0 and 1 seeded."""
+    """Indices of the subalgebra generated by gens with 0 and 1 seeded: each
+    element is paired with itself and every element before it."""
     elems = sorted(set(_check_elements(A, gens)) | {A.bottom, A.top})
     seen = set(elems)
     imp = A.imp
-    i = 0
-    while i < len(elems):
-        a = elems[i]
+    for i, a in enumerate(elems):  # elems grows as it is walked
         meet_a, join_a, imp_a = A.meet[a], A.join[a], imp[a]
         for b in elems[: i + 1]:
-            for m in (meet_a[b], join_a[b], imp_a[b], imp[b][a]):
-                if m not in seen:
-                    seen.add(m)
-                    elems.append(m)
-        i += 1
+            if (m := meet_a[b]) not in seen:
+                seen.add(m)
+                elems.append(m)
+            if (m := join_a[b]) not in seen:
+                seen.add(m)
+                elems.append(m)
+            if (m := imp_a[b]) not in seen:
+                seen.add(m)
+                elems.append(m)
+            if (m := imp[b][a]) not in seen:
+                seen.add(m)
+                elems.append(m)
     return frozenset(seen)
 
 
@@ -117,8 +122,6 @@ def strictness_report(
         witness: tuple = ()
         tuples = combinations_with_replacement(masks, n)
         for tup, blocks, downs in omega_walk(P, tuples):
-            # the ladder's bottom point makes its class the least, so c classes
-            # have at most 2**(c-1) + 1 upsets; only a strict gain counts
             if (1 << len(blocks) - 1) + 1 <= best:
                 continue
             size = quotient_upset_count(blocks, downs, budget_upsets)

@@ -64,6 +64,25 @@ def oracle_quotient_upset_count(blocks, downs):
     return count((1 << len(blocks)) - 1)
 
 
+def oracle_subalgebra_closure(A, gens):
+    """Indices of the subalgebra of the table algebra A generated by the
+    indices gens with 0 and 1 seeded: each element in turn is paired with
+    itself and every element before it, the four results of each pair
+    iterated as a tuple."""
+    elems = sorted(set(gens) | {A.bottom, A.top})
+    seen = set(elems)
+    i = 0
+    while i < len(elems):
+        a = elems[i]
+        for b in elems[: i + 1]:
+            for m in (A.meet[a][b], A.join[a][b], A.imp[a][b], A.imp[b][a]):
+                if m not in seen:
+                    seen.add(m)
+                    elems.append(m)
+        i += 1
+    return frozenset(seen)
+
+
 @pytest.fixture
 def chain2():
     """b < t."""

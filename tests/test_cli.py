@@ -298,6 +298,34 @@ def test_generate(runner, fork_file):
     assert by_upset[(2,)]["witness"] == "(-> g0 0)"
 
 
+# sha256 of `generate` stdout, pinned from the rounds that copied each
+# stratum before adding its implications: the n = 1 depth-9 ladder by
+# x1_0 and x2_0 (81 elements, 1.42 MB of witness texts) and the n = 2
+# depth-3 ladder by its canonical colouring (103 elements)
+GENERATE_DIGESTS = [
+    pytest.param(
+        1, 9, ["x1_0", "x2_0"],
+        "ccab4af530a2df91d6573481b0ad4db8a1999af556b196668f51ad76d81f9c57",
+        id="n1-d9",
+    ),
+    pytest.param(
+        2, 3, ["x1_0,x3_0", "x2_0,x3_0", "x4_0"],
+        "af76b7e2af4436360fdc9576d2323f9de6bb15770147c383cece284f54eace40",
+        id="n2-d3-canonical",
+    ),
+]
+
+
+@pytest.mark.parametrize("n, depth, gens, digest", GENERATE_DIGESTS)
+def test_generate_output_digest(runner, tmp_path, n, depth, gens, digest):
+    path = tmp_path / "ladder.json"
+    ladder = ladder_mod.build_ladder(ladder_mod.LadderSpec(n, depth))
+    path.write_text(json.dumps(poset_to_json(ladder)))
+    res = runner.invoke(main, ["generate", str(path), *(f"--gen={g}" for g in gens)])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
+
 def test_verify_pass(runner):
     res = runner.invoke(main, ["verify", "residuation", "--corpus", "exhaustive3"])
     assert res.exit_code == 0

@@ -1,3 +1,4 @@
+import heapq
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -175,21 +176,33 @@ def test_generate_matches_naive_closure_on_canonical_colourings(n, depths):
 def test_budget_parity_with_naive_closure(fork):
     # the constants 0 and 1 are paired with nothing, so the cap is checked
     # on the seeded set too: with G = () or G of constants only, nothing else
-    # would check it; G may name a constant or repeat a mask
+    # would check it; G may name a constant or repeat a mask. At every
+    # budget from 0 to size + 1, generate raises exactly when naive_generate
+    # does, below the size: a round that adds in place skips no cap check.
     cases = [(fork, [0b010]), (fork, []), (fork, [0]), (fork, [fork.full_mask])]
     cases += [(fork, [0b010, 0b010]), (fork, [fork.full_mask, 0b110, 0, 0b110])]
     for n, d in ((1, 6), (2, 3)):
         P = build_ladder(LadderSpec(n, d))
         masks = canonical_colouring(n)
         cases += [(P, masks), (P, ()), (P, (masks[0], 0, masks[0]))]
-    for P, gens in cases:
+    # and the 20 acceptance draws of the largest closures
+    sizes = {}
+
+    def size_of(P, G):
+        sizes[P, G] = len(naive_generate(P, G).elements)
+
+    _sampled_lemma("sizes", corpus_from_spec(DEFAULT_CORPUS), 20, DEFAULT_SEED, None,
+                   size_of)
+    for P, gens in cases + heapq.nlargest(20, sizes, key=sizes.get):
         assert_same_as_naive(P, gens)
         size = len(generate(P, gens).elements)
-        for closure in (generate, naive_generate):
-            for budget in {0, 1, size - 1}:  # all below size, as 0 != 1 in P
-                with pytest.raises(BudgetExceeded):
-                    closure(P, gens, budget)
-            assert len(closure(P, gens, size).elements) == size
+        for budget in range(size + 2):
+            for closure in (generate, naive_generate):
+                if budget < size:
+                    with pytest.raises(BudgetExceeded):
+                        closure(P, gens, budget)
+                else:
+                    assert len(closure(P, gens, budget).elements) == size
 
 
 def test_lattice_closure_against_normal_form(small_corpus):
