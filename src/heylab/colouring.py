@@ -36,11 +36,6 @@ def _split(blocks: list, cuts: Iterable[int]) -> tuple:
     return blocks, pieces
 
 
-def _initial_blocks(P: Poset, masks: Iterable[int]) -> list:
-    """Stage 0: the points split by membership in each colour."""
-    return _split([P.full_mask], masks)[0]
-
-
 # perfbench/tracing.py wraps _refine_block_of and _omega_block_of by these names
 def _refine_block_of(P: Poset, blocks: list, fresh: list, downs: dict) -> tuple:
     """One stage: (blocks, pieces), blocks cut by the down-closures of the
@@ -60,11 +55,12 @@ def _refine_block_of(P: Poset, blocks: list, fresh: list, downs: dict) -> tuple:
     return _split(blocks, cuts)
 
 
-def _stages(P: Poset, blocks: list, downs: dict):
-    """Yield blocks, each of them fresh, and its stages up to and including
+def _stages(P: Poset, masks: Iterable[int], downs: dict):
+    """Yield stage 0, the points split by membership in each colour of
+    masks, its blocks all fresh, and the stages after it up to and including
     the first that refines to itself, the omega fixpoint; downs then holds
     every final block's down-closure."""
-    fresh = blocks
+    blocks = fresh = _split([P.full_mask], masks)[0]
     while fresh:
         yield blocks
         blocks, fresh = _refine_block_of(P, blocks, fresh, downs)
@@ -74,7 +70,7 @@ def _omega_block_of(P: Poset, masks: Sequence[int]):
     """Refine to the fixpoint: (blocks, stabilized_at, downs), downs[b] the
     down-closure of block b."""
     downs: dict = {}
-    *before, blocks = _stages(P, _initial_blocks(P, masks), downs)
+    *before, blocks = _stages(P, masks, downs)
     return blocks, len(before), downs
 
 
@@ -116,7 +112,7 @@ def stage_types(P: Poset, masks: Sequence[int], stage: int) -> list:
     fixpoint every stage repeats it."""
     if stage < 0:
         raise ValueError("stage must be >= 0")
-    *_, blocks = islice(_stages(P, _initial_blocks(P, masks), {}), stage + 1)
+    *_, blocks = islice(_stages(P, masks, {}), stage + 1)
     return blocks
 
 

@@ -11,11 +11,11 @@ gets a witness term, stored as a DAG keyed by element mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Optional, Sequence
 
 from .algebra import imp_mask
-from .colouring import (_initial_blocks, _omega_block_of, _split, _stages,
-                        omega_class_count)
+from .colouring import _omega_block_of, _split, _stages, omega_class_count
 from .poset import (
     DEFAULT_UPSET_BUDGET,
     Poset,
@@ -196,30 +196,25 @@ def rank_type_mismatches(
     budget: Optional[int] = None,
 ) -> list:
     """Stages n <= max_stage where the stage-n type partition differs from
-    the partition induced by membership in rank-<=n generated upsets. A
-    refinement that changes nothing is the fixpoint, which every later
-    stage repeats; past it and the last stratum, every stage repeats the
-    comparison before, so the walk stops there."""
+    the partition induced by membership in rank-<=n generated upsets. Past
+    the last stratum and past the omega fixpoint, the first stage that
+    refines to itself, each partition repeats, so the two are compared in
+    one pass up to the later of the two, and that last comparison stands
+    for every stage after it."""
     gmasks = list(G)
-    ra = generate(P, gmasks, budget)
+    strata = generate(P, gmasks, budget).strata
     # each stratum holds the one before, so its partition is the one before
-    # split by its new elements
-    rank_blocks, part, before = [], [P.full_mask], frozenset()
-    for s in ra.strata[: max_stage + 1]:
+    # split by its new elements; a sequence that has run out is filled with
+    # the empty set, which leaves its partition as it was
+    pairs = zip_longest(strata, _stages(P, gmasks, {}), fillvalue=frozenset())
+    part, before, bad, n = [P.full_mask], frozenset(), [], -1
+    for n, (s, stage) in zip(range(max_stage + 1), pairs):
         part, before = _split(part, s - before)[0], s
-        rank_blocks.append(set(part))
-    bad, last = [], len(rank_blocks) - 1
-    stages = _stages(P, _initial_blocks(P, gmasks), {})
-    for n in range(max_stage + 1):
-        nxt = next(stages, None)
-        if nxt is not None:
-            blocks = nxt
-        elif n > last:
-            if bad[-1:] == [n - 1]:
-                bad.extend(range(n, max_stage + 1))
-            break
-        if rank_blocks[min(n, last)] != set(blocks):
+        blocks = stage or blocks
+        if set(part) != set(blocks):
             bad.append(n)
+    if bad[-1:] == [n]:
+        bad += range(n + 1, max_stage + 1)
     return bad
 
 

@@ -40,6 +40,15 @@ def posets_with_generators(draw):
     return P, gens
 
 
+def oracle_imp(P, u, v):
+    """Adjunction scan: the union of every upset w with w & u below v."""
+    best = 0
+    for w in upset_masks(P):
+        if w & u & ~v == 0:
+            best |= w
+    return best
+
+
 def oracle_quotient_upset_count(blocks, downs):
     """The number of upsets of the quotient whose classes are the blocks,
     downs[b] the down-closure of block b, counted on the class order itself:

@@ -1,5 +1,5 @@
 import pytest
-from conftest import posets
+from conftest import oracle_imp, posets
 from hypothesis import given
 
 from heylab import FiniteHeytingAlgebra, algebra_of
@@ -7,15 +7,6 @@ from heylab.algebra import algebra_from_json, imp_mask
 from heylab.corpus import all_posets_up_to_iso
 from heylab.errors import BudgetExceeded, InvalidAlgebra
 from heylab.poset import upset_masks, validate
-
-
-def oracle_imp(P, u, v):
-    """Adjunction scan: the union of every upset w with w & u below v."""
-    best = 0
-    for w in upset_masks(P):
-        if w & u & ~v == 0:
-            best |= w
-    return best
 
 
 def test_implication_against_adjunction_oracle(small_corpus):

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from heylab import find_k_colouring, stage_types
 import heylab.colouring
 from heylab.colouring import (
-    _initial_blocks,
     _omega_block_of,
     _refine_block_of,
+    _split,
     _stages,
     colour_scan,
     multiset_weight,
@@ -108,7 +108,7 @@ def assert_matches_oracle(P, gens):
     and including the fixpoint, then the fixpoint itself. Once the loop has
     run out, every final block is in downs with its true down-closure."""
     block_of, downs = _initial_block_of(P, gens), {}
-    for blocks in _stages(P, _initial_blocks(P, gens), downs):
+    for blocks in _stages(P, gens, downs):
         assert _block_of(P, blocks) == block_of
         refined = oracle_refine_block_of(P, block_of)
         assert refined == _normalize(_met(P, block_of))
@@ -123,7 +123,7 @@ def test_fork_single_colour_stages(fork):
     # colour {x}: stage 0 separates x; stage 1 separates b from y
     masks = (0b010,)
     assert _block_of(fork, stage_types(fork, masks, 0)) == (0, 1, 0)
-    stage0 = _initial_blocks(fork, masks)
+    stage0 = stage_types(fork, masks, 0)
     stage1, _ = _refine_block_of(fork, stage0, stage0, {})
     assert len(stage1) == fork.n
     assert _block_of(fork, stage_types(fork, masks, 1)) == _block_of(fork, stage1)
@@ -150,7 +150,7 @@ def test_omega_is_a_fixpoint(small_corpus):
         masks = upset_masks(P)
         gens = [rng.choice(masks)]
         omega, stabilized_at, _ = _omega_block_of(P, gens)
-        blocks = _initial_blocks(P, gens)
+        blocks = _split([P.full_mask], gens)[0]
         # each step cuts by every block, as if all of them were fresh
         for _ in range(stabilized_at):
             blocks = _refine_block_of(P, blocks, blocks, {})[0]
@@ -217,7 +217,7 @@ def test_stage_types_past_the_fixpoint(fork):
     omega, stabilized_at, _ = _omega_block_of(fork, masks)
     for stage in (stabilized_at, stabilized_at + 1, 10**8):
         assert _block_of(fork, stage_types(fork, masks, stage)) == _block_of(fork, omega)
-    stage0 = _block_of(fork, _initial_blocks(fork, masks))
+    stage0 = _initial_block_of(fork, masks)
     assert _block_of(fork, stage_types(fork, masks, 0)) == stage0
     with pytest.raises(ValueError):
         stage_types(fork, masks, -1)

@@ -1,14 +1,15 @@
 import heapq
+import sys
 from itertools import combinations, combinations_with_replacement
 
 import pytest
-from conftest import oracle_quotient_upset_count, posets_with_generators
+from conftest import oracle_imp, oracle_quotient_upset_count, posets_with_generators
 from hypothesis import given
 from hypothesis import strategies as st
 
 from heylab import colouring, generate
 from heylab.algebra import imp_mask
-from heylab.colouring import _initial_blocks, _omega_block_of, _refine_block_of
+from heylab.colouring import _omega_block_of, _refine_block_of, _split
 from heylab.corpus import DEFAULT_SEED, all_posets_up_to_iso, corpus_from_spec
 from heylab.errors import BudgetExceeded
 from heylab.ladder import LadderSpec, build_ladder, canonical_colouring
@@ -21,14 +22,6 @@ from heylab.subalgebra import (
     rank_type_mismatches,
 )
 from heylab.verify import DEFAULT_CORPUS, _sampled_lemma
-
-
-def oracle_imp(P, u, v):
-    best = 0
-    for w in upset_masks(P):
-        if w & u & ~v == 0:
-            best |= w
-    return best
 
 
 def oracle_lattice(P, seeds):
@@ -302,14 +295,50 @@ def test_rank_type_repeats_a_mismatch_past_the_fixpoint(fork, monkeypatch):
     assert rank_type_mismatches(fork, [0b010], 5) == [1, 2, 3, 4, 5]
 
 
+def traced_events(fn, *args):
+    """(fn(*args), the number of heylab calls and lines that ran in it);
+    code outside heylab, such as a gc callback, is not counted."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if frame.f_globals.get("__name__", "").startswith("heylab"):
+            count += 1
+            return trace
+
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        return fn(*args), count
+    finally:
+        sys.settrace(old)
+
+
+@pytest.mark.parametrize("n, depth", [(0, 3), (1, 4), (2, 2)])
+def test_rank_type_work_does_not_grow_with_max_stage(n, depth):
+    # past the later of the omega fixpoint and the last stratum nothing is
+    # compared again, so on passing cases a huge max_stage runs the same
+    # lines as one past both
+    P = build_ladder(LadderSpec(n, depth))
+    for gens in [(), canonical_colouring(n), *combinations(upset_masks(P), 2)][:40]:
+        past = P.n + len(generate(P, gens).strata)
+        assert rank_type_mismatches(P, gens, past) == []  # fills P's caches
+        expected = traced_events(rank_type_mismatches, P, gens, past)
+        assert traced_events(rank_type_mismatches, P, gens, 10**4) == expected
+        assert rank_type_mismatches(P, gens, 10**9) == []
+
+
 def oracle_rank_type_mismatches(P, G, max_stage, budget=None):
     """rank_type_mismatches with each stratum's partition built from the
-    whole stratum, by _initial_blocks, and every stage refined and compared."""
+    whole stratum, as stage 0 of its own colouring, and every stage refined
+    and compared."""
     gmasks = list(G)
     ra = generate(P, gmasks, budget)
-    rank_blocks = [set(_initial_blocks(P, s)) for s in ra.strata[: max_stage + 1]]
+    rank_blocks = [
+        set(_split([P.full_mask], s)[0]) for s in ra.strata[: max_stage + 1]
+    ]
     bad = []
-    blocks = _initial_blocks(P, gmasks)
+    blocks = _split([P.full_mask], gmasks)[0]
     for n in range(max_stage + 1):
         if n > 0:
             blocks = _refine_block_of(P, blocks, blocks, {})[0]

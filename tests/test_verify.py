@@ -412,6 +412,22 @@ def test_generator_set_draws_refuse_an_empty_pool():
     assert list(_sample_generator_sets([], 1, rng)) == [()]
 
 
+def test_no_set_is_drawn_at_zero_gens_per_poset(monkeypatch):
+    # a count of 0 yields no set, not even the empty one: nothing runs under
+    # a cap of 0, and a report of gens_per_poset 0 checks nothing
+    assert list(_sample_generator_sets([1, 3], 0, random.Random(1))) == []
+
+    def check(*args):
+        raise AssertionError("a check ran")
+
+    for name in ("rank_type_mismatches", "duality_sides", "generate"):
+        monkeypatch.setattr(verify_mod, name, check)
+    corpus = all_posets_up_to_iso(3)
+    for lemma in (verify_rank_type, verify_duality, verify_oracle_equivalence):
+        r = lemma(corpus, gens_per_poset=0, budget_tuples=0)
+        assert (r["checks"], r["failures"], r["gens_per_poset"]) == (0, [], 0)
+
+
 def test_corpus_cap_is_checked_before_any_poset_is_built(monkeypatch):
     def refuse(*args):
         raise AssertionError("a poset was built")
