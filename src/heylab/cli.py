@@ -1,21 +1,20 @@
 """Command-line front end: reproducible experiments with JSON/DOT output.
 
-Exit codes: 0 success / verification passed, 1 invalid input (click usage
-errors included), 2 budget exceeded, 3 verification failed or search
-unsuccessful.
+Exit codes: 0 success / verification passed, 1 invalid input (usage errors
+included), 2 budget exceeded, 3 verification failed or search unsuccessful.
 
 Each command imports the modules it runs in its own body, so a cold
-process compiles only those.
+process compiles only those. The command line is parsed here, from one
+table of each command's parameters that also lays out its --help page.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import os
 import sys
 from typing import NamedTuple, Optional
-
-import click
 
 from .errors import BudgetExceeded, HeylabError
 from .poset import (
@@ -39,7 +38,7 @@ class RunConfig(NamedTuple):
     budget_upsets: int
     budget_tuples: int
     seed: int
-    fmt: str
+    format: str
     out: Optional[str]
 
 
@@ -52,10 +51,10 @@ def _emit(cfg: RunConfig, payload, **renderings: str) -> None:
     """Write payload as JSON under --format json, or else the command's
     rendering for the chosen format (e.g. text=...). --out is opened only
     here, so a command that fails leaves an existing file as it was."""
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
-        body = renderings[cfg.fmt]
+        body = renderings[cfg.format]
     if cfg.out:
         try:
             with open(cfg.out, "w") as fh:
@@ -64,50 +63,250 @@ def _emit(cfg: RunConfig, payload, **renderings: str) -> None:
             message = f"cannot write --out file {cfg.out}: {e.strerror}"
             raise ValueError(message) from None
     else:
-        click.echo(body, nl=False)
+        _write(body)
 
 
-def _fail(message: str, code: int):
-    # a point name read from a file may hold a line break
-    click.echo("error: " + "\\n".join(message.splitlines()), err=True)
-    sys.exit(code)
+def _write(text: str) -> None:
+    # flushed here, so that a reader gone away (`| head`) is met inside main
+    sys.stdout.write(text)
+    sys.stdout.flush()
 
 
 @contextlib.contextmanager
 def _one_line_errors():
     """The CLI's one error path: a BudgetExceeded exits 2, and any other
-    HeylabError, ValueError or click usage error exits 1, each with a
-    one-line message; a click message is clipped to 185 characters."""
+    HeylabError or ValueError, usage errors included, exits 1, each with a
+    one-line message clipped to 185 characters."""
     try:
         yield
-    except click.UsageError as e:
-        # click echoes the value that it could not read, however long
-        message = e.format_message()
+    except (HeylabError, ValueError) as e:
+        # a point name read from a file may hold a line break, and a
+        # message may quote a value given, however long
+        message = "\\n".join(str(e).splitlines())
         if len(message) > 185:
             message = f"{message[:120]} ... {message[-60:]}"
-        _fail(message, EXIT_INVALID)
-    except (HeylabError, ValueError) as e:
-        _fail(str(e), EXIT_BUDGET if isinstance(e, BudgetExceeded) else EXIT_INVALID)
+        sys.stderr.write(f"error: {message}\n")
+        sys.exit(EXIT_BUDGET if isinstance(e, BudgetExceeded) else EXIT_INVALID)
 
 
-_HELP_ASKED = "heylab.help_asked"
+class _Param(NamedTuple):
+    """An option (--name, taking one value) or a required argument (NAME)."""
+
+    name: str
+    type: object = str  # str, int, or a tuple of the values accepted
+    default: object = None
+    required: bool = False
+    multiple: bool = False  # each use adds a value, in order
+    help: str = ""
+    show_default: bool = False
 
 
-class _Heylab(click.Group):
-    """Routes the errors of parsing the global options (make_context) and
-    of running a command, its own options included (invoke), through
-    _one_line_errors. invoke also records in ctx.meta whether the command's
-    tokens ask for its --help: they are parsed only after main has run."""
+GLOBAL_OPTIONS = (
+    _Param("--budget-upsets", int, DEFAULT_UPSET_BUDGET, show_default=True),
+    _Param("--budget-tuples", int, DEFAULT_TUPLE_BUDGET, show_default=True),
+    _Param("--seed", int, DEFAULT_SEED, show_default=True),
+    _Param("--format", ("json", "text", "dot"), "json",
+           help="json (every command), text (strictness) or dot (ladder)."),
+    _Param("--out", help="Write output to this file."),
+)
 
-    def make_context(self, *args, **kwargs):
+# command name -> (function, its parameters); the docstring is its help
+COMMANDS: dict = {}
+
+
+def _command(name: str, *params: _Param):
+    def register(fn):
+        COMMANDS[name] = (fn, params)
+        return fn
+
+    return register
+
+
+def _scan(params, tokens, to_command: bool = False):
+    """The texts given for each option (name -> list), the positionals, and
+    whether --help was given. `--` ends the options; a value follows its
+    name as --name=value or as the next token, whatever that begins with; a
+    name is never abbreviated. With to_command, the first positional and
+    every token after it are the command's."""
+    names = {p.name for p in params}
+    given, positionals, asked = {}, [], False
+    rest = iter(tokens)
+    for token in rest:
+        if token == "--":
+            positionals += rest
+            continue
+        if token[:1] != "-" or token == "-":
+            positionals.append(token)
+            if to_command:
+                positionals += rest
+            continue
+        name, eq, value = token.partition("=")
+        if name == "--help" and not eq:
+            asked = True
+        elif name == "--help":
+            raise ValueError("Option '--help' does not take a value.")
+        elif name not in names:
+            raise ValueError(f"No such option {name!r}.")
+        elif not eq and (value := next(rest, None)) is None:
+            raise ValueError(f"Option {name!r} requires an argument.")
+        else:
+            given.setdefault(name, []).append(value)
+    return given, positionals, asked
+
+
+def _convert(p: _Param, text: str):
+    if p.type is str or p.type is not int and text in p.type:
+        return text
+    if p.type is int:
+        with contextlib.suppress(ValueError):
+            return int(text)
+        reason = "is not a valid integer"
+    else:
+        reason = "is not one of " + ", ".join(map(repr, p.type))
+    raise ValueError(f"Invalid value for {p.name!r}: {text!r} {reason}.")
+
+
+def _values(params, given: dict, positionals: list) -> dict:
+    """Each parameter's value by its Python name; an option given twice
+    keeps its last value unless it is multiple."""
+    values, args = {}, iter(positionals)
+    for p in params:
+        option = p.name.startswith("--")
+        texts = given.get(p.name, []) if option else [next(args, None)]
+        if texts == [None] or p.required and not texts:
+            raise ValueError(f"Missing {'option' if option else 'argument'} {p.name!r}.")
+        converted = [_convert(p, t) for t in (texts if p.multiple else texts[-1:])]
+        name = p.name.lstrip("-").replace("-", "_").lower()
+        values[name] = tuple(converted) if p.multiple else (converted or [p.default])[0]
+    extra = list(args)
+    if extra:
+        s = "s" if len(extra) > 1 else ""
+        raise ValueError(f"Got unexpected extra argument{s} ({' '.join(extra)})")
+    return values
+
+
+def main(args=None, prog_name=None, terminal_width=None):
+    """Heyting algebras of upsets, poset colourings, and ladder experiments."""
+    # The console script: runs args (default sys.argv[1:]) and exits with
+    # its code. A help page names prog_name (default: as the process was
+    # started) and wraps at terminal_width (default: the terminal's, at
+    # most 78 and at least 50 columns).
+    tokens = sys.argv[1:] if args is None else list(args)
+    try:
         with _one_line_errors():
-            return super().make_context(*args, **kwargs)
+            given, rest, asked = _scan(GLOBAL_OPTIONS, tokens, to_command=True)
+            command = None
+            if not asked:
+                if not rest:
+                    raise ValueError("Missing command.")
+                command, *tokens = rest
+                if command not in COMMANDS:
+                    raise ValueError(f"No such command {command!r}.")
+                fn, params = COMMANDS[command]
+                # read before the global values, so that the command's
+                # --help exits 0 whatever those say
+                command_given, positionals, asked = _scan(params, tokens)
+            if asked:
+                _write(_help_page(prog_name, command, terminal_width))
+                sys.exit(0)
+            cfg = RunConfig(**_values(GLOBAL_OPTIONS, given, []))
+            if cfg.budget_upsets <= 0 or cfg.budget_tuples <= 0:
+                raise ValueError("budgets must be positive")
+            if cfg.format != "json" and cfg.format not in RENDERINGS.get(command, ()):
+                raise ValueError(f"{command} has no --format {cfg.format} output")
+            fn(cfg, **_values(params, command_given, positionals))
+    except BrokenPipeError:
+        # the reader has gone away: exit 1 without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_INVALID)
+    sys.exit(0)
 
-    def invoke(self, ctx):
-        tokens = ctx.args[: ctx.args.index("--")] if "--" in ctx.args else ctx.args
-        ctx.meta[_HELP_ASKED] = any(t in ctx.help_option_names for t in tokens)
-        with _one_line_errors():
-            return super().invoke(ctx)
+
+# perfbench/cli_boot.py and the tests' cold processes call
+# main.main(args=..., prog_name=...)
+main.main = main
+
+
+def _help_page(prog: Optional[str], command: Optional[str], width: Optional[int]) -> str:
+    """The --help page of a command (None: of heylab itself), laid out as
+    click lays it out, wrapped at width columns."""
+    import shutil
+    import textwrap
+
+    def fill(text, first, later=None):
+        later = first if later is None else later
+        return textwrap.fill(text, width, initial_indent=first, subsequent_indent=later)
+
+    if width is None:
+        width = max(min(shutil.get_terminal_size().columns, 80) - 2, 50)
+    if prog is None:  # `heylab`, or `python -m heylab.cli` under -m
+        prog = os.path.basename(sys.argv[0])
+        package = getattr(sys.modules["__main__"], "__package__", None)
+        if package:
+            module = os.path.splitext(prog)[0]
+            prog = f"python -m {package}" + ("" if module == "__main__" else f".{module}")
+    if command is None:
+        doc, params, usage = main.__doc__, GLOBAL_OPTIONS, "[OPTIONS] COMMAND [ARGS]..."
+    else:
+        fn, params = COMMANDS[command]
+        doc, prog = fn.__doc__, f"{prog} {command}"
+        usage = " ".join(["[OPTIONS]"] + [p.name for p in params if p.name[0] != "-"])
+    prefix = f"Usage: {prog} "
+    if width >= len(prefix) + 20:
+        page = fill(usage, prefix, " " * len(prefix))
+    else:
+        page = prefix + "\n" + fill(usage, " " * 11)
+    first, _, rest = doc.partition("\n")
+    paragraphs = (first + "\n" + textwrap.dedent(rest)).strip().split("\n\n")
+    page += "\n\n" + "\n\n".join(fill(" ".join(p.splitlines()), "  ") for p in paragraphs)
+
+    rows = [_option_row(p) for p in params if p.name[0] == "-"]
+    rows.append(("--help", "Show this message and exit."))
+    page += "\n\nOptions:\n" + _definitions(rows, width)
+    if command is None:
+        limit = width - 6 - max(map(len, COMMANDS))
+        rows = [(name, _short_help(COMMANDS[name][0].__doc__, limit))
+                for name in sorted(COMMANDS)]
+        page += "\nCommands:\n" + _definitions(rows, width)
+    return page
+
+
+def _option_row(p: _Param) -> tuple:
+    metavar = {str: "TEXT", int: "INTEGER"}.get(p.type) or "[" + "|".join(p.type) + "]"
+    extra = [f"default: {p.default}"] * p.show_default + ["required"] * p.required
+    if extra:
+        return f"{p.name} {metavar}", f"{p.help}  [{'; '.join(extra)}]".lstrip()
+    return f"{p.name} {metavar}", p.help
+
+
+def _definitions(rows, width: int) -> str:
+    """Terms and their wrapped texts in two columns, indented by 2."""
+    import textwrap
+
+    col = min(max(len(term) for term, _ in rows), 30) + 2
+    out = []
+    for term, text in rows:
+        out.append("  " + term)
+        if text:
+            fits = len(term) <= col - 2
+            out.append(" " * (col - len(term)) if fits else "\n" + " " * (col + 2))
+            lines = textwrap.wrap(text, max(width - col - 2, 10))
+            out.append(("\n" + " " * (col + 2)).join(lines))
+        out.append("\n")
+    return "".join(out)
+
+
+def _short_help(doc: str, limit: int) -> str:
+    """The first sentence of doc if it fits in limit characters, or else as
+    many of its words as fit with '...'."""
+    words = doc.partition("\n\n")[0].split()
+    end = next((i + 1 for i, w in enumerate(words) if w.endswith(".")), None)
+    words = words[:end]
+    if len(" ".join(words)) <= limit:
+        return " ".join(words)
+    while words and len(" ".join(words)) + 3 > limit:
+        words.pop()
+    return " ".join(words) + "..."
 
 
 def _load(path: str, parse, what: str):
@@ -149,32 +348,8 @@ def _depth_list(text: str) -> list:
         raise ValueError(f"bad depth list {text!r}") from None
 
 
-# a bare `heylab` is a usage error (missing command), not a help page
-@click.group(cls=_Heylab, no_args_is_help=False)
-@click.option("--budget-upsets", default=DEFAULT_UPSET_BUDGET, show_default=True)
-@click.option("--budget-tuples", default=DEFAULT_TUPLE_BUDGET, show_default=True)
-@click.option("--seed", default=DEFAULT_SEED, show_default=True)
-@click.option(
-    "--format", "fmt", type=click.Choice(["json", "text", "dot"]), default="json",
-    help="json (every command), text (strictness) or dot (ladder).",
-)
-@click.option("--out", default=None, help="Write output to this file.")
-@click.pass_context
-def main(ctx, budget_upsets, budget_tuples, seed, fmt, out):
-    """Heyting algebras of upsets, poset colourings, and ladder experiments."""
-    if ctx.meta[_HELP_ASKED]:
-        return  # the command prints its help and exits 0
-    if budget_upsets <= 0 or budget_tuples <= 0:
-        raise ValueError("budgets must be positive")
-    if fmt != "json" and fmt not in RENDERINGS.get(ctx.invoked_subcommand, ()):
-        raise ValueError(f"{ctx.invoked_subcommand} has no --format {fmt} output")
-    ctx.obj = RunConfig(budget_upsets, budget_tuples, seed, fmt, out)
-
-
-@main.command()
-@click.option("--n", required=True, type=int)
-@click.option("--depth", required=True, type=int)
-@click.pass_obj
+@_command("ladder", _Param("--n", int, required=True),
+          _Param("--depth", int, required=True))
 def ladder(cfg: RunConfig, n, depth):
     """Build a ladder truncation and print it as poset JSON or DOT."""
     from .ladder import LadderSpec, build_ladder
@@ -183,9 +358,7 @@ def ladder(cfg: RunConfig, n, depth):
     _emit(cfg, poset_to_json(P), dot=poset_to_dot(P))
 
 
-@main.command()
-@click.argument("poset_file")
-@click.pass_obj
+@_command("upsets", _Param("POSET_FILE"))
 def upsets(cfg: RunConfig, poset_file):
     """List every upset of a poset in canonical order."""
     P = _load(poset_file, poset_from_json, "poset")
@@ -198,9 +371,7 @@ def upsets(cfg: RunConfig, poset_file):
     _emit(cfg, payload)
 
 
-@main.command()
-@click.argument("poset_file")
-@click.pass_obj
+@_command("algebra", _Param("POSET_FILE"))
 def algebra(cfg: RunConfig, poset_file):
     """Export the full upset Heyting algebra with operation tables."""
     from .algebra import algebra_of
@@ -211,19 +382,18 @@ def algebra(cfg: RunConfig, poset_file):
     _emit(cfg, payload)
 
 
-@main.command()
-@click.argument("poset_file")
-@click.option("--colour", "colours", multiple=True,
-              help="One upset as comma-separated point names; repeatable.")
-@click.option("--stage", default=None, type=int,
-              help="Finite refinement stage (default: omega).")
-@click.pass_obj
-def types(cfg: RunConfig, poset_file, colours, stage):
+@_command(
+    "types", _Param("POSET_FILE"),
+    _Param("--colour", multiple=True,
+           help="One upset as comma-separated point names; repeatable."),
+    _Param("--stage", int, help="Finite refinement stage (default: omega)."),
+)
+def types(cfg: RunConfig, poset_file, colour, stage):
     """Type partition of a poset under a colouring."""
     from .colouring import _omega_block_of, stage_types
 
     P = _load(poset_file, poset_from_json, "poset")
-    masks = _parse_upsets(P, colours)
+    masks = _parse_upsets(P, colour)
     if stage is None:
         blocks, stabilized_at, _ = _omega_block_of(P, masks)
     else:
@@ -238,10 +408,7 @@ def types(cfg: RunConfig, poset_file, colours, stage):
     _emit(cfg, payload)
 
 
-@main.command("colour-search")
-@click.argument("poset_file")
-@click.option("--k", required=True, type=int)
-@click.pass_obj
+@_command("colour-search", _Param("POSET_FILE"), _Param("--k", int, required=True))
 def colour_search(cfg: RunConfig, poset_file, k):
     """Exhaustive search for a k-colouring; exits 3 when none exists."""
     from .colouring import find_k_colouring
@@ -264,17 +431,17 @@ def colour_search(cfg: RunConfig, poset_file, k):
     )
 
 
-@main.command("generate")
-@click.argument("poset_file")
-@click.option("--gen", "gens", multiple=True,
-              help="One generator upset as comma-separated point names.")
-@click.pass_obj
-def generate_cmd(cfg: RunConfig, poset_file, gens):
+@_command(
+    "generate", _Param("POSET_FILE"),
+    _Param("--gen", multiple=True,
+           help="One generator upset as comma-separated point names."),
+)
+def generate_cmd(cfg: RunConfig, poset_file, gen):
     """Rank-stratified generated subalgebra with witness terms."""
     from .subalgebra import generate
 
     P = _load(poset_file, poset_from_json, "poset")
-    masks = _parse_upsets(P, gens)
+    masks = _parse_upsets(P, gen)
     ra = generate(P, masks, cfg.budget_upsets)
     elems = sorted(ra.elements)
     payload = {
@@ -293,17 +460,14 @@ def generate_cmd(cfg: RunConfig, poset_file, gens):
     _emit(cfg, payload)
 
 
-@main.command()
-@click.argument("lemma")
-@click.option("--corpus", default=None, help="e.g. exhaustive5,random200:2718")
-@click.option("--n", default=None, type=int)
-@click.option("--depth", default=None, type=int)
-@click.option("--depths", default=None, help="Comma-separated depth list.")
-@click.option("--k", default=None, type=int)
-@click.option("--samples", default=None, type=int)
-@click.option("--gens-per-poset", default=None, type=int)
-@click.option("--max-stage", default=None, type=int)
-@click.pass_obj
+@_command(
+    "verify", _Param("LEMMA"),
+    _Param("--corpus", help="e.g. exhaustive5,random200:2718"),
+    _Param("--n", int), _Param("--depth", int),
+    _Param("--depths", help="Comma-separated depth list."),
+    _Param("--k", int), _Param("--samples", int), _Param("--gens-per-poset", int),
+    _Param("--max-stage", int),
+)
 def verify(cfg: RunConfig, lemma, depths, **options):
     """Run a named lemma verification; exits 3 when it fails.
 
@@ -326,10 +490,10 @@ def verify(cfg: RunConfig, lemma, depths, **options):
         sys.exit(EXIT_FAILED)
 
 
-@main.command()
-@click.option("--n", default=1, show_default=True, type=int)
-@click.option("--depths", default="4,5,6,7,8", show_default=True)
-@click.pass_obj
+@_command(
+    "strictness", _Param("--n", int, 1, show_default=True),
+    _Param("--depths", default="4,5,6,7,8", show_default=True),
+)
 def strictness(cfg: RunConfig, n, depths):
     """Strict-generation report for ladder truncations.
 
@@ -363,10 +527,7 @@ def _strictness_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-@main.command()
-@click.argument("algebra_a")
-@click.argument("algebra_b")
-@click.pass_obj
+@_command("product", _Param("ALGEBRA_A"), _Param("ALGEBRA_B"))
 def product(cfg: RunConfig, algebra_a, algebra_b):
     """Componentwise product of two exported algebras.
 

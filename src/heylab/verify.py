@@ -197,6 +197,7 @@ def verify_rank_type(
     budget_tuples: Optional[int] = None,
 ) -> dict:
     """Stage-n types against rank-<=n membership, all stages up to max_stage."""
+    _check_minimum("max_stage", max_stage)
 
     def check(P, G):
         bad = rank_type_mismatches(P, G, max_stage, budget_upsets)
@@ -441,6 +442,12 @@ def _flag(param: str) -> str:
     return "--" + param.replace("_", "-")
 
 
+def _check_minimum(key: str, value: int) -> None:
+    least = _OPTION_MINIMUM[key]
+    if value < least:
+        raise ValueError(f"{_flag(key)} must be >= {least}, got {value}")
+
+
 def run_verification(
     name: str,
     corpus: Optional[str] = None,
@@ -467,9 +474,8 @@ def run_verification(
     for key, value in kwargs.items():
         if key not in params:
             raise ValueError(f"lemma {name!r} does not take {_flag(key)}")
-        if key in _OPTION_MINIMUM and value < _OPTION_MINIMUM[key]:
-            least = _OPTION_MINIMUM[key]
-            raise ValueError(f"{_flag(key)} must be >= {least}, got {value}")
+        if key in _OPTION_MINIMUM:
+            _check_minimum(key, value)
     if "corpus" in params:
         kwargs["corpus"] = SpecCorpus(corpus or DEFAULT_CORPUS)
     given = dict(seed=seed, budget_upsets=budget_upsets, budget_tuples=budget_tuples)

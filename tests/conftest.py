@@ -1,5 +1,8 @@
+import contextlib
+import io
 import random
 from functools import cache
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import settings
@@ -30,6 +33,47 @@ class BoundedRandom(random.Random):
         self.draws = getattr(self, "draws", 0) + 1
         assert self.draws <= 1000, "drew for ever"
         return super().getrandbits(k)
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr as they were written, interleaved
+    stdout_bytes: bytes
+    exception: Optional[BaseException]  # None when the run exits 0
+
+
+class _Tee(io.StringIO):
+    def __init__(self, both):
+        super().__init__()
+        self.both = both
+
+    def write(self, text):
+        self.both.write(text)
+        return super().write(text)
+
+
+class CliRunner:
+    """Runs the CLI in this process with stdout and stderr captured, and
+    gives click.testing's result fields: an exit other than 0, or any
+    other exception, is the result's exception."""
+
+    def invoke(self, main, argv, **kw) -> CliResult:
+        both = io.StringIO()
+        out, err = _Tee(both), _Tee(both)
+        code, exception = 0, None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main.main(args=argv, **kw)
+            except SystemExit as e:
+                code = e.code or 0
+                exception = e if code else None
+            except Exception as e:
+                code, exception = 1, e
+        stdout = out.getvalue()
+        return CliResult(code, stdout, err.getvalue(), both.getvalue(),
+                         stdout.encode(), exception)
 
 
 @st.composite

@@ -1,9 +1,9 @@
-"""Every heylab name the benchmark in perfbench/ patches must resolve.
+"""Every heylab name the benchmark in perfbench/ patches or calls must resolve.
 
 perfbench/tracing.py wraps the functions in its target tables, and the
-benchmark also patches a few names by hand, so renaming or removing any of
-them breaks `perfbench/run.py --trace 1` or `perfbench/probecheck.py`. The
-tables are read with ast, so nothing under perfbench/ is imported. A
+benchmark also patches or calls a few names by hand, so renaming or
+removing any of them breaks `perfbench/run.py --trace 1` or
+`perfbench/probecheck.py`. The tables are read with ast, so nothing under perfbench/ is imported. A
 wrapped name also counts only the calls made through it: the leaf
 colouring.refine sees the omega layer only while every omega path refines
 by looking up colouring._refine_block_of.
@@ -24,12 +24,14 @@ from heylab.subalgebra import rank_type_mismatches
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 TABLES = ("SPAN_TARGETS", "FRAME_TARGETS", "LEAF_TARGETS")
-# patched outside the tables: strictness-n2 counts the tuple draws,
-# probecheck.py slows generate down, and the tracer wraps witness_text
+# patched or called outside the tables: strictness-n2 counts the tuple
+# draws, probecheck.py slows generate down, the tracer wraps witness_text,
+# and cli_boot.py runs the CLI through main.main
 PATCHED = [
     ("heylab.variety", "combinations_with_replacement"),
     ("heylab.variety", "generate"),
     ("heylab.subalgebra", "RankedAlgebra.witness_text"),
+    ("heylab.cli", "main.main"),
 ]
 
 

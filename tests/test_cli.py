@@ -1,18 +1,21 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-from conftest import posets
+from conftest import CliRunner, posets
 from hypothesis import given
 from hypothesis import strategies as st
 
+import heylab
 from heylab import corpus as corpus_mod
 from heylab import ladder as ladder_mod
 from heylab.algebra import algebra_of
-from heylab.cli import main
+from heylab.cli import COMMANDS, main
 from heylab.poset import EXACT_COUNT_BITS, poset_to_json, validate
 
 
@@ -78,6 +81,28 @@ def test_upsets(runner, fork_file):
     assert data["count"] == 5
     assert data["upsets"][0] == []
     assert data["upsets"][-1] == [0, 1, 2]
+
+
+def test_double_dash_ends_the_options(runner, fork_file, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "--help").write_text(Path(fork_file).read_text())
+    res = runner.invoke(main, ["upsets", "--", "--help"])
+    assert res.exit_code == 0
+    assert res.stdout == runner.invoke(main, ["upsets", fork_file]).stdout
+
+
+def test_closed_stdout_exits_1_without_a_traceback(fork_file):
+    # the reader has gone away before the report is written, as under `| head`
+    src = str(Path(heylab.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "heylab.cli", "upsets", fork_file],
+        env=dict(os.environ, PYTHONPATH=src), stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 def test_upsets_missing_file(runner):
@@ -148,6 +173,7 @@ def test_types_report_digest(runner, tmp_path, stage):
     # main's checks of the global options do not stop a command's help
     ["--format", "dot", "upsets", "--help"],
     ["--budget-upsets", "0", "upsets", "--help"],
+    ["--format", "yaml", "upsets", "--help"],
 ])
 def test_help_exits_0(runner, argv):
     res = runner.invoke(main, argv)
@@ -177,7 +203,7 @@ def _help(runner, command: str):
 
 
 def test_every_command_has_its_help_pinned():
-    assert sorted(HELP_DIGESTS) == ["", *sorted(main.commands)]
+    assert sorted(HELP_DIGESTS) == ["", *sorted(COMMANDS)]
 
 
 @pytest.mark.parametrize("command", HELP_DIGESTS, ids=lambda c: c or "heylab")
@@ -781,6 +807,15 @@ MALFORMED = [
     pytest.param(["--budget-upsets", "x", "ladder", "--n", "1", "--depth", "2"], 1,
                  id="usage-global-option"),
     pytest.param(["--format", "yaml", "upsets", "p.json"], 1, id="usage-choice"),
+    # no prefix of a name is taken for it, and the global options come
+    # only before the command
+    pytest.param(["ladder", "--n", "1", "--dep", "2"], 1, id="usage-abbreviated-option"),
+    pytest.param(["upsets", _fork, "--seed", "3"], 1, id="usage-global-option-late"),
+    # a message quoting a 400-character value is clipped
+    pytest.param(["ladder", "--n", "1", "--depth", "1" * 399 + "x"], 1,
+                 id="usage-bad-int-400-chars"),
+    # any error line is clipped, not only a usage error's
+    pytest.param(["verify", "x" * 1000], 1, id="lemma-name-1000-chars"),
     pytest.param(["verify"], 1, id="usage-missing-argument"),
     pytest.param(["nosuch"], 1, id="usage-unknown-command"),
     pytest.param([], 1, id="usage-no-command"),

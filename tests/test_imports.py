@@ -72,7 +72,7 @@ def test_default_seed_has_one_home():
 
 
 # a cold process: run the CLI entry point with argv[1:], then print its
-# exit code and the heylab modules it loaded
+# exit code and the heylab and click modules it loaded
 PROBE = """
 import sys
 code = 0
@@ -81,7 +81,7 @@ try:
     main.main(args=sys.argv[1:], prog_name="heylab")
 except SystemExit as e:
     code = e.code or 0
-print(code, *sorted(m for m in sys.modules if m.partition(".")[0] == "heylab"))
+print(code, *sorted(m for m in sys.modules if m.partition(".")[0] in ("heylab", "click")))
 """
 
 BASE = ["heylab", "heylab.cli", "heylab.errors", "heylab.poset"]
@@ -121,3 +121,19 @@ def test_light_command_loads_only_its_modules(tmp_path, argv, extra):
     code, *loaded = _cold(PROBE, *(a.format(fork=fork) for a in argv))
     assert code == "0"
     assert loaded == sorted(BASE + [f"heylab.{m}" for m in extra])
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--help"], id="help"),
+    pytest.param(["upsets", "{fork}"], id="upsets"),
+    pytest.param(["verify", "canonical", "--n", "1", "--depth", "3"],
+                 id="verify-canonical"),
+])
+def test_cold_cli_loads_no_click(tmp_path, argv):
+    # the CLI parses its command line and lays out its help itself
+    fork = tmp_path / "fork.json"
+    fork.write_text(json.dumps(poset_to_json(validate(["b", "x", "y"],
+                                                      [(0, 1), (0, 2)]))))
+    code, *loaded = _cold(PROBE, *(a.format(fork=fork) for a in argv))
+    assert code == "0"
+    assert [m for m in loaded if m.partition(".")[0] == "click"] == []

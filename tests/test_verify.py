@@ -428,6 +428,22 @@ def test_no_set_is_drawn_at_zero_gens_per_poset(monkeypatch):
         assert (r["checks"], r["failures"], r["gens_per_poset"]) == (0, [], 0)
 
 
+def test_negative_max_stage_is_refused_before_any_draw(monkeypatch):
+    # a max_stage below 0 checks no stage: called from Python, as through
+    # run_verification, it is refused before a set is drawn or closed
+    def refuse(*args):
+        raise AssertionError("a set was drawn")
+
+    monkeypatch.setattr(verify_mod, "_sample_generator_sets", refuse)
+    monkeypatch.setattr(verify_mod, "rank_type_mismatches", refuse)
+    message = "--max-stage must be >= 0, got -1"
+    with pytest.raises(ValueError) as direct:
+        verify_rank_type(all_posets_up_to_iso(2), gens_per_poset=3, max_stage=-1)
+    with pytest.raises(ValueError) as dispatched:
+        run_verification("rank-type", corpus="exhaustive2", max_stage=-1)
+    assert str(direct.value) == str(dispatched.value) == message
+
+
 def test_corpus_cap_is_checked_before_any_poset_is_built(monkeypatch):
     def refuse(*args):
         raise AssertionError("a poset was built")
