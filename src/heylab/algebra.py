@@ -10,7 +10,6 @@ closures work without the poset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidAlgebra
@@ -31,21 +30,24 @@ def imp_mask(P: Poset, u: int, v: int) -> int:
     return P.full_mask & ~down_closure_of(P)(u & ~v)
 
 
-@dataclass(frozen=True)
 class FiniteHeytingAlgebra:
     """A finite Heyting algebra in operation-table form.
 
     elements holds one hashable label per element (sorted point-index tuples
     for upset algebras, label pairs for products); the tables map element
-    indices to element indices.
+    indices to element indices. The constructor trusts its arguments.
     """
 
-    elements: tuple
-    meet: tuple
-    join: tuple
-    imp: tuple
-    bottom: int
-    top: int
+    __slots__ = ("elements", "meet", "join", "imp", "bottom", "top")
+
+    def __init__(self, elements, meet, join, imp, bottom: int, top: int):
+        self.elements, self.meet, self.join, self.imp = elements, meet, join, imp
+        self.bottom, self.top = bottom, top
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FiniteHeytingAlgebra):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     @property
     def size(self) -> int:

@@ -110,13 +110,14 @@ GLOBAL_OPTIONS = (
     _Param("--out", help="Write output to this file."),
 )
 
-# command name -> (function, its parameters); the docstring is its help
+# command name -> (function, its parameters, or an iterable that gives them
+# each time they are read); the docstring is its help
 COMMANDS: dict = {}
 
 
-def _command(name: str, *params: _Param):
+def _command(name: str, *params: _Param, lazy=None):
     def register(fn):
-        COMMANDS[name] = (fn, params)
+        COMMANDS[name] = (fn, lazy or params)
         return fn
 
     return register
@@ -460,14 +461,19 @@ def generate_cmd(cfg: RunConfig, poset_file, gen):
     _emit(cfg, payload)
 
 
-@_command(
-    "verify", _Param("LEMMA"),
-    _Param("--corpus", help="e.g. exhaustive5,random200:2718"),
-    _Param("--n", int), _Param("--depth", int),
-    _Param("--depths", help="Comma-separated depth list."),
-    _Param("--k", int), _Param("--samples", int), _Param("--gens-per-poset", int),
-    _Param("--max-stage", int),
-)
+class _LemmaParams:
+    """verify's parameters: LEMMA, then each option of heylab.verify's lemma
+    table, read only when verify's command line or help page is, so that no
+    other command loads that module."""
+
+    def __iter__(self):
+        from .verify import OPTIONS, _flag
+
+        yield _Param("LEMMA")
+        yield from (_Param(_flag(k), o.type, help=o.help) for k, o in OPTIONS.items())
+
+
+@_command("verify", lazy=_LemmaParams())
 def verify(cfg: RunConfig, lemma, depths, **options):
     """Run a named lemma verification; exits 3 when it fails.
 

@@ -10,12 +10,12 @@ is the bit slice ((1 << w) - 1) << i*w, and the bottom is the last index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .colouring import _omega_block_of, colour_scan, omega_class_count
 from .errors import PosetMismatch, SupportTooDeep
 from .poset import (
+    DEFAULT_SEED,
     DEFAULT_UPSET_BUDGET,
     EXACT_COUNT_BITS,
     Poset,
@@ -28,16 +28,27 @@ from .poset import (
 BOTTOM_NAME = "bot"
 
 
-@dataclass(frozen=True)
 class LadderSpec:
-    n: int
-    depth: int
+    """The truncation of depth levels of the parameter-n ladder."""
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("ladder parameter n must be >= 0")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+    __slots__ = ("n", "depth")
+
+    def __init__(self, n: int, depth: int):
+        for name, v, least in (("n", n, 0), ("depth", depth, 1)):
+            if type(v) is not int or v < least:
+                raise ValueError(f"ladder {name} must be an int >= {least}, got {v!r}")
+        self.n, self.depth = n, depth
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LadderSpec):
+            return NotImplemented
+        return (self.n, self.depth) == (other.n, other.depth)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.depth))
+
+    def __repr__(self) -> str:
+        return f"LadderSpec(n={self.n}, depth={self.depth})"
 
     @property
     def width(self) -> int:
@@ -205,7 +216,7 @@ def non_colourability_scan(
     depth: int,
     k: Optional[int] = None,
     samples: Optional[int] = None,
-    seed: Optional[int] = None,
+    seed: int = DEFAULT_SEED,
     budget_upsets: Optional[int] = None,
     budget_tuples: Optional[int] = None,
 ) -> dict:

@@ -10,7 +10,6 @@ gets a witness term, stored as a DAG keyed by element mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, Optional, Sequence
 
@@ -29,14 +28,14 @@ from .poset import (
 _OP_TEXT = {"and": "and", "or": "or", "imp": "->"}
 
 
-@dataclass
 class RankedAlgebra:
     """The generated subalgebra of Up(P), stratified by implication rank."""
 
-    parent: Poset
-    strata: tuple
-    ranks: dict
-    witnesses: dict
+    __slots__ = ("parent", "strata", "ranks", "witnesses")
+
+    def __init__(self, parent: Poset, strata: tuple, ranks: dict, witnesses: dict):
+        self.parent, self.strata = parent, strata
+        self.ranks, self.witnesses = ranks, witnesses
 
     @property
     def elements(self) -> frozenset:

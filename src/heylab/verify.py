@@ -3,19 +3,17 @@
 Each function returns a JSON-able report dict with a "passed" flag and, on
 failure, counterexample payloads sufficient to replay the offending
 instance. All sampling is seeded, and the seed is recorded in the report,
-so identical arguments give byte-identical reports.
+so identical arguments give byte-identical reports. Each lemma imports the
+modules it runs in its own body; LEMMAS and OPTIONS declare what it takes.
 """
 
 from __future__ import annotations
 
-import inspect
 import random
 from itertools import chain
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .algebra import algebra_of, imp_mask
 from .colouring import random_tuples
-from .corpus import SpecCorpus
 from .ladder import (
     LadderSpec,
     build_ladder,
@@ -37,8 +35,6 @@ from .poset import (
     union_lookup,
     upset_masks,
 )
-from .subalgebra import duality_sides, generate, rank_type_mismatches
-from .variety import strictness_report, subalgebra_closure
 
 DEFAULT_CORPUS = "exhaustive5,random200:2718"
 COLLAPSE_SUPPORT_LEVELS = 3
@@ -131,6 +127,8 @@ def verify_residuation(
     hit(M) is the set of a with a & M != 0: the union of holding[x], the
     indices of the upsets that hold x, over the points x of M. Failures are
     listed in (b, c, a) order."""
+    from .algebra import imp_mask
+
     failures = []
     triples = 0
     charge = _running_budget(budget_tuples, "(b, c) pairs")
@@ -166,6 +164,7 @@ def _sampled_lemma(
     again for the same poset reuses its result: the memo holds one poset's
     draws at a time. Every draw still counts, and fails, as often as it is
     drawn."""
+    _check_minimum("gens_per_poset", gens_per_poset, 0)
     checks = len(corpus) * gens_per_poset * checks_per_run
     check_tuple_budget(checks, budget_tuples, "checks")
     failures = []
@@ -197,6 +196,8 @@ def verify_rank_type(
     budget_tuples: Optional[int] = None,
 ) -> dict:
     """Stage-n types against rank-<=n membership, all stages up to max_stage."""
+    from .subalgebra import rank_type_mismatches
+
     _check_minimum("max_stage", max_stage)
 
     def check(P, G):
@@ -217,6 +218,7 @@ def verify_duality(
     budget_tuples: Optional[int] = None,
 ) -> dict:
     """The generation/colouring biconditional over a sampled corpus."""
+    from .subalgebra import duality_sides
 
     def check(P, G):
         generates_all, coloured = duality_sides(P, G, budget_upsets)
@@ -266,6 +268,7 @@ def verify_collapse(
     on 2**n + 6 levels unless depth is given. A shallower depth leaves fewer
     than 2**n + 3 colour-free levels below the colours and is refused. The
     samples are capped by budget_tuples before the ladder is built."""
+    _check_minimum("samples", samples)
     check_tuple_budget(samples, budget_tuples)
     # LadderSpec refuses n < 0, and the gate a huge n, before 2**n is formed
     if not 0 <= n < EXACT_COUNT_BITS:
@@ -297,10 +300,12 @@ def verify_non_colourable(
     depth: int,
     k: Optional[int] = None,
     samples: Optional[int] = None,
-    seed: Optional[int] = None,
+    seed: int = DEFAULT_SEED,
     budget_upsets: Optional[int] = None,
     budget_tuples: Optional[int] = None,
 ) -> dict:
+    _check_minimum("k", k)
+    _check_minimum("samples", samples)
     scan = non_colourability_scan(
         n, depth, k=k, samples=samples, seed=seed,
         budget_upsets=budget_upsets, budget_tuples=budget_tuples,
@@ -322,6 +327,8 @@ def verify_next_level(
     """Next-level class bound for seeded random colourings plus the
     canonical colouring. The samples are capped by budget_tuples before the
     ladder is built."""
+    _check_minimum("k", k)
+    _check_minimum("samples", samples)
     check_tuple_budget(samples, budget_tuples)
     spec = LadderSpec(n, depth)
     P = build_ladder(spec, budget_upsets)
@@ -349,6 +356,8 @@ def verify_strictness(
     generation at every depth. The depths must be strictly increasing: the
     lemma says that the algebra grows with the depth, so a report over
     depths out of order would test their order, not the lemma."""
+    from .variety import strictness_report
+
     depths = list(depths)
     for i, (a, b) in enumerate(zip(depths, depths[1:]), 2):
         if a >= b:
@@ -383,6 +392,10 @@ def verify_oracle_equivalence(
 ) -> dict:
     """Table-based closure size against the rank-stratified closure size,
     on the same sampled instances as the rank-type check."""
+    from .algebra import algebra_of
+    from .subalgebra import generate
+    from .variety import subalgebra_closure
+
     tables = [None, None, None]  # the poset at hand, its algebra, mask -> index
 
     def check(P, G):
@@ -416,25 +429,36 @@ def _verify_canonical_entry(
     return verify_canonical_range(cases=((n, max_depth),), budget_upsets=budget_upsets)
 
 
-# The lemmas by CLI name. run_verification reads what each one takes from
-# its parameters: `corpus` takes a corpus spec, `seed` and the budgets come
-# from the global options, and every other parameter is a lemma option.
-LEMMAS = {
-    "residuation": verify_residuation,
-    "rank-type": verify_rank_type,
-    "duality": verify_duality,
-    "canonical": _verify_canonical_entry,
-    "collapse": verify_collapse,
-    "non-colourable": verify_non_colourable,
-    "next-level": verify_next_level,
-    "strictness": verify_strictness,
-    "oracle": verify_oracle_equivalence,
+# A lemma option: the type its flag reads (--depths: a comma-separated list),
+# the least value run_verification accepts (None: any), its --help text.
+Option = NamedTuple("Option", [("type", type), ("least", Optional[int]), ("help", str)])
+
+# Every lemma option, in the order `verify --help` lists them.
+OPTIONS = {
+    "corpus": Option(str, None, "e.g. exhaustive5,random200:2718"),
+    "n": Option(int, None, ""),
+    "depth": Option(int, 1, ""),
+    "depths": Option(str, None, "Comma-separated depth list."),
+    "k": Option(int, 0, ""),
+    "samples": Option(int, 0, ""),
+    "gens_per_poset": Option(int, 1, ""),
+    "max_stage": Option(int, 0, ""),
 }
 
-# The least value each integer lemma option accepts; below it a report
-# checks nothing or misstates what it checked.
-_OPTION_MINIMUM = {
-    "depth": 1, "k": 0, "samples": 0, "gens_per_poset": 1, "max_stage": 0
+_BUDGETS = " budget_upsets budget_tuples"
+
+# The lemmas by CLI name, each with its function and the keywords it takes:
+# its options (a trailing "!" marks one it needs), corpus, seed, budgets.
+LEMMAS = {
+    "residuation": (verify_residuation, "corpus" + _BUDGETS),
+    "rank-type": (verify_rank_type, "corpus gens_per_poset max_stage seed" + _BUDGETS),
+    "duality": (verify_duality, "corpus gens_per_poset seed" + _BUDGETS),
+    "canonical": (_verify_canonical_entry, "n depth budget_upsets"),
+    "collapse": (verify_collapse, "n! samples depth seed" + _BUDGETS),
+    "non-colourable": (verify_non_colourable, "n! depth! k samples seed" + _BUDGETS),
+    "next-level": (verify_next_level, "n! depth! samples k seed" + _BUDGETS),
+    "strictness": (verify_strictness, "n depths" + _BUDGETS),
+    "oracle": (verify_oracle_equivalence, "corpus gens_per_poset seed" + _BUDGETS),
 }
 
 
@@ -442,9 +466,10 @@ def _flag(param: str) -> str:
     return "--" + param.replace("_", "-")
 
 
-def _check_minimum(key: str, value: int) -> None:
-    least = _OPTION_MINIMUM[key]
-    if value < least:
+def _check_minimum(key: str, value: Optional[int], least: Optional[int] = None) -> None:
+    """Refuse value below least, by default the option's least in OPTIONS."""
+    least = OPTIONS[key].least if least is None else least
+    if None not in (value, least) and value < least:
         raise ValueError(f"{_flag(key)} must be >= {least}, got {value}")
 
 
@@ -466,21 +491,22 @@ def run_verification(
     """
     if name not in LEMMAS:
         raise ValueError(f"unknown lemma {name!r}")
-    fn = LEMMAS[name]
-    params = inspect.signature(fn).parameters
+    fn, takes = LEMMAS[name]
+    names = takes.replace("!", "").split()
     kwargs = {key: value for key, value in options.items() if value is not None}
     if corpus is not None:
         kwargs["corpus"] = corpus
     for key, value in kwargs.items():
-        if key not in params:
+        if key not in names:
             raise ValueError(f"lemma {name!r} does not take {_flag(key)}")
-        if key in _OPTION_MINIMUM:
-            _check_minimum(key, value)
-    if "corpus" in params:
+        _check_minimum(key, value)
+    for key in takes.split():
+        if key[-1] == "!" and key[:-1] not in kwargs:
+            raise ValueError(f"lemma {name!r} needs {_flag(key[:-1])}")
+    if "corpus" in names:
+        from .corpus import SpecCorpus
+
         kwargs["corpus"] = SpecCorpus(corpus or DEFAULT_CORPUS)
     given = dict(seed=seed, budget_upsets=budget_upsets, budget_tuples=budget_tuples)
-    kwargs.update((k, v) for k, v in given.items() if v is not None and k in params)
-    for key, param in params.items():
-        if param.default is param.empty and key not in kwargs:
-            raise ValueError(f"lemma {name!r} needs {_flag(key)}")
+    kwargs.update((k, v) for k, v in given.items() if v is not None and k in names)
     return fn(**kwargs)

@@ -2,7 +2,9 @@
 
 `import heylab` loads no submodule; each public name loads its home module
 on first use. Each CLI command loads only the modules it runs, so the light
-commands never compile verify, corpus or variety.
+commands never compile verify, corpus or variety, and a verify lemma loads
+only the modules its body imports. No cold command loads inspect or
+dataclasses (about 10 ms with what they import).
 """
 
 import importlib
@@ -72,7 +74,7 @@ def test_default_seed_has_one_home():
 
 
 # a cold process: run the CLI entry point with argv[1:], then print its
-# exit code and the heylab and click modules it loaded
+# exit code and the heylab, click, inspect and dataclasses modules it loaded
 PROBE = """
 import sys
 code = 0
@@ -81,7 +83,8 @@ try:
     main.main(args=sys.argv[1:], prog_name="heylab")
 except SystemExit as e:
     code = e.code or 0
-print(code, *sorted(m for m in sys.modules if m.partition(".")[0] in ("heylab", "click")))
+shown = ("heylab", "click", "inspect", "dataclasses")
+print(code, *sorted(m for m in sys.modules if m.partition(".")[0] in shown))
 """
 
 BASE = ["heylab", "heylab.cli", "heylab.errors", "heylab.poset"]
@@ -137,3 +140,32 @@ def test_cold_cli_loads_no_click(tmp_path, argv):
     code, *loaded = _cold(PROBE, *(a.format(fork=fork) for a in argv))
     assert code == "0"
     assert [m for m in loaded if m.partition(".")[0] == "click"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["ladder", "--n", "1", "--depth", "2"], id="ladder"),
+    pytest.param(["algebra", "{fork}"], id="algebra"),
+    pytest.param(["generate", "{fork}", "--gen", "x"], id="generate"),
+    pytest.param(["verify", "canonical", "--n", "1", "--depth", "3"],
+                 id="verify-canonical"),
+    pytest.param(["strictness", "--n", "1", "--depths", "2,3"], id="strictness"),
+])
+def test_cold_command_loads_no_inspect(tmp_path, argv):
+    fork = tmp_path / "fork.json"
+    fork.write_text(json.dumps(poset_to_json(validate(["b", "x", "y"],
+                                                      [(0, 1), (0, 2)]))))
+    code, *loaded = _cold(PROBE, *(a.format(fork=fork) for a in argv))
+    assert code == "0"
+    assert {"inspect", "dataclasses"}.isdisjoint(loaded)
+
+
+def test_verify_lemma_loads_only_what_it_runs():
+    # canonical runs the ladder and its colouring; strictness runs variety
+    # over the ladders but no corpus
+    code, *loaded = _cold(PROBE, "verify", "canonical", "--n", "1", "--depth", "3")
+    assert code == "0"
+    extra = ["colouring", "ladder", "verify"]
+    assert loaded == sorted(BASE + [f"heylab.{m}" for m in extra])
+    code, *loaded = _cold(PROBE, "strictness", "--n", "1", "--depths", "2,3")
+    assert code == "0"
+    assert "heylab.variety" in loaded and "heylab.corpus" not in loaded

@@ -67,10 +67,33 @@ def test_spec_validation():
     assert LadderSpec(1, 4).width == 3
     assert LadderSpec(2, 3).width == 5
     assert LadderSpec(1, 4).point_count == 13
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^ladder n must be an int >= 0, got -1$"):
         LadderSpec(-1, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^ladder depth must be an int >= 1, got 0$"):
         LadderSpec(1, 0)
+
+
+@pytest.mark.parametrize("n, depth, field", [
+    pytest.param(True, 2, "n", id="bool-n"),
+    pytest.param(1, False, "depth", id="bool-depth"),
+    pytest.param(1.5, 2, "n", id="float-n"),
+    pytest.param("1", 2, "n", id="str-n"),
+    pytest.param(1, 2.0, "depth", id="float-depth"),
+])
+def test_spec_refuses_arguments_that_are_not_ints(n, depth, field):
+    # a bool is an int to arithmetic: LadderSpec(True, 2) built a 7-point
+    # ladder; a float or a str failed inside build_ladder
+    with pytest.raises(ValueError) as caught:
+        LadderSpec(n, depth)
+    value, least = (n, 0) if field == "n" else (depth, 1)
+    assert str(caught.value) == f"ladder {field} must be an int >= {least}, got {value!r}"
+
+
+def test_spec_is_a_value():
+    assert LadderSpec(1, 4) == LadderSpec(1, 4) != LadderSpec(1, 5)
+    assert LadderSpec(1, 4) != (1, 4)
+    assert len({LadderSpec(1, 4), LadderSpec(1, 4), LadderSpec(4, 1)}) == 2
+    assert repr(LadderSpec(2, 3)) == "LadderSpec(n=2, depth=3)"
 
 
 def test_build_budget():

@@ -1,16 +1,20 @@
 import hashlib
 import importlib
+import inspect
 import json
 import random
 
 import pytest
 from conftest import BoundedRandom
 
+from heylab import algebra as algebra_mod
 from heylab import corpus as corpus_mod
+from heylab import subalgebra as subalgebra_mod
 from heylab import verify as verify_mod
 from heylab.corpus import all_posets_up_to_iso
 from heylab.errors import BudgetExceeded
 from heylab.poset import (
+    DEFAULT_SEED,
     is_upset_mask,
     iter_bits,
     poset_from_json,
@@ -18,6 +22,8 @@ from heylab.poset import (
     upset_masks,
 )
 from heylab.verify import (
+    LEMMAS,
+    OPTIONS,
     _report,
     _sample_generator_sets,
     _sampled_lemma,
@@ -49,14 +55,14 @@ def test_residuation_report(tiny_corpus):
 
 def oracle_residuation(corpus):
     """verify_residuation one triple at a time, through the implication
-    that heylab.verify uses."""
+    that it uses, heylab.algebra.imp_mask."""
     failures = []
     triples = 0
     for P in corpus:
         masks = upset_masks(P)
         for b in masks:
             for c in masks:
-                imp = verify_mod.imp_mask(P, b, c)
+                imp = algebra_mod.imp_mask(P, b, c)
                 for a in masks:
                     ok = ((a & b & ~c) == 0) == ((a & ~imp) == 0)
                     ok = ok and (a & (b | c)) == ((a & b) | (a & c))
@@ -73,8 +79,8 @@ def test_residuation_against_per_triple_oracle(tiny_corpus):
 
 def test_residuation_failures_against_per_triple_oracle(monkeypatch):
     # a wrong implication, that leaves point 0 out of every b -> c
-    orig = verify_mod.imp_mask
-    monkeypatch.setattr("heylab.verify.imp_mask", lambda P, b, c: orig(P, b, c) & ~1)
+    orig = algebra_mod.imp_mask
+    monkeypatch.setattr("heylab.algebra.imp_mask", lambda P, b, c: orig(P, b, c) & ~1)
     corpus = all_posets_up_to_iso(3)
     r = verify_residuation(corpus)
     assert len(r["failures"]) == 274
@@ -94,9 +100,9 @@ def test_residuation_pairs_are_capped_poset_by_poset(tiny_corpus, monkeypatch):
     # the first poset past the cap is refused before any of its pairs is
     # checked, and the message names the count it reached
     calls = []
-    orig = verify_mod.imp_mask
+    orig = algebra_mod.imp_mask
     monkeypatch.setattr(
-        "heylab.verify.imp_mask", lambda P, b, c: calls.append(P) or orig(P, b, c)
+        "heylab.algebra.imp_mask", lambda P, b, c: calls.append(P) or orig(P, b, c)
     )
     with pytest.raises(BudgetExceeded, match=rf"^{pairs[0] + pairs[1]} \(b, c\)"):
         verify_residuation(tiny_corpus, budget_tuples=pairs[0])
@@ -214,6 +220,76 @@ def test_run_verification_drops_none_kwargs():
     assert r["passed"] and r["mode"] == "exhaustive"
 
 
+def test_sampled_non_colourable_is_seeded_by_default():
+    # four unseeded runs gave max_classes 5, 6, 7 and 8 when the seed
+    # defaulted to None
+    runs = [
+        run_verification("non-colourable", n=2, depth=2, k=2, samples=3, seed=seed)
+        for seed in (None, None, 2718)
+    ]
+    assert runs[0] == runs[1] == runs[2] and runs[0]["seed"] == 2718
+    assert verify_non_colourable(2, 2, k=2, samples=3) == runs[0]
+    assert verify_non_colourable(1, 3)["seed"] is None  # exhaustive: no draw
+
+
+@pytest.mark.parametrize("run, message", [
+    pytest.param(lambda c: verify_collapse(1, samples=-3), "--samples ... -3",
+                 id="collapse"),
+    pytest.param(lambda c: verify_next_level(1, depth=4, samples=-2), "--samples ... -2",
+                 id="next-level"),
+    pytest.param(lambda c: verify_next_level(1, depth=4, k=-1), "--k ... -1",
+                 id="next-level-k"),
+    pytest.param(lambda c: verify_non_colourable(1, depth=3, samples=-1),
+                 "--samples ... -1", id="non-colourable"),
+    pytest.param(lambda c: verify_non_colourable(1, depth=3, k=-1), "--k ... -1",
+                 id="non-colourable-k"),
+    pytest.param(lambda c: verify_rank_type(c, gens_per_poset=-2),
+                 "--gens-per-poset ... -2", id="rank-type"),
+    pytest.param(lambda c: verify_duality(c, gens_per_poset=-2),
+                 "--gens-per-poset ... -2", id="duality"),
+    pytest.param(lambda c: verify_oracle_equivalence(c, gens_per_poset=-2),
+                 "--gens-per-poset ... -2", id="oracle"),
+])
+def test_negative_counts_are_refused_from_python(tiny_corpus, run, message):
+    # each of these checked nothing and reported passed: True (k=-1 raised
+    # itertools' error in non-colourable)
+    with pytest.raises(ValueError) as caught:
+        run(tiny_corpus)
+    assert str(caught.value) == message.replace("...", "must be >= 0, got")
+
+
+GLOBAL_VALUES = {"corpus", "seed", "budget_upsets", "budget_tuples"}
+
+
+@pytest.mark.parametrize("name", list(LEMMAS))
+def test_lemma_table_agrees_with_the_signature(name):
+    # run_verification reads the table, so the table must say what the
+    # function takes: every keyword, the options without a default as
+    # needed, and defaults that the dispatch would accept
+    fn, takes = LEMMAS[name]
+    params = inspect.signature(fn).parameters
+    needs = {w[:-1] for w in takes.split() if w.endswith("!")}
+    names = takes.replace("!", "").split()
+    assert sorted(names) == sorted(params)
+    assert set(names) - GLOBAL_VALUES <= set(OPTIONS)
+    # the corpus has no default, for the dispatch always gives one
+    no_default = {k for k, p in params.items() if p.default is p.empty}
+    assert no_default - {"corpus"} == needs
+    for key, p in params.items():
+        if key == "seed":
+            assert p.default == DEFAULT_SEED
+        elif key.startswith("budget_"):
+            assert p.default is None
+        elif key not in no_default and p.default is not None:
+            least = OPTIONS[key].least
+            assert least is None or p.default >= least, key
+
+
+def test_every_option_is_taken_by_some_lemma():
+    taken = {w.rstrip("!") for _, takes in LEMMAS.values() for w in takes.split()}
+    assert set(OPTIONS) <= taken
+
+
 def oracle_sampled_lemma(
     lemma, corpus, gens_per_poset, seed, budget_upsets, check, checks_per_run=1,
     budget_tuples=None, **fields,
@@ -272,7 +348,7 @@ def test_sampled_lemma_failure_replays(tiny_corpus):
 # (what to break, how, the lemma run, the keys of each failure payload)
 FAILURE_PATHS = [
     pytest.param(
-        "heylab.verify.imp_mask", lambda orig: lambda P, b, c: P.full_mask,
+        "heylab.algebra.imp_mask", lambda orig: lambda P, b, c: P.full_mask,
         lambda corpus: verify_residuation(corpus), {"poset", "triple"},
         id="residuation",
     ),
@@ -287,7 +363,7 @@ FAILURE_PATHS = [
         {"poset", "generators", "generates_all", "coloured"}, id="duality",
     ),
     pytest.param(
-        "heylab.verify.subalgebra_closure", lambda orig: lambda A, gens: frozenset(),
+        "heylab.variety.subalgebra_closure", lambda orig: lambda A, gens: frozenset(),
         lambda corpus: verify_oracle_equivalence(corpus, gens_per_poset=5, seed=1),
         {"poset", "generators", "table_size", "strata_size"}, id="oracle",
     ),
@@ -421,7 +497,7 @@ def test_no_set_is_drawn_at_zero_gens_per_poset(monkeypatch):
         raise AssertionError("a check ran")
 
     for name in ("rank_type_mismatches", "duality_sides", "generate"):
-        monkeypatch.setattr(verify_mod, name, check)
+        monkeypatch.setattr(subalgebra_mod, name, check)
     corpus = all_posets_up_to_iso(3)
     for lemma in (verify_rank_type, verify_duality, verify_oracle_equivalence):
         r = lemma(corpus, gens_per_poset=0, budget_tuples=0)
@@ -435,7 +511,7 @@ def test_negative_max_stage_is_refused_before_any_draw(monkeypatch):
         raise AssertionError("a set was drawn")
 
     monkeypatch.setattr(verify_mod, "_sample_generator_sets", refuse)
-    monkeypatch.setattr(verify_mod, "rank_type_mismatches", refuse)
+    monkeypatch.setattr(subalgebra_mod, "rank_type_mismatches", refuse)
     message = "--max-stage must be >= 0, got -1"
     with pytest.raises(ValueError) as direct:
         verify_rank_type(all_posets_up_to_iso(2), gens_per_poset=3, max_stage=-1)
