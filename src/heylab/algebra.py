@@ -14,12 +14,11 @@ from typing import Optional
 
 from .errors import InvalidAlgebra
 from .poset import (
-    DEFAULT_UPSET_BUDGET,
     Poset,
+    check_budget,
     check_tuple_budget,
     down_closure_of,
     iter_bits,
-    over_budget,
     upset_masks,
 )
 
@@ -158,10 +157,7 @@ def algebra_of(P: Poset, budget: Optional[int] = None) -> FiniteHeytingAlgebra:
     table is built.
     """
     masks = upset_masks(P, budget)
-    size = len(masks)
-    cap = DEFAULT_UPSET_BUDGET if budget is None else budget
-    if size * size > cap:
-        raise over_budget(size * size, cap, "entries per algebra table")
+    check_budget(len(masks) ** 2, budget, "entries per algebra table")
     idx = {m: i for i, m in enumerate(masks)}
     # imp_mask's kernel, read once per table rather than called per entry
     close, full = down_closure_of(P), P.full_mask

@@ -16,9 +16,10 @@ from .colouring import _omega_block_of, colour_scan, omega_class_count
 from .errors import PosetMismatch, SupportTooDeep
 from .poset import (
     DEFAULT_SEED,
-    DEFAULT_UPSET_BUDGET,
     EXACT_COUNT_BITS,
     Poset,
+    budget_cap,
+    check_budget,
     check_tuple_budget,
     iter_bits,
     over_budget,
@@ -77,13 +78,11 @@ def check_ladder_budget(spec: LadderSpec, budget: Optional[int] = None) -> None:
     exceed the upset budget (the default when budget is None). An n whose
     level width 2**n + 1 alone is past the cap and past EXACT_COUNT_BITS
     bits is refused by its exponent, before any power of two is formed."""
-    cap = DEFAULT_UPSET_BUDGET if budget is None else budget
+    cap = budget_cap(budget)
     if spec.n >= max(EXACT_COUNT_BITS, cap.bit_length()):
         raise over_budget(f"2 ** {spec.n} or more", cap, "ladder points")
-    counts = (spec.point_count, "ladder points"), (spec.pair_count, "ladder pairs")
-    for count, what in counts:
-        if count > cap:
-            raise over_budget(count, cap, what)
+    check_budget(spec.point_count, cap, "ladder points")
+    check_budget(spec.pair_count, cap, "ladder pairs")
 
 
 def build_ladder(spec: LadderSpec, budget: Optional[int] = None) -> Poset:

@@ -23,10 +23,10 @@ EXACT_COUNT_BITS = 64
 
 def over_budget(count, cap: int, what: str, flag: str = "--budget-upsets"):
     """A BudgetExceeded in the one form "<count> <what> exceed the budget of
-    <cap> (<flag>)". Callers test count > cap themselves, then raise it. An
-    int count or cap past EXACT_COUNT_BITS bits is written "2 ** <e> or
-    more", e its bit length less one, so the message stays short; a caller
-    that must not form a count gives that text itself."""
+    <cap> (<flag>)"; check_budget raises it, and only a hot loop tests count
+    > cap itself. An int count or cap past EXACT_COUNT_BITS bits is written
+    "2 ** <e> or more", e its bit length less one, so the message stays
+    short; a caller that must not form a count gives that text itself."""
     count, cap = (
         f"2 ** {x.bit_length() - 1} or more"
         if isinstance(x, int) and x.bit_length() > EXACT_COUNT_BITS
@@ -34,6 +34,20 @@ def over_budget(count, cap: int, what: str, flag: str = "--budget-upsets"):
         for x in (count, cap)
     )
     return BudgetExceeded(f"{count} {what} exceed the budget of {cap} ({flag})")
+
+
+def budget_cap(budget: Optional[int], flag: str = "--budget-upsets") -> int:
+    """The cap under flag: budget, or the flag's default cap when it is None."""
+    default = DEFAULT_TUPLE_BUDGET if flag == "--budget-tuples" else DEFAULT_UPSET_BUDGET
+    return default if budget is None else budget
+
+
+def check_budget(count, budget: Optional[int], what: str, flag: str = "--budget-upsets"):
+    """The one budget gate: raise over_budget's BudgetExceeded when count of
+    what is past budget_cap(budget, flag)."""
+    cap = budget_cap(budget, flag)
+    if count > cap:
+        raise over_budget(count, cap, what, flag)
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -218,14 +232,11 @@ def upset_masks(P: Poset, budget: Optional[int] = None) -> tuple:
     integer order on masks; the empty upset comes first and the full set
     last. Results are cached on the poset.
     """
-    cap = DEFAULT_UPSET_BUDGET if budget is None else budget
-    if P._upset_masks is not None:
-        if len(P._upset_masks) > cap:
-            raise over_budget(len(P._upset_masks), cap, "upsets")
-        return P._upset_masks
-    masks = tuple(sorted(upsets_of(P.up, cap)))
-    P._upset_masks = masks
-    return masks
+    if P._upset_masks is None:
+        P._upset_masks = tuple(sorted(upsets_of(P.up, budget_cap(budget))))
+    else:
+        check_budget(len(P._upset_masks), budget, "upsets")
+    return P._upset_masks
 
 
 def _top_down(up: Sequence[int]) -> list:
@@ -279,11 +290,9 @@ def cover_walk(P: Poset) -> tuple:
 def check_tuple_budget(
     count: int, budget: Optional[int] = None, what: str = "tuples"
 ) -> None:
-    """Raise BudgetExceeded when a scan of count tuples (or count of what)
-    exceeds the budget."""
-    cap = DEFAULT_TUPLE_BUDGET if budget is None else budget
-    if count > cap:
-        raise over_budget(count, cap, what, "--budget-tuples")
+    """check_budget under --budget-tuples: a scan of count tuples (or count
+    of what)."""
+    check_budget(count, budget, what, "--budget-tuples")
 
 
 def check_multiset_budget(n: int, k: int, budget: Optional[int] = None) -> None:
@@ -292,7 +301,7 @@ def check_multiset_budget(n: int, k: int, budget: Optional[int] = None) -> None:
     binomial no larger than the count, and only until it is past both the
     cap and EXACT_COUNT_BITS bits: over_budget's "2 ** <e> or more" then
     holds of the count too, however large k is."""
-    cap = DEFAULT_TUPLE_BUDGET if budget is None else budget
+    cap = budget_cap(budget, "--budget-tuples")
     m = min(k, n - 1)
     count = 1
     for i in range(1, m + 1):

@@ -16,8 +16,8 @@ from typing import Iterable, Optional, Sequence
 from .algebra import imp_mask
 from .colouring import _omega_block_of, _split, _stages, omega_class_count
 from .poset import (
-    DEFAULT_UPSET_BUDGET,
     Poset,
+    budget_cap,
     closed_unions,
     down_closure_of,
     over_budget,
@@ -120,7 +120,7 @@ def _lattice_close(seen, witnesses: dict, cap: int, consts, old=frozenset()) -> 
 def generate(P: Poset, G: Iterable, budget: Optional[int] = None) -> RankedAlgebra:
     """Rank-stratified closure of the generator masks G under meet, join and
     implication, with the constants seeded at rank 0."""
-    cap = DEFAULT_UPSET_BUDGET if budget is None else budget
+    cap = budget_cap(budget)
     witnesses = {0: ("0",), P.full_mask: ("1",)}
     for i, m in enumerate(G):
         witnesses.setdefault(m, ("g", i))
@@ -183,9 +183,8 @@ def quotient_upset_count(
     It counts their complements, the down-sets: each down-closure is a union
     of blocks, a lower class's is a proper submask and so a smaller int, and
     in that order a block joins the down-sets so far that hold the rest of it."""
-    cap = DEFAULT_UPSET_BUDGET if budget is None else budget
-    return len(closed_unions(
-        ((b, downs[b] & ~b) for b in sorted(blocks, key=downs.get)), cap))
+    pairs = ((b, downs[b] & ~b) for b in sorted(blocks, key=downs.get))
+    return len(closed_unions(pairs, budget_cap(budget)))
 
 
 def rank_type_mismatches(

@@ -11,10 +11,9 @@ from .colouring import omega_walk
 from .errors import ForeignElement
 from .ladder import LadderSpec, build_ladder, canonical_colouring
 from .poset import (
-    DEFAULT_UPSET_BUDGET,
+    check_budget,
     check_multiset_budget,
     iter_bits,
-    over_budget,
     upset_masks,
 )
 # generate is no longer called here, but stays importable under this name:
@@ -63,10 +62,7 @@ def algebra_product(
     """Componentwise product; element labels are label pairs. The budget
     caps the (|A|*|B|)**2 entries of each operation table, checked before
     any table is built."""
-    cap = DEFAULT_UPSET_BUDGET if budget is None else budget
-    size = A.size * B.size
-    if size * size > cap:
-        raise over_budget(size * size, cap, "entries per product table")
+    check_budget((A.size * B.size) ** 2, budget, "entries per product table")
     nb = B.size
     elements = tuple(
         (A.elements[i], B.elements[j]) for i in range(A.size) for j in range(nb)

@@ -97,30 +97,16 @@ def _report(lemma: str, failures: list, **fields) -> dict:
     return {"lemma": lemma, **fields, "failures": failures, "passed": not failures}
 
 
-def _running_budget(budget_tuples: Optional[int], what: str):
-    """A callable that adds a poset's count of what to a running total and
-    raises BudgetExceeded, naming that total, at the first poset that takes
-    it past budget_tuples: for a lemma whose count needs each poset's
-    upsets, checked poset by poset before the poset's work."""
-    total = 0
-
-    def charge(count: int) -> None:
-        nonlocal total
-        total += count
-        check_tuple_budget(total, budget_tuples, what)
-
-    return charge
-
-
 def verify_residuation(
     corpus: Sequence[Poset],
     budget_upsets: Optional[int] = None,
     budget_tuples: Optional[int] = None,
 ) -> dict:
     """Residuation over every upset triple (a, b, c): a & b <= c exactly
-    when a <= b -> c. The |Up(P)|**2 (b, c) pairs of the posets so far are
-    capped by budget_tuples. Distributivity holds by construction, since
-    meet and join are & and | on masks, so it is not tested.
+    when a <= b -> c. budget_tuples caps a running count of the |Up(P)|**2
+    (b, c) pairs, checked at each poset before its work. Distributivity
+    holds by construction, since meet and join are & and | on masks, so it
+    is not tested.
 
     Each (b, c) tests every a at once: residuation holds at a when a & (b &
     ~c) and a & ~(b -> c) are empty together. Over the upset indices,
@@ -130,11 +116,11 @@ def verify_residuation(
     from .algebra import imp_mask
 
     failures = []
-    triples = 0
-    charge = _running_budget(budget_tuples, "(b, c) pairs")
+    triples = pairs = 0
     for P in corpus:
         masks = upset_masks(P, budget_upsets)
-        charge(len(masks) ** 2)
+        pairs += len(masks) ** 2
+        check_tuple_budget(pairs, budget_tuples, "(b, c) pairs")
         holding = [
             sum(1 << i for i, a in enumerate(masks) if a >> x & 1)
             for x in range(P.n)
@@ -447,18 +433,19 @@ OPTIONS = {
 
 _BUDGETS = " budget_upsets budget_tuples"
 
-# The lemmas by CLI name, each with its function and the keywords it takes:
+# The lemmas by CLI name, each with the name of its function, looked up at
+# each run so that a rebinding is what is called, and the keywords it takes:
 # its options (a trailing "!" marks one it needs), corpus, seed, budgets.
 LEMMAS = {
-    "residuation": (verify_residuation, "corpus" + _BUDGETS),
-    "rank-type": (verify_rank_type, "corpus gens_per_poset max_stage seed" + _BUDGETS),
-    "duality": (verify_duality, "corpus gens_per_poset seed" + _BUDGETS),
-    "canonical": (_verify_canonical_entry, "n depth budget_upsets"),
-    "collapse": (verify_collapse, "n! samples depth seed" + _BUDGETS),
-    "non-colourable": (verify_non_colourable, "n! depth! k samples seed" + _BUDGETS),
-    "next-level": (verify_next_level, "n! depth! samples k seed" + _BUDGETS),
-    "strictness": (verify_strictness, "n depths" + _BUDGETS),
-    "oracle": (verify_oracle_equivalence, "corpus gens_per_poset seed" + _BUDGETS),
+    "residuation": ("verify_residuation", "corpus" + _BUDGETS),
+    "rank-type": ("verify_rank_type", "corpus gens_per_poset max_stage seed" + _BUDGETS),
+    "duality": ("verify_duality", "corpus gens_per_poset seed" + _BUDGETS),
+    "canonical": ("_verify_canonical_entry", "n depth budget_upsets"),
+    "collapse": ("verify_collapse", "n! samples depth seed" + _BUDGETS),
+    "non-colourable": ("verify_non_colourable", "n! depth! k samples seed" + _BUDGETS),
+    "next-level": ("verify_next_level", "n! depth! samples k seed" + _BUDGETS),
+    "strictness": ("verify_strictness", "n depths" + _BUDGETS),
+    "oracle": ("verify_oracle_equivalence", "corpus gens_per_poset seed" + _BUDGETS),
 }
 
 
@@ -491,7 +478,7 @@ def run_verification(
     """
     if name not in LEMMAS:
         raise ValueError(f"unknown lemma {name!r}")
-    fn, takes = LEMMAS[name]
+    fn_name, takes = LEMMAS[name]
     names = takes.replace("!", "").split()
     kwargs = {key: value for key, value in options.items() if value is not None}
     if corpus is not None:
@@ -509,4 +496,4 @@ def run_verification(
         kwargs["corpus"] = SpecCorpus(corpus or DEFAULT_CORPUS)
     given = dict(seed=seed, budget_upsets=budget_upsets, budget_tuples=budget_tuples)
     kwargs.update((k, v) for k, v in given.items() if v is not None and k in names)
-    return fn(**kwargs)
+    return globals()[fn_name](**kwargs)

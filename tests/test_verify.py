@@ -266,8 +266,8 @@ def test_lemma_table_agrees_with_the_signature(name):
     # run_verification reads the table, so the table must say what the
     # function takes: every keyword, the options without a default as
     # needed, and defaults that the dispatch would accept
-    fn, takes = LEMMAS[name]
-    params = inspect.signature(fn).parameters
+    fn_name, takes = LEMMAS[name]
+    params = inspect.signature(getattr(verify_mod, fn_name)).parameters
     needs = {w[:-1] for w in takes.split() if w.endswith("!")}
     names = takes.replace("!", "").split()
     assert sorted(names) == sorted(params)
@@ -288,6 +288,19 @@ def test_lemma_table_agrees_with_the_signature(name):
 def test_every_option_is_taken_by_some_lemma():
     taken = {w.rstrip("!") for _, takes in LEMMAS.values() for w in takes.split()}
     assert set(OPTIONS) <= taken
+
+
+def test_dispatch_calls_the_lemma_bound_in_the_module(monkeypatch):
+    # a rebinding of a lemma's name, as a tracer's wrapper or a patch makes,
+    # is what run_verification calls
+    calls = []
+    orig = verify_mod.verify_residuation
+    monkeypatch.setattr(
+        "heylab.verify.verify_residuation", lambda **kw: calls.append(kw) or orig(**kw)
+    )
+    report = run_verification("residuation", corpus="exhaustive3")
+    assert report["passed"] and report["posets"] == 8
+    assert [sorted(kw) for kw in calls] == [["corpus"]]
 
 
 def oracle_sampled_lemma(
