@@ -9,8 +9,12 @@ modules it runs in its own body; LEMMAS and OPTIONS declare what it takes.
 
 from __future__ import annotations
 
+import os
 import random
+import sys
+from functools import partial
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .colouring import random_tuples
@@ -139,6 +143,126 @@ def verify_residuation(
     return _report("residuation", failures, posets=len(corpus), triples=triples)
 
 
+def _shares(posets: int, gens_per_poset: int) -> int:
+    """How many processes check a sampled lemma's posets: one per CPU this
+    process may run on, at most one per poset. One process runs it when
+    there is nothing to split, when fork is missing or unsafe (another
+    thread is running), or when a tracer or profiler is set, so that it
+    sees the whole lemma."""
+    threading = sys.modules.get("threading")
+    if (
+        gens_per_poset == 0 or posets < 2 or not hasattr(os, "fork")
+        or (threading is not None and threading.active_count() > 1)
+        or sys.gettrace() is not None or sys.getprofile() is not None
+    ):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return min(len(os.sched_getaffinity(0)), posets)
+    return min(os.cpu_count() or 1, posets)
+
+
+def _share_child(walk, share: int, shares: int, write_end: int) -> None:
+    """Run walk's share in a forked child and pickle its outcome to
+    write_end; an error that does not survive pickling is sent as a
+    RuntimeError naming it. The child ends with os._exit whatever happens,
+    so no caller's cleanup runs twice."""
+    import pickle
+
+    code = 1
+    try:
+        result, error = walk(share, shares)
+        if error is not None:
+            try:
+                pickle.loads(pickle.dumps(error[1]))
+            except Exception:
+                error = error[0], RuntimeError(repr(error[1]))
+        data = pickle.dumps((result, error))
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _in_shares(walk, shares: int) -> list:
+    """The results of walk(share, shares) for each share below shares, in
+    share order: share 0 runs in this process and every other share in a
+    forked child that pickles its outcome back through a pipe. A walk
+    returns (result, error), error being None or (key, exception): of the
+    shares that erred, the exception with the least key, then the least
+    share, is raised once every share is done. Every child is reaped before
+    this returns or raises; if this process fails or is interrupted first,
+    its children are killed."""
+    if shares > 1:
+        import pickle  # before the forks, so that no child loads it again
+    children = []  # (pid, read end) of shares 1, 2, ...
+    done = False
+    try:
+        for share in range(1, shares):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to hand the pipe to
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if not pid:
+                os.close(read_end)
+                _share_child(walk, share, shares, write_end)
+            os.close(write_end)
+            children.append((pid, read_end))
+        outcomes = [walk(0, shares)]
+        for share, (_, read_end) in enumerate(children, 1):
+            with open(read_end, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:
+                raise RuntimeError(f"share {share} of {shares} ended without a result")
+            outcomes.append(pickle.loads(data))
+        done = True
+    finally:
+        for pid, read_end in children:
+            os.close(read_end)
+            if not done:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    errors = [(e[0], s, e[1]) for s, (_, e) in enumerate(outcomes) if e is not None]
+    if errors:
+        raise min(errors, key=itemgetter(0, 1))[2]
+    return [result for result, _ in outcomes]
+
+
+def _walk_share(corpus, gens_per_poset, seed, budget_upsets, check, share, shares):
+    """Walk every poset of corpus and its seeded draws, and check the draws
+    of the posets whose index is share mod shares. Return ((failures as
+    (poset index, payload) pairs, draws walked), error), error being None
+    or (poset index, the first exception raised)."""
+    found = []
+    runs = index = 0
+    rng = random.Random(seed)
+    try:
+        for P in corpus:
+            masks = upset_masks(P, budget_upsets)
+            draws = _sample_generator_sets(masks, gens_per_poset, rng)
+            if index % shares == share:
+                memo: dict = {}
+                for G in draws:
+                    runs += 1
+                    if G not in memo:
+                        memo[G] = check(P, G)
+                    details = memo[G]
+                    if details is not None:
+                        failure = {"poset": poset_to_json(P), "generators": _upset_lists(G)}
+                        found.append((index, {**failure, **details}))
+            else:  # another share's poset: draw its sets to keep the stream
+                runs += sum(1 for _ in draws)
+            index += 1
+    except Exception as error:
+        return (found, runs), (index, error)
+    return (found, runs), None
+
+
 def _sampled_lemma(
     lemma, corpus, gens_per_poset, seed, budget_upsets, check, checks_per_run=1,
     budget_tuples=None, **fields,
@@ -149,27 +273,22 @@ def _sampled_lemma(
     before any set is drawn. A check depends only on (P, G), so a set drawn
     again for the same poset reuses its result: the memo holds one poset's
     draws at a time. Every draw still counts, and fails, as often as it is
-    drawn."""
+    drawn.
+
+    The posets are checked in _shares shares, one process each: every share
+    walks the whole corpus and draw stream and checks the posets whose
+    index it holds mod the share count. Their failures merge in corpus
+    order, and an error is the one of the least poset index, so the report,
+    or the exception, is the one that one process gives."""
     _check_minimum("gens_per_poset", gens_per_poset, 0)
     checks = len(corpus) * gens_per_poset * checks_per_run
     check_tuple_budget(checks, budget_tuples, "checks")
-    failures = []
-    runs = 0
-    rng = random.Random(seed)
-    for P in corpus:
-        masks = upset_masks(P, budget_upsets)
-        memo: dict = {}
-        for G in _sample_generator_sets(masks, gens_per_poset, rng):
-            runs += 1
-            if G not in memo:
-                memo[G] = check(P, G)
-            details = memo[G]
-            if details is not None:
-                failure = {"poset": poset_to_json(P), "generators": _upset_lists(G)}
-                failures.append({**failure, **details})
+    walk = partial(_walk_share, corpus, gens_per_poset, seed, budget_upsets, check)
+    results = _in_shares(walk, _shares(len(corpus), gens_per_poset))
+    found = sorted(chain.from_iterable(f for f, _ in results), key=itemgetter(0))
     return _report(
-        lemma, failures, seed=seed, posets=len(corpus), gens_per_poset=gens_per_poset,
-        checks=runs * checks_per_run, **fields,
+        lemma, [failure for _, failure in found], seed=seed, posets=len(corpus),
+        gens_per_poset=gens_per_poset, checks=results[0][1] * checks_per_run, **fields,
     )
 
 

@@ -2,7 +2,11 @@ import hashlib
 import importlib
 import inspect
 import json
+import os
 import random
+import sys
+import threading
+import time
 
 import pytest
 from conftest import BoundedRandom
@@ -11,7 +15,7 @@ from heylab import algebra as algebra_mod
 from heylab import corpus as corpus_mod
 from heylab import subalgebra as subalgebra_mod
 from heylab import verify as verify_mod
-from heylab.corpus import all_posets_up_to_iso
+from heylab.corpus import all_posets_up_to_iso, corpus_from_spec
 from heylab.errors import BudgetExceeded
 from heylab.poset import (
     DEFAULT_SEED,
@@ -451,7 +455,9 @@ def test_sampled_lemmas_match_per_draw_oracle(tiny_corpus, monkeypatch, lemma, s
         assert len(set(failed)) < len(failed)
 
 
-def test_sampled_lemma_checks_each_distinct_draw_once(tiny_corpus):
+def test_sampled_lemma_checks_each_distinct_draw_once(tiny_corpus, monkeypatch):
+    # seen fills in this process only, so every poset is checked here
+    monkeypatch.setattr(verify_mod, "_shares", lambda posets, gens: 1)
     draws = _draws(tiny_corpus, 20, 7)
     seen = []
 
@@ -461,6 +467,196 @@ def test_sampled_lemma_checks_each_distinct_draw_once(tiny_corpus):
     r = _sampled_lemma("probe", tiny_corpus, 20, 7, None, check)
     assert r["checks"] == len(draws) and r["passed"]
     assert sorted(seen) == sorted(set(draws))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+SHARE_CORPUS = "exhaustive4,random40:11"
+SHARED = {
+    "rank-type": lambda corpus: verify_rank_type(corpus, max_stage=3),
+    "duality": verify_duality,
+    "oracle": verify_oracle_equivalence,
+}
+
+
+@pytest.mark.parametrize("fault", [None, *SHARED])
+@pytest.mark.parametrize("lemma", list(SHARED))
+def test_share_count_changes_no_byte(monkeypatch, lemma, fault):
+    corpus = corpus_from_spec(SHARE_CORPUS)
+    faults = {p.id: p.values[:2] for p in FAILURE_PATHS if p.id in SHARED}
+    if fault is not None:
+        _break(monkeypatch, *faults[fault])
+    reports = {}
+    for shares in (1, 2, 3, 5):
+        monkeypatch.setattr(verify_mod, "_shares", lambda posets, gens: shares)
+        reports[shares] = json.dumps(SHARED[lemma](corpus), indent=1)
+        _no_child_left()
+    assert reports[2] == reports[3] == reports[5] == reports[1]
+    if fault == lemma:  # every split puts failures in more than one share
+        failures = json.loads(reports[1])["failures"]
+        failed = {corpus.index(poset_from_json(f["poset"])) for f in failures}
+        assert all(len({i % k for i in failed}) > 1 for k in (2, 3, 5))
+
+
+class Unpicklable(Exception):
+    def __init__(self, poset, why):  # pickle rebuilds it from the message alone
+        super().__init__(f"{why} at poset {poset}")
+
+
+def _raising_at(corpus, raises):
+    """A check that raises raises[i](i) on corpus poset i, else passes."""
+    def check(P, G):
+        i = corpus.index(P)
+        if i in raises:
+            raise raises[i](i)
+    return check
+
+
+@pytest.mark.parametrize("low, high", [(2, 5), (3, 4), (3, 5)])
+def test_the_least_poset_index_raises_from_any_share(tiny_corpus, monkeypatch, low,
+                                                     high):
+    # share 0 holds the even indices, share 1 the odd ones
+    monkeypatch.setattr(verify_mod, "_shares", lambda posets, gens: 2)
+    raises = {i: (lambda i: ValueError(f"poset {i}")) for i in (low, high)}
+    with pytest.raises(ValueError, match=f"^poset {low}$"):
+        _sampled_lemma("probe", tiny_corpus, 5, 1, None, _raising_at(tiny_corpus, raises))
+    _no_child_left()
+    r = _sampled_lemma("probe", tiny_corpus, 5, 1, None, lambda P, G: None)
+    assert r["passed"] and r["checks"] == 24 * 5
+    _no_child_left()
+
+
+def test_an_error_that_pickle_cannot_rebuild_comes_back_named(tiny_corpus, monkeypatch):
+    monkeypatch.setattr(verify_mod, "_shares", lambda posets, gens: 2)
+    check = _raising_at(tiny_corpus, {3: lambda i: Unpicklable(i, "bad")})
+    with pytest.raises(RuntimeError) as caught:
+        _sampled_lemma("probe", tiny_corpus, 5, 1, None, check)
+    assert str(caught.value) == repr(Unpicklable(3, "bad"))
+    _no_child_left()
+
+
+def test_an_interrupted_lemma_leaves_no_child(tiny_corpus, monkeypatch):
+    monkeypatch.setattr(verify_mod, "_shares", lambda posets, gens: 3)
+    # this process is interrupted while a child checks for 30 s: the child is
+    # killed, not waited for
+    def check(P, G):
+        i = tiny_corpus.index(P)
+        if i == 3:
+            raise KeyboardInterrupt
+        if i == 4:
+            time.sleep(30)
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _sampled_lemma("probe", tiny_corpus, 5, 1, None, check)
+    assert time.monotonic() - start < 10
+    _no_child_left()
+    # a child is interrupted, and ends without a result
+    check = _raising_at(tiny_corpus, {4: lambda i: KeyboardInterrupt()})
+    with pytest.raises(RuntimeError, match="^share 1 of 3 ended without a result$"):
+        _sampled_lemma("probe", tiny_corpus, 5, 1, None, check)
+    _no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds in /proc")
+def test_a_failed_fork_leaves_no_child_and_no_pipe(tiny_corpus, monkeypatch):
+    monkeypatch.setattr(verify_mod, "_shares", lambda posets, gens: 3)
+    forks = []
+    real_fork = os.fork
+
+    def fork():  # the second fork fails, as it does past a process limit
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError("Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    open_fds = set(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        _sampled_lemma("probe", tiny_corpus, 5, 1, None, lambda P, G: None)
+    _no_child_left()
+    assert set(os.listdir("/proc/self/fd")) == open_fds
+
+
+def test_a_budget_error_in_a_child_share_exits_2_unchanged(monkeypatch):
+    # generate gets a cap of 2 on the fourth poset of exhaustive3, which
+    # share 1 of 2 holds; the CLI shows the error one process gives
+    from conftest import CliRunner
+
+    from heylab.cli import main
+
+    target = corpus_from_spec("exhaustive3")[3]
+    orig = subalgebra_mod.generate
+
+    def generate(P, G, budget=None):
+        return orig(P, G, 2 if P == target else budget)
+
+    monkeypatch.setattr(subalgebra_mod, "generate", generate)
+    argv = ["verify", "oracle", "--corpus", "exhaustive3"]
+    results = []
+    for shares in (1, 2):
+        monkeypatch.setattr(verify_mod, "_shares", lambda posets, gens: shares)
+        results.append(CliRunner().invoke(main, argv))
+        _no_child_left()
+    one, two = results
+    assert (two.exit_code, two.stdout, two.stderr) == (one.exit_code, one.stdout, one.stderr)
+    assert two.exit_code == 2 and isinstance(two.exception, SystemExit)
+    assert two.stderr.startswith("error: ") and two.stderr.count("\n") == 1
+    assert "exceed the budget of 2 (--budget-upsets)" in two.stderr
+
+
+def test_one_share_where_a_split_is_unsafe_or_empty(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert verify_mod._shares(10, 20) == 3
+    assert verify_mod._shares(2, 20) == 2  # at most one share a poset
+    assert verify_mod._shares(1, 20) == verify_mod._shares(10, 0) == 1
+    # no sched_getaffinity (macOS): os.cpu_count counts the CPUs
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert verify_mod._shares(10, 20) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert verify_mod._shares(10, 20) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    # a tracer or a profiler sees the whole lemma in this process
+    for install in (sys.settrace, sys.setprofile):
+        before = (sys.gettrace, sys.getprofile)[install is sys.setprofile]()
+        install(lambda *args: None)
+        try:
+            assert verify_mod._shares(10, 20) == 1
+        finally:
+            install(before)
+    # another thread is running: no fork
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert verify_mod._shares(10, 20) == 1
+    finally:
+        release.set()
+        thread.join()
+    assert verify_mod._shares(10, 20) == 4
+    monkeypatch.delattr(os, "fork")
+    assert verify_mod._shares(10, 20) == 1
+
+
+def test_a_lemma_beside_a_thread_runs_in_this_process(monkeypatch):
+    def refuse():
+        raise AssertionError("a threaded process forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    corpus = all_posets_up_to_iso(3)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        r = verify_duality(corpus, gens_per_poset=5)
+    finally:
+        release.set()
+        thread.join()
+    assert r["passed"] and r["checks"] == 8 * 5
 
 
 def old_sample_generator_sets(masks, count, rng):
