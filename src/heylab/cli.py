@@ -284,30 +284,24 @@ def _definitions(rows, width: int) -> str:
     """Terms and their wrapped texts in two columns, indented by 2."""
     import textwrap
 
-    col = min(max(len(term) for term, _ in rows), 30) + 2
+    col = max(len(term) for term, _ in rows) + 2
+    wrapper = textwrap.TextWrapper(width, subsequent_indent=" " * (col + 2))
     out = []
     for term, text in rows:
-        out.append("  " + term)
-        if text:
-            fits = len(term) <= col - 2
-            out.append(" " * (col - len(term)) if fits else "\n" + " " * (col + 2))
-            lines = textwrap.wrap(text, max(width - col - 2, 10))
-            out.append(("\n" + " " * (col + 2)).join(lines))
-        out.append("\n")
+        wrapper.initial_indent = f"  {term:<{col}}"
+        out.append(wrapper.fill(text) + "\n" if text else f"  {term}\n")
     return "".join(out)
 
 
 def _short_help(doc: str, limit: int) -> str:
     """The first sentence of doc if it fits in limit characters, or else as
     many of its words as fit with '...'."""
+    import textwrap
+
     words = doc.partition("\n\n")[0].split()
     end = next((i + 1 for i, w in enumerate(words) if w.endswith(".")), None)
-    words = words[:end]
-    if len(" ".join(words)) <= limit:
-        return " ".join(words)
-    while words and len(" ".join(words)) + 3 > limit:
-        words.pop()
-    return " ".join(words) + "..."
+    first = " ".join(words[:end])
+    return textwrap.shorten(first, limit, placeholder="...", break_on_hyphens=False)
 
 
 def _load(path: str, parse, what: str):
@@ -367,7 +361,7 @@ def upsets(cfg: RunConfig, poset_file):
     payload = {
         "seed": cfg.seed,
         "count": len(us),
-        "upsets": [sorted(iter_bits(m)) for m in us],
+        "upsets": [list(iter_bits(m)) for m in us],
     }
     _emit(cfg, payload)
 
@@ -427,7 +421,7 @@ def colour_search(cfg: RunConfig, poset_file, k):
             "seed": cfg.seed,
             "k": k,
             "found": True,
-            "colours": [sorted(iter_bits(m)) for m in masks],
+            "colours": [list(iter_bits(m)) for m in masks],
         },
     )
 
@@ -447,11 +441,11 @@ def generate_cmd(cfg: RunConfig, poset_file, gen):
     elems = sorted(ra.elements)
     payload = {
         "seed": cfg.seed,
-        "generators": [sorted(iter_bits(m)) for m in masks],
+        "generators": [list(iter_bits(m)) for m in masks],
         "size": len(elems),
         "elements": [
             {
-                "upset": sorted(iter_bits(m)),
+                "upset": list(iter_bits(m)),
                 "rank": ra.ranks[m],
                 "witness": ra.witness_text(m),
             }

@@ -157,12 +157,18 @@ def collapse_check(spec: LadderSpec, P: Poset, masks: Sequence[int]) -> dict:
     """Check the type-collapse bound on a truncation: per-level omega-type
     statistics of the colouring masks on the ladder P.
 
-    first_merge_level is the least level holding two points of the same
-    omega-type while all deeper levels agree on 0-types; collapse_level is
-    the least level from which every level has a single omega-type. Both
-    are None when no level qualifies. classes_per_level counts the
-    omega-types on each level, and bound_satisfied records whether every
-    level at least 2**n + 1 below the first merge is a single class.
+    classes_per_level counts the omega-types on each level. Two backward
+    passes read it: one is the least level from which every level holds a
+    single class (the depth when the last level holds more), and tail the
+    least from which every level is stage-0 uniform. first_merge_level is
+    the least level j with two points of one omega-type and every level
+    below j uniform, i.e. with j + 1 >= tail: the least j >=
+    max(tail - 1, 0) with fewer than w classes. collapse_level is one when
+    one is below the depth; both are None when no level qualifies.
+    bound_satisfied is the lemma, collapse_level - first_merge_level <=
+    2**n + 1 with the collapse level read as one: the levels from one down
+    are single and level one - 1 is not, so every level from first_merge +
+    2**n + 1 down is single exactly when one is at most that level.
 
     The colouring's support must stay in the top levels, leaving at least
     2**n + 3 colour-free levels below, so the truncation has room for the
@@ -172,29 +178,20 @@ def collapse_check(spec: LadderSpec, P: Poset, masks: Sequence[int]) -> dict:
     max_support = spec.depth - 1 - (2 ** spec.n + 3)
     if not all(supported_within(spec, m, max_support) for m in masks):
         raise SupportTooDeep(f"colour support must stay within levels 0..{max_support}")
-    width = spec.width
-    first_merge = None
-    for j in range(spec.depth):
-        if classes[j] < width and all(uniform0[q] for q in range(j + 1, spec.depth)):
-            first_merge = j
-            break
-    collapse = None
-    for t0 in range(spec.depth):
-        if all(classes[t] == 1 for t in range(t0, spec.depth)):
-            collapse = t0
-            break
-    if first_merge is None:
-        bound = True
-    else:
-        start = first_merge + 2 ** spec.n + 1
-        bound = all(classes[t] == 1 for t in range(start, spec.depth))
+    depth = one = tail = spec.depth
+    while one and classes[one - 1] == 1:
+        one -= 1
+    while tail and uniform0[tail - 1]:
+        tail -= 1
+    merges = (j for j in range(max(tail - 1, 0), depth) if classes[j] < spec.width)
+    first_merge = next(merges, None)
     return {
         "n": spec.n,
-        "depth": spec.depth,
+        "depth": depth,
         "first_merge_level": first_merge,
-        "collapse_level": collapse,
+        "collapse_level": one if one < depth else None,
         "classes_per_level": classes,
-        "bound_satisfied": bound,
+        "bound_satisfied": first_merge is None or one - first_merge <= 2 ** spec.n + 1,
     }
 
 

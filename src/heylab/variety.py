@@ -130,7 +130,7 @@ def strictness_report(
                 "k": n,
                 "algebra_size": len(masks),
                 "max_k_generated_size": best,
-                "witness": [sorted(iter_bits(m)) for m in witness],
+                "witness": [list(iter_bits(m)) for m in witness],
                 "canonical_generates_full": canonical_size == len(masks),
             }
         )

@@ -94,7 +94,7 @@ def _sample_generator_sets(masks, count: int, rng: random.Random):
 
 
 def _upset_lists(masks) -> list:
-    return [sorted(iter_bits(m)) for m in masks]
+    return [list(iter_bits(m)) for m in masks]
 
 
 def _report(lemma: str, failures: list, **fields) -> dict:
@@ -235,32 +235,29 @@ def _in_shares(walk, shares: int) -> list:
 
 def _walk_share(corpus, gens_per_poset, seed, budget_upsets, check, share, shares):
     """Walk every poset of corpus and its seeded draws, and check the draws
-    of the posets whose index is share mod shares. Return ((failures as
-    (poset index, payload) pairs, draws walked), error), error being None
-    or (poset index, the first exception raised)."""
+    of the posets whose index is share mod shares. Return (failures as
+    (poset index, payload) pairs, error), error being None or (poset index,
+    the first exception raised)."""
     found = []
-    runs = index = 0
+    index = 0
     rng = random.Random(seed)
     try:
         for P in corpus:
             masks = upset_masks(P, budget_upsets)
-            draws = _sample_generator_sets(masks, gens_per_poset, rng)
-            if index % shares == share:
-                memo: dict = {}
-                for G in draws:
-                    runs += 1
-                    if G not in memo:
-                        memo[G] = check(P, G)
-                    details = memo[G]
-                    if details is not None:
-                        failure = {"poset": poset_to_json(P), "generators": _upset_lists(G)}
-                        found.append((index, {**failure, **details}))
-            else:  # another share's poset: draw its sets to keep the stream
-                runs += sum(1 for _ in draws)
+            memo: dict = {}
+            for G in _sample_generator_sets(masks, gens_per_poset, rng):
+                if index % shares != share:  # drawn only to keep the stream
+                    continue
+                if G not in memo:
+                    memo[G] = check(P, G)
+                details = memo[G]
+                if details is not None:
+                    failure = {"poset": poset_to_json(P), "generators": _upset_lists(G)}
+                    found.append((index, {**failure, **details}))
             index += 1
     except Exception as error:
-        return (found, runs), (index, error)
-    return (found, runs), None
+        return found, (index, error)
+    return found, None
 
 
 def _sampled_lemma(
@@ -285,10 +282,10 @@ def _sampled_lemma(
     check_tuple_budget(checks, budget_tuples, "checks")
     walk = partial(_walk_share, corpus, gens_per_poset, seed, budget_upsets, check)
     results = _in_shares(walk, _shares(len(corpus), gens_per_poset))
-    found = sorted(chain.from_iterable(f for f, _ in results), key=itemgetter(0))
+    found = sorted(chain.from_iterable(results), key=itemgetter(0))
     return _report(
         lemma, [failure for _, failure in found], seed=seed, posets=len(corpus),
-        gens_per_poset=gens_per_poset, checks=results[0][1] * checks_per_run, **fields,
+        gens_per_poset=gens_per_poset, checks=checks, **fields,
     )
 
 

@@ -197,9 +197,9 @@ HELP_DIGESTS = {
 }
 
 
-def _help(runner, command: str):
+def _help(runner, command: str, width: int = 80):
     argv = [command, "--help"] if command else ["--help"]
-    return runner.invoke(main, argv, prog_name="heylab", terminal_width=80)
+    return runner.invoke(main, argv, prog_name="heylab", terminal_width=width)
 
 
 def test_every_command_has_its_help_pinned():
@@ -211,6 +211,29 @@ def test_help_digest(runner, command):
     res = _help(runner, command)
     assert res.exit_code == 0
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == HELP_DIGESTS[command]
+
+
+# sha256 of the same pages at the narrowest width the terminal default
+# gives and at a wide one, pinned while the rows were wrapped by hand
+HELP_WIDTH_DIGESTS = [
+    pytest.param("", 50, "caad7bd1e1d4bca059544d29bf5bfabda90c1da0d2282f34d396178cfd8fd312",
+                 id="heylab-50"),
+    pytest.param("", 120, "bffd152de1c0cdd721ea4e29499cdca3fb1f943107fefaed9e7a70941dba8eaa",
+                 id="heylab-120"),
+    pytest.param("verify", 50,
+                 "5099257bb870ef464d243c328707b4d1148bd1440d8a8a3f2ca8a5b1bb33185f",
+                 id="verify-50"),
+    pytest.param("verify", 120,
+                 "7509cf4f91dcbf8b34182a81fe07406c6882b37756338e794b9fb163d60a3e5e",
+                 id="verify-120"),
+]
+
+
+@pytest.mark.parametrize("command, width, digest", HELP_WIDTH_DIGESTS)
+def test_help_digest_at_other_widths(runner, command, width, digest):
+    res = _help(runner, command, width)
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
 
 
 def test_help_shows_the_default_budgets_and_seed(runner):

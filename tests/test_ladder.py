@@ -5,6 +5,8 @@ from math import factorial, prod
 
 import pytest
 from conftest import BoundedRandom
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from heylab import (
     LadderSpec,
@@ -16,6 +18,7 @@ from heylab import (
     stage_types,
     verify_canonical,
 )
+from heylab import ladder as ladder_mod
 from heylab.colouring import (
     _omega_block_of,
     colour_scan,
@@ -303,6 +306,59 @@ def test_level_stats_match_the_type_partitions():
             for j in range(spec.depth):
                 assert classes[j] == len({omega[i] for i in levels[j]})
                 assert uniform0[j] == (len({stage0[i] for i in levels[j]}) <= 1)
+
+
+def oracle_collapse_fields(classes, uniform0, n, width):
+    """collapse_check's three derived fields by its earlier three scans of
+    the level profile: the first merge, the collapse level, and the bound
+    read level by level from 2**n + 1 below the first merge."""
+    depth = len(classes)
+    first_merge = None
+    for j in range(depth):
+        if classes[j] < width and all(uniform0[q] for q in range(j + 1, depth)):
+            first_merge = j
+            break
+    collapse = None
+    for t0 in range(depth):
+        if all(classes[t] == 1 for t in range(t0, depth)):
+            collapse = t0
+            break
+    if first_merge is None:
+        bound = True
+    else:
+        start = first_merge + 2 ** n + 1
+        bound = all(classes[t] == 1 for t in range(start, depth))
+    return first_merge, collapse, bound
+
+
+@st.composite
+def level_profiles(draw):
+    """n, and per level its omega-class count (1 to w) and whether it is
+    stage-0 uniform, for depths 1 to 14: profiles no colouring need give,
+    failing bounds included."""
+    n = draw(st.integers(0, 2))
+    depth = draw(st.integers(1, 14))
+    classes = draw(st.lists(st.integers(1, 2 ** n + 1), min_size=depth, max_size=depth))
+    uniform0 = draw(st.lists(st.booleans(), min_size=depth, max_size=depth))
+    return n, classes, uniform0
+
+
+@given(level_profiles())
+@example((0, [1, 2, 2, 2, 2, 1], [True] * 6))  # the bound fails: gap 5 > 2
+@example((0, [1, 1, 2, 1, 1, 1], [True] * 6))  # gap 3 > 2, merge at level 0
+@example((1, [2, 3, 3, 1, 1], [True] * 5))  # the gap is exactly 2**n + 1
+@example((1, [3, 2, 2], [False, True, True]))  # last level not single
+@example((2, [5, 5, 3], [True, False, False]))  # no merge: deep levels not uniform
+def test_collapse_fields_match_the_level_scans(profile):
+    n, classes, uniform0 = profile
+    spec = LadderSpec(n, len(classes))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ladder_mod, "_level_stats", lambda *args: (classes, uniform0))
+        report = collapse_check(spec, None, [])
+    fields = report["first_merge_level"], report["collapse_level"], report["bound_satisfied"]
+    assert fields == oracle_collapse_fields(classes, uniform0, n, spec.width)
+    assert report["classes_per_level"] == classes
+    assert (report["n"], report["depth"]) == (n, len(classes))
 
 
 def oracle_non_colourability_scan(n, depth, k, samples=None, seed=None):
