@@ -22,10 +22,10 @@ from .poset import (
     DEFAULT_TUPLE_BUDGET,
     DEFAULT_UPSET_BUDGET,
     is_upset_mask,
-    iter_bits,
     poset_from_json,
     poset_to_dot,
     poset_to_json,
+    upset_lists,
     upset_masks,
 )
 
@@ -289,7 +289,7 @@ def _definitions(rows, width: int) -> str:
     out = []
     for term, text in rows:
         wrapper.initial_indent = f"  {term:<{col}}"
-        out.append(wrapper.fill(text) + "\n" if text else f"  {term}\n")
+        out.append(wrapper.fill(text) + "\n")
     return "".join(out)
 
 
@@ -361,7 +361,7 @@ def upsets(cfg: RunConfig, poset_file):
     payload = {
         "seed": cfg.seed,
         "count": len(us),
-        "upsets": [list(iter_bits(m)) for m in us],
+        "upsets": upset_lists(us),
     }
     _emit(cfg, payload)
 
@@ -397,7 +397,7 @@ def types(cfg: RunConfig, poset_file, colour, stage):
         "seed": cfg.seed,
         "stage": "omega" if stage is None else stage,
         # disjoint blocks, so ordered by their lowest point
-        "blocks": sorted(list(iter_bits(b)) for b in blocks),
+        "blocks": sorted(upset_lists(blocks)),
         "stabilized_at": stabilized_at,
     }
     _emit(cfg, payload)
@@ -421,7 +421,7 @@ def colour_search(cfg: RunConfig, poset_file, k):
             "seed": cfg.seed,
             "k": k,
             "found": True,
-            "colours": [list(iter_bits(m)) for m in masks],
+            "colours": upset_lists(masks),
         },
     )
 
@@ -441,15 +441,15 @@ def generate_cmd(cfg: RunConfig, poset_file, gen):
     elems = sorted(ra.elements)
     payload = {
         "seed": cfg.seed,
-        "generators": [list(iter_bits(m)) for m in masks],
+        "generators": upset_lists(masks),
         "size": len(elems),
         "elements": [
             {
-                "upset": list(iter_bits(m)),
+                "upset": u,
                 "rank": ra.ranks[m],
                 "witness": ra.witness_text(m),
             }
-            for m in elems
+            for m, u in zip(elems, upset_lists(elems))
         ],
     }
     _emit(cfg, payload)

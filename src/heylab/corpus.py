@@ -231,7 +231,7 @@ def corpus_from_spec(text: str) -> list:
     above the limit raises BudgetExceeded, each naming the item, before
     any poset is built.
     """
-    return [P for _, build in _corpus_items(text) for P in build()]
+    return list(SpecCorpus(text))
 
 
 class SpecCorpus:
@@ -242,11 +242,11 @@ class SpecCorpus:
     goes, and holds only the posets it keeps."""
 
     def __init__(self, spec: str):
-        self.spec = spec
-        self.size = sum(count for count, _ in _corpus_items(spec))
+        self.items = _corpus_items(spec)
+        self.size = sum(count for count, _ in self.items)
 
     def __len__(self) -> int:
         return self.size
 
     def __iter__(self):
-        return chain.from_iterable(build() for _, build in _corpus_items(self.spec))
+        return chain.from_iterable(build() for _, build in self.items)

@@ -58,6 +58,11 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def upset_lists(masks) -> list:
+    """Each mask as the list of its point indices, ascending."""
+    return [list(iter_bits(m)) for m in masks]
+
+
 class Poset:
     """An immutable finite partial order over named points.
 

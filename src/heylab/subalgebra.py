@@ -83,17 +83,17 @@ class RankedAlgebra:
         return value[mask]
 
 
-def _lattice_close(seen, witnesses: dict, cap: int, consts, old=frozenset()) -> set:
-    """Close seen under meet and join in place, and return it; seen holds
-    the constants consts. A pair with a constant gives nothing new (0 & a =
-    0, 0 | a = a, 1 & a = a, 1 | a = 1), so the constants are paired with
-    nothing. old, when given, is a lattice-closed subset of seen: a pair of
-    its elements gives nothing new, so an element of old is paired only
-    with the fresh elements before it, and a fresh one with every element
-    before it."""
-    if len(seen) > cap:
-        raise over_budget(len(seen), cap, "upsets")
-    elems = sorted(seen - consts)
+def _lattice_close(witnesses: dict, cap: int, consts, old=frozenset()) -> list:
+    """Close the table witnesses, whose keys are its elements, the constants
+    consts among them, under meet and join in place; return the others
+    ascending. A pair with a constant gives nothing new (0 & a = 0, 0 | a =
+    a, 1 & a = a, 1 | a = 1), so the constants are paired with nothing. old,
+    when given, is a lattice-closed subset of the table: a pair of its
+    elements gives nothing new, so an element of old is paired only with the
+    fresh elements before it, and a fresh one with every element before it."""
+    if len(witnesses) > cap:
+        raise over_budget(len(witnesses), cap, "upsets")
+    elems = sorted(witnesses.keys() - consts)
     fresh = []
     for i, a in enumerate(elems):
         if a in old:
@@ -103,18 +103,17 @@ def _lattice_close(seen, witnesses: dict, cap: int, consts, old=frozenset()) -> 
             partners = elems[:i]
         for b in partners:
             m = a & b
-            if m not in seen:
-                seen.add(m)
+            if m not in witnesses:
+                witnesses[m] = ("and", a, b)
                 elems.append(m)
-                witnesses.setdefault(m, ("and", a, b))
             m = a | b
-            if m not in seen:
-                seen.add(m)
+            if m not in witnesses:
+                witnesses[m] = ("or", a, b)
                 elems.append(m)
-                witnesses.setdefault(m, ("or", a, b))
-        if len(seen) > cap:
-            raise over_budget(len(seen), cap, "upsets")
-    return seen
+        if len(witnesses) > cap:
+            raise over_budget(len(witnesses), cap, "upsets")
+    elems.sort()
+    return elems
 
 
 def generate(P: Poset, G: Iterable, budget: Optional[int] = None) -> RankedAlgebra:
@@ -125,24 +124,22 @@ def generate(P: Poset, G: Iterable, budget: Optional[int] = None) -> RankedAlgeb
     for i, m in enumerate(G):
         witnesses.setdefault(m, ("g", i))
     consts = {0, P.full_mask}
-    cur = _lattice_close(set(witnesses), witnesses, cap, consts)
-    strata = [frozenset(cur)]
-    elems = sorted(cur)
-    ranks = dict.fromkeys(elems, 0)
-    # semi-naive rounds, each adding to cur in place: a pair of elements of
-    # old, the stratum before, was formed in the round before, and its
-    # implication is in cur already. 0 -> b, a -> 1 and 1 -> b give 1, 1 and
-    # b, so 0 and 1 are left out of the pairs, except 0 on the right: a -> 0
-    # is the complement of a. Only b a proper submask of a is paired with a:
-    # a -> b = a -> (a & b), and a & b is in cur and at most b as an int, so
-    # the ascending loop reaches it first and adds whatever a -> b would (a &
-    # b = a gives 1; when a and a & b are both old, a -> (a & b) is in cur).
+    elems = [0, *_lattice_close(witnesses, cap, consts)]
+    strata = [frozenset(witnesses)]
+    ranks = dict.fromkeys([*elems, P.full_mask], 0)
+    # semi-naive rounds, each adding to the table in place: a pair of elements
+    # of old, the stratum before, was formed in the round before, and its
+    # implication is in the table already. 0 -> b, a -> 1 and 1 -> b give 1, 1
+    # and b, so 0 and 1 are left out of the pairs, except 0 on the right: a ->
+    # 0 is the complement of a. Only b a proper submask of a is paired with a:
+    # a -> b = a -> (a & b), and a & b is in the table and at most b as an int,
+    # so the ascending loop reaches it first and adds whatever a -> b would (a
+    # & b = a gives 1; when a and a & b are both old, a -> (a & b) is in it).
     old, new = frozenset(), elems
     # imp_mask inlined: a -> b is the complement of the down-closure of
     # a \ b, which is a ^ b for b a submask of a
     close, full = down_closure_of(P), P.full_mask
     while True:
-        del elems[-1]  # 1, the largest mask, new only in stratum 0
         for a in elems:  # a = 0 breaks at once
             for b in new if a in old else elems:
                 if b >= a:
@@ -150,14 +147,13 @@ def generate(P: Poset, G: Iterable, budget: Optional[int] = None) -> RankedAlgeb
                 if b & ~a:
                     continue
                 m = full & ~close(a ^ b)
-                if m not in cur:
-                    cur.add(m)
-                    witnesses.setdefault(m, ("imp", a, b))
-        if len(cur) == len(strata[-1]):  # cur is lattice-closed already
+                if m not in witnesses:
+                    witnesses[m] = ("imp", a, b)
+        if len(witnesses) == len(strata[-1]):  # lattice-closed already
             return RankedAlgebra(P, tuple(strata), ranks, witnesses)
         old = strata[-1]
-        strata.append(frozenset(_lattice_close(cur, witnesses, cap, consts, old)))
-        elems = sorted(cur)
+        elems = [0, *_lattice_close(witnesses, cap, consts, old)]
+        strata.append(frozenset(witnesses))
         new = [m for m in elems if m not in old]
         ranks.update(dict.fromkeys(new, len(strata) - 1))
 

@@ -13,7 +13,7 @@ from .ladder import LadderSpec, build_ladder, canonical_colouring
 from .poset import (
     check_budget,
     check_multiset_budget,
-    iter_bits,
+    upset_lists,
     upset_masks,
 )
 # generate is no longer called here, but stays importable under this name:
@@ -130,7 +130,7 @@ def strictness_report(
                 "k": n,
                 "algebra_size": len(masks),
                 "max_k_generated_size": best,
-                "witness": [list(iter_bits(m)) for m in witness],
+                "witness": upset_lists(witness),
                 "canonical_generates_full": canonical_size == len(masks),
             }
         )

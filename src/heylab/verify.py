@@ -37,6 +37,7 @@ from .poset import (
     iter_bits,
     poset_to_json,
     union_lookup,
+    upset_lists,
     upset_masks,
 )
 
@@ -93,10 +94,6 @@ def _sample_generator_sets(masks, count: int, rng: random.Random):
         yield (a, b) if a < b else (b, a)
 
 
-def _upset_lists(masks) -> list:
-    return [list(iter_bits(m)) for m in masks]
-
-
 def _report(lemma: str, failures: list, **fields) -> dict:
     return {"lemma": lemma, **fields, "failures": failures, "passed": not failures}
 
@@ -137,7 +134,7 @@ def verify_residuation(
                 bad = hit(b & ~c) ^ hit(full & ~imp)
                 if bad:  # most pairs fail nowhere: skip iter_bits' set-up
                     for i in iter_bits(bad):
-                        triple = _upset_lists((masks[i], b, c))
+                        triple = upset_lists((masks[i], b, c))
                         failures.append({"poset": poset_to_json(P), "triple": triple})
         triples += len(masks) ** 3
     return _report("residuation", failures, posets=len(corpus), triples=triples)
@@ -252,7 +249,7 @@ def _walk_share(corpus, gens_per_poset, seed, budget_upsets, check, share, share
                     memo[G] = check(P, G)
                 details = memo[G]
                 if details is not None:
-                    failure = {"poset": poset_to_json(P), "generators": _upset_lists(G)}
+                    failure = {"poset": poset_to_json(P), "generators": upset_lists(G)}
                     found.append((index, {**failure, **details}))
             index += 1
     except Exception as error:
@@ -390,7 +387,7 @@ def verify_collapse(
     for masks in random_tuples(pool, n, samples, seed):
         report = collapse_check(spec, P, masks)
         if not report["bound_satisfied"]:
-            failures.append({"colours": _upset_lists(masks), "report": report})
+            failures.append({"colours": upset_lists(masks), "report": report})
     return _report(
         "collapse", failures, n=n, depth=depth, samples=samples, seed=seed,
         support_levels=COLLAPSE_SUPPORT_LEVELS,
@@ -442,7 +439,7 @@ def verify_next_level(
     failures = []
     for masks in trials:
         if not next_level_bound_check(spec, P, masks):
-            failures.append({"colours": _upset_lists(masks)})
+            failures.append({"colours": upset_lists(masks)})
     return _report(
         "next-level", failures, n=n, depth=depth, k=k, samples=samples, seed=seed
     )
@@ -537,14 +534,14 @@ Option = NamedTuple("Option", [("type", type), ("least", Optional[int]), ("help"
 
 # Every lemma option, in the order `verify --help` lists them.
 OPTIONS = {
-    "corpus": Option(str, None, "e.g. exhaustive5,random200:2718"),
-    "n": Option(int, None, ""),
-    "depth": Option(int, 1, ""),
+    "corpus": Option(str, None, "e.g. " + DEFAULT_CORPUS),
+    "n": Option(int, None, "Number of colours n (ladder width 2**n + 1)."),
+    "depth": Option(int, 1, "Depth of the ladder truncation."),
     "depths": Option(str, None, "Comma-separated depth list."),
-    "k": Option(int, 0, ""),
-    "samples": Option(int, 0, ""),
-    "gens_per_poset": Option(int, 1, ""),
-    "max_stage": Option(int, 0, ""),
+    "k": Option(int, 0, "Colours per colouring (default: n)."),
+    "samples": Option(int, 0, "Seeded random colourings to check."),
+    "gens_per_poset": Option(int, 1, "Generator sets drawn per poset (default: 20)."),
+    "max_stage": Option(int, 0, "Last refinement stage compared (default: 5)."),
 }
 
 _BUDGETS = " budget_upsets budget_tuples"

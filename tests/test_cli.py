@@ -15,7 +15,7 @@ import heylab
 from heylab import corpus as corpus_mod
 from heylab import ladder as ladder_mod
 from heylab.algebra import algebra_of
-from heylab.cli import COMMANDS, main
+from heylab.cli import COMMANDS, GLOBAL_OPTIONS, _option_row, main
 from heylab.poset import EXACT_COUNT_BITS, poset_to_json, validate
 
 
@@ -182,7 +182,8 @@ def test_help_exits_0(runner, argv):
 
 
 # sha256 of `heylab --help` and of `heylab CMD --help`, 80 columns wide,
-# pinned while every module was still imported at start-up
+# pinned while every module was still imported at start-up; verify's was
+# pinned again when each of its option rows got a line of help
 HELP_DIGESTS = {
     "": "45ec71eaecdb026a8a8e7c22104d8f8b447847de4e42b50acb19ed0b6608ad21",
     "algebra": "dbe5391077d5054ea4af8a377b641a81ef8a732f71da9d57682a01b4786782f3",
@@ -193,7 +194,7 @@ HELP_DIGESTS = {
     "strictness": "dd338bdc1f378b6920f277b4152dec67576a07bad3b3e50765c0f8defcea71e6",
     "types": "c8e64ff44c91cdff671fd91ae32756261e3c18416939b5b7fbe8c56c12e60fe6",
     "upsets": "e2e95792b9ac9c7dc273e15791b699107d6ce2d7b84f4971a53bf6375e2a7329",
-    "verify": "622f0741d5acfe4f1e4505a06c8b2045de3aa10efd168e10cd57098b7e3ec445",
+    "verify": "b065bdac60770ed69dcb2505f784cfc213718d487638799af4eeea3a42054d8b",
 }
 
 
@@ -213,18 +214,28 @@ def test_help_digest(runner, command):
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == HELP_DIGESTS[command]
 
 
+def test_no_option_row_is_empty():
+    # the help layout gives every option a text column, for heylab and for
+    # each command, verify's lemma options included
+    params = [*GLOBAL_OPTIONS, *(p for _, ps in COMMANDS.values() for p in ps)]
+    rows = [_option_row(p) for p in params if p.name[0] == "-"]
+    assert len(rows) > len(GLOBAL_OPTIONS)
+    assert [term for term, text in rows if not text] == []
+
+
 # sha256 of the same pages at the narrowest width the terminal default
 # gives and at a wide one, pinned while the rows were wrapped by hand
+# (verify's, again, when each of its option rows got a line of help)
 HELP_WIDTH_DIGESTS = [
     pytest.param("", 50, "caad7bd1e1d4bca059544d29bf5bfabda90c1da0d2282f34d396178cfd8fd312",
                  id="heylab-50"),
     pytest.param("", 120, "bffd152de1c0cdd721ea4e29499cdca3fb1f943107fefaed9e7a70941dba8eaa",
                  id="heylab-120"),
     pytest.param("verify", 50,
-                 "5099257bb870ef464d243c328707b4d1148bd1440d8a8a3f2ca8a5b1bb33185f",
+                 "2379c46314c30897cdf8c54aaaf9f04c7d7555c2a102350279b476b5a8448789",
                  id="verify-50"),
     pytest.param("verify", 120,
-                 "7509cf4f91dcbf8b34182a81fe07406c6882b37756338e794b9fb163d60a3e5e",
+                 "a20e18ff78749631a82bb6205fef5dde70dddac7409769af6fe3f0511f9eda9e",
                  id="verify-120"),
 ]
 

@@ -17,6 +17,7 @@ from heylab.ladder import LadderSpec, build_ladder, canonical_colouring
 from heylab.poset import DEFAULT_UPSET_BUDGET, upset_masks
 from heylab.subalgebra import (
     RankedAlgebra,
+    _lattice_close,
     duality_sides,
     quotient_size,
     quotient_upset_count,
@@ -207,6 +208,41 @@ def test_lattice_closure_against_normal_form(small_corpus):
         masks = upset_masks(P)
         for gens in combinations(masks, min(2, len(masks))):
             assert set(generate(P, gens).strata[0]) == oracle_lattice(P, gens)
+
+
+@given(posets_with_generators(), st.data())
+def test_lattice_close_grows_the_table_and_returns_it_ascending(case, data):
+    # the table's keys are the closure: it grows in place and keeps every
+    # term it had, each term it adds names two of its elements, and the
+    # elements other than the constants come back ascending; a second pass
+    # over more masks, told that the closed table is old, closes it again
+    P, gens = case
+    consts = {0, P.full_mask}
+    table = {0: ("0",), P.full_mask: ("1",)}
+    for i, m in enumerate(gens):
+        table.setdefault(m, ("g", i))
+    seeded = dict(table)
+    elems = _lattice_close(table, DEFAULT_UPSET_BUDGET, consts)
+    assert elems == sorted(table.keys() - consts)
+    assert set(table) == oracle_lattice(P, gens)
+    assert table.items() >= seeded.items()
+    old = frozenset(table)
+    more = data.draw(st.lists(st.sampled_from(upset_masks(P)), max_size=2))
+    for m in more:
+        table.setdefault(m, ("g", len(gens)))
+    elems = _lattice_close(table, DEFAULT_UPSET_BUDGET, consts, old)
+    assert elems == sorted(table.keys() - consts)
+    assert set(table) == oracle_lattice(P, old | set(more))
+    assert all(t[1] in table and t[2] in table for t in table.values() if len(t) == 3)
+
+
+@given(posets_with_generators())
+def test_the_witness_table_is_the_element_set(case):
+    # an upset is an element exactly when it has a witness term, and each
+    # stratum holds the one before it and adds to it
+    ra = generate(*case)
+    assert set(ra.witnesses) == ra.elements == set(ra.ranks)
+    assert all(a < b for a, b in zip(ra.strata, ra.strata[1:]))
 
 
 def test_generate_fork(fork):

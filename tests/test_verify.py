@@ -23,6 +23,7 @@ from heylab.poset import (
     iter_bits,
     poset_from_json,
     poset_to_json,
+    upset_lists,
     upset_masks,
 )
 from heylab.verify import (
@@ -31,7 +32,6 @@ from heylab.verify import (
     _report,
     _sample_generator_sets,
     _sampled_lemma,
-    _upset_lists,
     run_verification,
     verify_canonical_range,
     verify_collapse,
@@ -322,7 +322,7 @@ def oracle_sampled_lemma(
             runs += 1
             details = check(P, G)
             if details is not None:
-                failure = {"poset": poset_to_json(P), "generators": _upset_lists(G)}
+                failure = {"poset": poset_to_json(P), "generators": upset_lists(G)}
                 failures.append({**failure, **details})
     return _report(
         lemma, failures, seed=seed, posets=len(corpus), gens_per_poset=gens_per_poset,
